@@ -22,6 +22,7 @@ from .runner import (
     Procedure,
     RunResult,
     Verdict,
+    answer_word,
     check_determination,
     compute_function,
     run,
@@ -33,12 +34,12 @@ from .tape import (
     apply_instruction,
     extract_string,
     halting_accept,
-    import_tm,
     start_config,
 )
 from .trie import MachineStats, PartialDfa, QueryCase, QueryLedger, QueryOutcome, replay_check
 from .numbering import ArrivalNumbering
-from .engine import EvolvingModel, InvocationRecord, decode_snapshot, encode_snapshot, fork
+from .engine import (EvolvingModel, InvocationRecord, decode_snapshot, encode_snapshot,
+                     fork, make_model)
 from .experiments import (
     SaturationReport,
     SiblingSearchResult,
@@ -51,15 +52,6 @@ from .experiments import (
     saturate,
     sibling_search,
 )
-from .procfile import load_procedure, parse_procedure, render_procedure
+from .procfile import import_tm, load_procedure, parse_procedure, render_procedure
 
 __version__ = "0.1.0"
-
-
-def make_model(kind):
-    """Model instance for a selector: "v" (stateless) or "e" (evolving)."""
-    if kind == "v":
-        return StandardModel()
-    if kind == "e":
-        return EvolvingModel()
-    raise ValueError(f"unknown model kind {kind!r}; expected 'v' or 'e'")

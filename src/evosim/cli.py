@@ -23,21 +23,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import EvolvingModel, decode_snapshot, encode_snapshot
+from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import EvosimError
 from .experiments import right_scanner, run_traced
 from .procfile import load_procedure
-from .runner import run
+from .runner import answer_word, run
 from .scenario import (
     LineParser,
     ScenarioRunner,
-    answer_word,
-    cost_text,
     parse_scenario,
+    run_line,
     show_config,
-    show_string,
+    trace_line,
 )
-from .tape import StandardModel
 
 
 def _build_parser():
@@ -81,7 +79,7 @@ def _make_model(args):
         if args.model == "v":
             raise EvosimError("--state carries an evolving world; use --model e")
         return model
-    return EvolvingModel() if args.model == "e" else StandardModel()
+    return make_model(args.model)
 
 
 def _load_procedure(args):
@@ -96,9 +94,7 @@ def _write_back(args, model):
 def _cmd_run(args):
     model = _make_model(args)
     result = run(model, _load_procedure(args), args.input, args.budget)
-    print(f"run {show_string(args.input)} -> {result.verdict.value} "
-          f"({cost_text(result.cost)}) "
-          f"final {show_string(result.final_string)}")
+    print(run_line(args.input, result))
     _write_back(args, model)
     return 0
 
@@ -117,14 +113,8 @@ def _cmd_trace(args):
         raise EvosimError("trace needs the evolving world; pass --model e")
     result, trace = run_traced(model, _load_procedure(args), args.input,
                                args.budget)
-    print(f"run {show_string(args.input)} -> {result.verdict.value} "
-          f"({cost_text(result.cost)}) "
-          f"final {show_string(result.final_string)}")
-    fed = ", ".join(sorted(trace.fed_strings))
-    same = ", ".join(sorted(trace.same_length))
-    longer = ", ".join(sorted(trace.longer_by_two))
-    print(f"trace: halts {len(trace.halting_configs)}, fed [{fed}], "
-          f"same-length [{same}], longer-by-two [{longer}]")
+    print(run_line(args.input, result))
+    print(trace_line(trace))
     for config in trace.halting_configs:
         print(f"  halt {show_config(config)}")
     _write_back(args, model)

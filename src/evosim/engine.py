@@ -1,6 +1,6 @@
 """The evolving model: standard transitions, self-rewriting acceptance.
 
-The transition engine is the plain one from `evosim.tape`. The accepting
+The run loop applies the plain transitions of `evosim.tape`. The accepting
 engine answers YES outright on a halt-state head parked on a blank at the
 tape origin; on a halt-state head parked on a blank at the right edge it
 strips the end blanks off the tape content and hands the resulting string
@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SnapshotError
-from .runner import BLANK, HALT_STATE
-from .tape import apply_instruction, extract_string, start_config
-from .trie import PartialDfa, QueryLedger
+from .tape import BLANK, HALT_STATE, StandardModel
+from .trie import PartialDfa
 
 SNAPSHOT_HEADER = "PET1 v1"
 
@@ -37,22 +36,13 @@ class InvocationRecord:
 
 
 class EvolvingModel:
-    kind = "e"
+    """Evolving model: the trie-backed acceptor, with every consultation
+    in `invocation_log`."""
 
     def __init__(self, trie=None):
         self.trie = trie if trie is not None else PartialDfa()
-        self.ledger = QueryLedger()
         self.invocation_log = []
         self.acceptor_ticks = 0
-
-    def start_config(self, text):
-        return start_config(text)
-
-    def transition(self, config, inst):
-        return apply_instruction(config, inst)
-
-    def string_of(self, config):
-        return extract_string(config)
 
     def accept(self, config):
         """The evolving accepting engine.
@@ -74,11 +64,19 @@ class EvolvingModel:
             return False
         outcome = self.trie.query(text)
         self.acceptor_ticks += outcome.ticks
-        self.ledger.record(text, outcome.accepted)
         self.invocation_log.append(
             InvocationRecord(config, text, outcome.accepted, outcome.ticks)
         )
         return outcome.accepted
+
+
+def make_model(kind):
+    """Model instance for a selector: "v" (stateless) or "e" (evolving)."""
+    if kind == "v":
+        return StandardModel()
+    if kind == "e":
+        return EvolvingModel()
+    raise ValueError(f"unknown model kind {kind!r}; expected 'v' or 'e'")
 
 
 def encode_snapshot(model):

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .engine import EvolvingModel, encode_snapshot
-from .runner import BLANK, Instruction, Procedure, Verdict, run
+from .runner import Instruction, Procedure, Verdict, answer_word, run
+from .tape import BLANK
 
 
 def right_scanner():
@@ -167,20 +168,16 @@ def run_traced(model, procedure, text, budget=10_000):
     return result, trace
 
 
-def _answer(result):
-    return "accept" if result.verdict is Verdict.ACCEPTED else "reject"
-
-
 def order_demo():
     """Two fresh engines, same two inputs, opposite orders, different
     languages. Returns a deterministic transcript of the divergence."""
     procedure = right_scanner()
     first = EvolvingModel()
-    a1 = _answer(run(first, procedure, "101"))
-    a2 = _answer(run(first, procedure, "10"))
+    a1 = answer_word(run(first, procedure, "101").verdict)
+    a2 = answer_word(run(first, procedure, "10").verdict)
     second = EvolvingModel()
-    b1 = _answer(run(second, procedure, "10"))
-    b2 = _answer(run(second, procedure, "101"))
+    b1 = answer_word(run(second, procedure, "10").verdict)
+    b2 = answer_word(run(second, procedure, "101").verdict)
     accepting_a = first.trie.accepting_in_creation_order()
     accepting_b = second.trie.accepting_in_creation_order()
     same = encode_snapshot(first) == encode_snapshot(second)

@@ -1,4 +1,4 @@
-"""Procedure file grammar.
+"""Procedure file grammar and machine-table import.
 
 One instruction per line:
 
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import DeterminationError, ProcedureSyntaxError
-from .runner import BLANK, Instruction, Procedure, check_determination
+from .errors import InvalidSymbolError, ProcedureSyntaxError
+from .runner import Instruction, Procedure
+from .tape import ALPHABET, BLANK
 
 _LINE = re.compile(
     r"^\(\s*([^\s(),#]+)\s*,\s*([01_])\s*\)\s*->\s*"
@@ -49,9 +50,25 @@ def parse_procedure(text):
         state, read, target, write, move = match.groups()
         instructions.append(
             Instruction(state, _symbol_in(read), target, _symbol_in(write), move))
-    collisions = check_determination(instructions)
-    if collisions:
-        raise DeterminationError(collisions)
+    return Procedure(instructions)
+
+
+def import_tm(rows):
+    """Embed a deterministic single-tape transition table as a Procedure.
+
+    `rows` are Instruction objects or (state, read, target, write, move)
+    tuples; the embedding is the identity, with symbol validation and the
+    duplicate-key check applied.
+    """
+    instructions = []
+    for row in rows:
+        if isinstance(row, Instruction):
+            instructions.append(row)
+            continue
+        state, read, target, write, move = row
+        if read not in ALPHABET or write not in ALPHABET:
+            raise InvalidSymbolError(f"symbol outside alphabet in row {row!r}")
+        instructions.append(Instruction(state, read, target, write, move))
     return Procedure(instructions)
 
 

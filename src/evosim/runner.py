@@ -1,22 +1,17 @@
 """Generic execution semantics: instruction selection, runs, cost accounting.
 
-Everything here is parameterized over a *model* object supplying the two
-engines and the configuration space. A model provides:
+The run loop owns the machine: it builds the start configuration, applies
+instructions and reads off the final string with the plain engines of
+`evosim.tape`. A *model* supplies only the accepting engine:
 
-    start_config(text)        -> Configuration       (the start of an input)
-    transition(config, inst)  -> Configuration|None  (one engine step; None
-                                                      where the instruction
-                                                      does not apply)
     accept(config)            -> bool                (the accepting engine;
                                                       may mutate the model)
-    string_of(config)         -> str                 (tape content, end
-                                                      blanks stripped)
     acceptor_ticks            -> int                 (monotone counter of
                                                       accepting-engine work;
                                                       constant 0 for pure
                                                       models)
 
-`evosim.tape.StandardModel` is the plain stateless machine;
+`evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.
 The run loop itself holds no state: all mutation lives in the model, so a
 run against a stateful model needs exclusive access to that model instance,
@@ -29,13 +24,15 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DeterminationError
-
-BLANK = "△"
-ALPHABET = ("0", "1", BLANK)
-MOVES = ("L", "R")
-
-START_STATE = "q0"
-HALT_STATE = "h"
+# BLANK is also re-exported here, for callers that build instructions.
+from .tape import (
+    ALPHABET,
+    BLANK,
+    MOVES,
+    apply_instruction,
+    extract_string,
+    start_config,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +102,8 @@ class Procedure:
     def candidates(self, state, symbol):
         """Instructions keyed on (state, symbol).
 
-        Both shipped models only ever apply key-matching instructions, so
-        indexing by key is a safe shortcut for selection.
+        The transition engine only ever applies key-matching instructions,
+        so indexing by key is a safe shortcut for selection.
         """
         return self._index.get((state, symbol), ())
 
@@ -132,6 +129,16 @@ class Verdict(enum.Enum):
     ACCEPTED = "accepted"
     HALTED_REJECTED = "halted-rejected"
     BUDGET_EXCEEDED = "budget-exceeded"
+
+
+def answer_word(verdict):
+    """The membership answer a verdict gives: accept, reject or
+    budget-exceeded."""
+    if verdict is Verdict.ACCEPTED:
+        return "accept"
+    if verdict is Verdict.HALTED_REJECTED:
+        return "reject"
+    return "budget-exceeded"
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,12 +168,12 @@ class RunResult:
         return self.verdict is Verdict.ACCEPTED
 
 
-def _applicable(model, procedure, config):
+def _applicable(procedure, config):
     """The unique applicable instruction and its successor configuration."""
     chosen = None
     successor = None
     for inst in procedure.candidates(config.state, config.head):
-        nxt = model.transition(config, inst)
+        nxt = apply_instruction(config, inst)
         if nxt is None:
             continue
         if chosen is not None:
@@ -175,10 +182,10 @@ def _applicable(model, procedure, config):
     return chosen, successor
 
 
-def select_instruction(model, procedure, config):
+def select_instruction(procedure, config):
     """The unique instruction of `procedure` that applies to `config`,
     or None when none does."""
-    return _applicable(model, procedure, config)[0]
+    return _applicable(procedure, config)[0]
 
 
 def run(model, procedure, text, budget=10_000):
@@ -192,13 +199,13 @@ def run(model, procedure, text, budget=10_000):
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    config = model.start_config(text)
+    config = start_config(text)
     path = [config]
     applied = []
     ticks_before = model.acceptor_ticks
     answer = model.accept(config)
     while True:
-        inst, successor = _applicable(model, procedure, config)
+        inst, successor = _applicable(procedure, config)
         if inst is None:
             verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
             break
@@ -219,7 +226,7 @@ def run(model, procedure, text, budget=10_000):
         path=tuple(path),
         applied=tuple(applied),
         cost=cost,
-        final_string=model.string_of(path[-1]),
+        final_string=extract_string(path[-1]),
     )
 
 

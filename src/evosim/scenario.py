@@ -27,12 +27,18 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import EvolvingModel, decode_snapshot, encode_snapshot
+from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import ScenarioError
-from .experiments import right_scanner, run_traced, saturate, sibling_search
+from .experiments import (
+    SIBLING_LENGTH_LIMIT,
+    right_scanner,
+    run_traced,
+    saturate,
+    sibling_search,
+)
 from .procfile import load_procedure
-from .runner import BLANK, Verdict, run
-from .tape import StandardModel
+from .runner import answer_word, run
+from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
 _CHECKABLE = {"query", "run", "brute"}
@@ -91,6 +97,10 @@ class LineParser:
                 raise ScenarioError(f"{kind} takes at most one string", line_no)
             arg = args[0] if args else ""
             _binary_or_die(arg, line_no, f"{kind} argument")
+            if kind == "brute" and len(arg) > SIBLING_LENGTH_LIMIT:
+                raise ScenarioError(
+                    f"brute is desk-scale only (length <= {SIBLING_LENGTH_LIMIT})",
+                    line_no)
             command = Command(line_no, kind, arg)
         elif kind == "expect":
             if args not in (["accept"], ["reject"]):
@@ -101,8 +111,12 @@ class LineParser:
                     line_no)
             command = Command(line_no, "expect", args[0])
         elif kind == "saturate":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise ScenarioError("saturate takes a probe length", line_no)
+            if int(args[0]) > SIBLING_LENGTH_LIMIT:
+                raise ScenarioError(
+                    f"saturate is desk-scale only "
+                    f"(probe length <= {SIBLING_LENGTH_LIMIT})", line_no)
             command = Command(line_no, "saturate", args[0])
         elif kind == "snapshot":
             if len(args) != 2 or args[0] not in ("save", "load"):
@@ -154,17 +168,25 @@ def show_config(config):
     return f"({config.state}, {left}[{head}]{right})"
 
 
-def answer_word(verdict):
-    if verdict is Verdict.ACCEPTED:
-        return "accept"
-    if verdict is Verdict.HALTED_REJECTED:
-        return "reject"
-    return "budget-exceeded"
-
-
 def cost_text(cost):
     return (f"path {cost.path_length}, transitions {cost.transition_ticks}, "
             f"acceptor-ticks {cost.acceptor_ticks}")
+
+
+def run_line(text, result):
+    """The full report of one run, as `run` prints it."""
+    return (f"run {show_string(text)} -> {result.verdict.value} "
+            f"({cost_text(result.cost)}) "
+            f"final {show_string(result.final_string)}")
+
+
+def trace_line(trace):
+    """One-line summary of a traced run's trie consultations."""
+    fed = ", ".join(sorted(trace.fed_strings))
+    same = ", ".join(sorted(trace.same_length))
+    longer = ", ".join(sorted(trace.longer_by_two))
+    return (f"trace: halts {len(trace.halting_configs)}, fed [{fed}], "
+            f"same-length [{same}], longer-by-two [{longer}]")
 
 
 class ScenarioRunner:
@@ -174,7 +196,7 @@ class ScenarioRunner:
     """
 
     def __init__(self, model=None, procedure=None, budget=10_000, base_dir=None):
-        self.model = model if model is not None else StandardModel()
+        self.model = model if model is not None else make_model("v")
         self.procedure = procedure if procedure is not None else right_scanner()
         self.budget = budget
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
@@ -190,18 +212,11 @@ class ScenarioRunner:
                 f"{command.kind} needs an evolving world (model e)",
                 command.line_no)
 
-    def _trace_lines(self, trace):
-        fed = ", ".join(sorted(trace.fed_strings))
-        same = ", ".join(sorted(trace.same_length))
-        longer = ", ".join(sorted(trace.longer_by_two))
-        return [f"  trace: halts {len(trace.halting_configs)}, fed [{fed}], "
-                f"same-length [{same}], longer-by-two [{longer}]"]
-
     def execute(self, command):
         """Run one command; returns its transcript lines."""
         kind, arg = command.kind, command.arg
         if kind == "model":
-            self.model = EvolvingModel() if arg == "e" else StandardModel()
+            self.model = make_model(arg)
             self.last_answer = None
             return [f"model {arg}"]
         if kind == "proc":
@@ -223,11 +238,9 @@ class ScenarioRunner:
                 lines = [f"query {show_string(arg)} -> {answer} "
                          f"({cost_text(result.cost)})"]
             else:
-                lines = [f"run {show_string(arg)} -> {result.verdict.value} "
-                         f"({cost_text(result.cost)}) "
-                         f"final {show_string(result.final_string)}"]
+                lines = [run_line(arg, result)]
             if trace is not None:
-                lines.extend(self._trace_lines(trace))
+                lines.append("  " + trace_line(trace))
             return lines
         if kind == "expect":
             self.expectations += 1

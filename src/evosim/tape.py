@@ -1,25 +1,26 @@
-"""The plain tape-machine model: configurations and both engines.
+"""The tape machine: alphabet, configurations and both plain engines.
 
 A configuration splits the tape into (left, head, right); the conceptual
 tape is left+head+right, extended with blanks on the right on demand. Both
 engines are pure functions, so the model is stateless and configurations
 can be shared freely across threads.
+
+This module sits at the bottom of the package: it imports nothing from
+evosim but the error types, and the run loop and the engines build on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DeterminationError, InvalidSymbolError
-from .runner import (
-    ALPHABET,
-    BLANK,
-    HALT_STATE,
-    START_STATE,
-    Instruction,
-    Procedure,
-    check_determination,
-)
+from .errors import InvalidSymbolError
+
+BLANK = "△"
+ALPHABET = ("0", "1", BLANK)
+MOVES = ("L", "R")
+
+START_STATE = "q0"
+HALT_STATE = "h"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,41 +91,9 @@ def extract_string(config):
 
 
 class StandardModel:
-    """Stateless model: plain transitions, halting-pattern acceptance."""
+    """Stateless model: the halting-pattern acceptor, no acceptor work."""
 
-    kind = "v"
     acceptor_ticks = 0
-
-    def start_config(self, text):
-        return start_config(text)
-
-    def transition(self, config, inst):
-        return apply_instruction(config, inst)
 
     def accept(self, config):
         return halting_accept(config)
-
-    def string_of(self, config):
-        return extract_string(config)
-
-
-def import_tm(rows):
-    """Embed a deterministic single-tape transition table as a Procedure.
-
-    `rows` are Instruction objects or (state, read, target, write, move)
-    tuples; the embedding is the identity, with symbol validation and the
-    duplicate-key check applied.
-    """
-    instructions = []
-    for row in rows:
-        if isinstance(row, Instruction):
-            instructions.append(row)
-            continue
-        state, read, target, write, move = row
-        if read not in ALPHABET or write not in ALPHABET:
-            raise InvalidSymbolError(f"symbol outside alphabet in row {row!r}")
-        instructions.append(Instruction(state, read, target, write, move))
-    collisions = check_determination(instructions)
-    if collisions:
-        raise DeterminationError(collisions)
-    return Procedure(instructions)

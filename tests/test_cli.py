@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, state persistence."""
 
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,20 @@ def test_repl_executes_commands_line_by_line():
     assert "query 10 -> reject" in proc.stdout
     assert "expect reject -> ok" in proc.stdout
     assert "error:" in proc.stdout
+
+
+@pytest.mark.parametrize("bad", ["saturate \u00b2", "brute " + "0" * 21])
+def test_repl_survives_out_of_range_lines_and_writes_back(bad, tmp_path,
+                                                          capsys, monkeypatch):
+    state = tmp_path / "world.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(state)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"query 101\n{bad}\n"))
+    assert main(["repl", "--model", "e", "--state", str(state)]) == 0
+    out = capsys.readouterr().out
+    assert "query 101 -> accept" in out
+    assert "error: line 2" in out
+    # the query before the bad line is in the stored world
+    assert "accept: s3" in state.read_text()
 
 
 @pytest.mark.parametrize("name", ["order_dependence", "saturation",

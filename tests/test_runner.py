@@ -1,5 +1,7 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,15 @@ from evosim import (
     BLANK,
     Configuration,
     DeterminationError,
+    EvolvingModel,
     Instruction,
     Procedure,
     StandardModel,
     Verdict,
+    apply_instruction,
     compute_function,
     extract_string,
+    load_procedure,
     right_scanner,
     run,
     select_instruction,
@@ -27,17 +32,17 @@ binary = st.text(alphabet="01", max_size=12)
 
 
 def test_select_picks_the_start_rule():
-    inst = select_instruction(V, SCANNER, start_config("101"))
+    inst = select_instruction(SCANNER, start_config("101"))
     assert inst == Instruction("q0", BLANK, "h", BLANK, "R")
 
 
 def test_select_none_when_no_rule_applies():
     halted = Configuration("h", BLANK + "101", BLANK, "")
-    assert select_instruction(V, SCANNER, halted) is None
+    assert select_instruction(SCANNER, halted) is None
 
 
 def test_select_none_for_empty_procedure():
-    assert select_instruction(V, Procedure([]), start_config("1")) is None
+    assert select_instruction(Procedure([]), start_config("1")) is None
 
 
 def test_select_flags_bypassed_collisions():
@@ -47,12 +52,12 @@ def test_select_flags_bypassed_collisions():
     ])
     config = Configuration("h", "0", "1", "0")
     with pytest.raises(DeterminationError):
-        select_instruction(V, clashing, config)
+        select_instruction(clashing, config)
 
 
 def test_left_edge_makes_the_key_match_inapplicable():
     going_left = Procedure([Instruction("q0", BLANK, "p", BLANK, "L")])
-    assert select_instruction(V, going_left, start_config("1")) is None
+    assert select_instruction(going_left, start_config("1")) is None
 
 
 def test_run_scanner_hand_trace():
@@ -87,8 +92,6 @@ def test_halted_rejected_when_final_configuration_not_accepted():
 
 
 def test_run_under_the_evolving_model_is_order_dependent():
-    from evosim import EvolvingModel
-
     world = EvolvingModel()
     assert run(world, SCANNER, "101", 100).verdict is Verdict.ACCEPTED
     assert run(world, SCANNER, "10", 100).verdict is Verdict.HALTED_REJECTED
@@ -122,8 +125,29 @@ def test_run_invariants_on_the_scanner(text):
     assert result.cost.acceptor_ticks == 0
     # path validity
     for before, after, inst in zip(result.path, result.path[1:], result.applied):
-        assert select_instruction(V, SCANNER, before) == inst
-        assert V.transition(before, inst) == after
+        assert select_instruction(SCANNER, before) == inst
+        assert apply_instruction(before, inst) == after
     # acceptance gate
     if result.verdict is Verdict.ACCEPTED:
-        assert select_instruction(V, SCANNER, result.path[-1]) is None
+        assert select_instruction(SCANNER, result.path[-1]) is None
+
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+PROCEDURES = {
+    "right_scanner": SCANNER,
+    "palindrome": load_procedure(MACHINES / "palindrome.proc"),
+    "binary_increment": load_procedure(MACHINES / "binary_increment.proc"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PROCEDURES)), st.text(alphabet="01", max_size=10))
+def test_only_the_acceptor_varies_between_models(name, text):
+    procedure = PROCEDURES[name]
+    standard = run(V, procedure, text)
+    evolving = run(EvolvingModel(), procedure, text)
+    assert evolving.path == standard.path
+    assert evolving.applied == standard.applied
+    assert evolving.final_string == standard.final_string
+    assert evolving.cost.path_length == standard.cost.path_length
+    assert evolving.cost.transition_ticks == standard.cost.transition_ticks

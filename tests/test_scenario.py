@@ -75,6 +75,24 @@ def test_parse_rejects_nonbinary_query_strings():
         parse_scenario("query 12\n")
 
 
+@pytest.mark.parametrize("arg", ["\u00b2", "\u0663", "-1", "1.5", "21"])
+def test_parse_rejects_saturate_beyond_ascii_desk_scale_numerals(arg):
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(f"model e\nsaturate {arg}\n")
+    assert excinfo.value.line_no == 2
+
+
+def test_parse_accepts_saturate_up_to_the_limit():
+    assert parse_scenario("model e\nsaturate 20\n").commands[1].arg == "20"
+
+
+def test_parse_rejects_brute_strings_beyond_the_limit():
+    assert len(parse_scenario("model e\nbrute " + "0" * 20 + "\n")) == 2
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario("model e\nbrute " + "0" * 21 + "\n")
+    assert excinfo.value.line_no == 2
+
+
 def test_worked_example_passes_with_pinned_transcript():
     scenario = parse_scenario(WORKED_EXAMPLE)
     transcript, passed = execute_scenario(scenario, base_dir=MACHINES)

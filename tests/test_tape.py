@@ -1,5 +1,7 @@
 """Standard model: configurations, both engines, the machine importer."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,27 @@ def test_transition_rewrites_only_the_head_cell(head, left, right, write, move):
     # one blank gets allocated when a right move runs off the end
     assert after in (rewritten, rewritten + BLANK)
     assert len(after) >= len(before)
+
+
+# Importing `evosim.tape` normally runs the package __init__, which loads
+# every module; the probe installs a bare package object so only the
+# imports of tape.py itself are followed.
+LAYER_PROBE = """
+import importlib.util, sys, types
+spec = importlib.util.find_spec("evosim")
+package = types.ModuleType("evosim")
+package.__path__ = list(spec.submodule_search_locations)
+sys.modules["evosim"] = package
+import evosim.tape
+print(" ".join(sorted(name for name in sys.modules if name.startswith("evosim."))))
+"""
+
+
+def test_tape_loads_no_evosim_module_but_errors():
+    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["evosim.errors", "evosim.tape"]
 
 
 # --- oracle corpus: the reference simulator must agree with the model ---
