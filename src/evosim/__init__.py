@@ -36,7 +36,7 @@ from .tape import (
     halting_accept,
     start_config,
 )
-from .trie import MachineStats, PartialDfa, QueryCase, QueryLedger, QueryOutcome, replay_check
+from .trie import MachineStats, PartialDfa, QueryCase, QueryOutcome
 from .numbering import ArrivalNumbering
 from .engine import (EvolvingModel, InvocationRecord, decode_snapshot, encode_snapshot,
                      fork, make_model)

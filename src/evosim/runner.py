@@ -1,8 +1,9 @@
 """Generic execution semantics: instruction selection, runs, cost accounting.
 
-The run loop owns the machine: it builds the start configuration, applies
-instructions and reads off the final string with the plain engines of
-`evosim.tape`. A *model* supplies only the accepting engine:
+The run loop owns the machine: it steps one mutable tape (a list of cells
+plus a head index, see `evosim.tape.step_tape`), looking up one
+(state, cell) key of the procedure's index per step, and reads off the
+final string. A *model* supplies only the accepting engine:
 
     accept(config)            -> bool                (the accepting engine;
                                                       may mutate the model)
@@ -10,6 +11,15 @@ instructions and reads off the final string with the plain engines of
                                                       accepting-engine work;
                                                       constant 0 for pure
                                                       models)
+
+Acceptor contract: an accepting engine may answer YES only on a
+configuration in the halt state with the head on a blank, and must answer
+NO everywhere else without doing any work. The run loop relies on this: it
+builds a `Configuration` and calls `accept` only on those halt-on-blank
+configurations, in order of generation, and takes NO as the answer
+everywhere else. Every other configuration costs a comparison, so apart
+from the halt-on-blank configurations it builds, a run costs time and
+memory linear in its steps, not steps times tape.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.
@@ -28,10 +38,14 @@ from .errors import DeterminationError
 from .tape import (
     ALPHABET,
     BLANK,
+    HALT_STATE,
     MOVES,
+    Configuration,
+    applies_at,
     apply_instruction,
-    extract_string,
     start_config,
+    step_tape,
+    tape_view,
 )
 
 
@@ -157,8 +171,11 @@ class CostMeter:
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
+    """The outcome of one run: its verdict, start configuration, applied
+    instructions, cost and final string; `path` is replayed on demand."""
+
     verdict: Verdict
-    path: tuple
+    start: Configuration
     applied: tuple
     cost: CostMeter
     final_string: str
@@ -167,66 +184,84 @@ class RunResult:
     def accepted(self):
         return self.verdict is Verdict.ACCEPTED
 
+    @property
+    def path(self):
+        """Every configuration of the run in order, rebuilt by replaying
+        `applied` from `start` through the pure transition engine, which
+        makes the replay exact. Costs O(steps x tape); call it sparingly."""
+        config = self.start
+        path = [config]
+        for inst in self.applied:
+            config = apply_instruction(config, inst)
+            path.append(config)
+        return tuple(path)
 
-def _applicable(procedure, config):
-    """The unique applicable instruction and its successor configuration."""
+
+def _select(candidates, pos):
+    """The one key-matching candidate that applies with the head on cell
+    `pos`, or None; DeterminationError when two apply."""
     chosen = None
-    successor = None
-    for inst in procedure.candidates(config.state, config.head):
-        nxt = apply_instruction(config, inst)
-        if nxt is None:
-            continue
-        if chosen is not None:
-            raise DeterminationError([inst.key()])
-        chosen, successor = inst, nxt
-    return chosen, successor
+    for inst in candidates:
+        if applies_at(inst, pos):
+            if chosen is not None:
+                raise DeterminationError([inst.key()])
+            chosen = inst
+    return chosen
 
 
 def select_instruction(procedure, config):
     """The unique instruction of `procedure` that applies to `config`,
     or None when none does."""
-    return _applicable(procedure, config)[0]
+    return _select(procedure.candidates(config.state, config.head),
+                   len(config.left))
 
 
 def run(model, procedure, text, budget=10_000):
     """Execute `procedure` on `text` under `model`.
 
-    The accepting engine is consulted on every configuration in order of
-    generation (its side effects on an evolving model persist), but only
-    its answer on the final configuration decides the verdict. `budget`
-    bounds transition steps, not acceptor work; exhausting it yields the
-    BUDGET_EXCEEDED verdict rather than an error.
+    The accepting engine is consulted on every halt-on-blank configuration,
+    in order of generation (its side effects on an evolving model persist);
+    every other configuration answers NO without a call (see the module
+    docstring). Only the answer on the final configuration decides the
+    verdict. `budget` bounds transition steps, not acceptor work; exhausting
+    it yields the BUDGET_EXCEEDED verdict rather than an error. Raises
+    DeterminationError when two instructions apply to one configuration,
+    which only a `Procedure.unchecked` procedure allows.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    config = start_config(text)
-    path = [config]
+    start = start_config(text)
+    cells = [BLANK, *text]
+    pos = 0
+    state = start.state
+    index = procedure._index
     applied = []
     ticks_before = model.acceptor_ticks
-    answer = model.accept(config)
     while True:
-        inst, successor = _applicable(procedure, config)
+        cell = cells[pos]
+        answer = (state == HALT_STATE and cell == BLANK
+                  and model.accept(tape_view(state, cells, pos)))
+        inst = _select(index.get((state, cell), ()), pos)
         if inst is None:
             verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
             break
         if len(applied) >= budget:
             verdict = Verdict.BUDGET_EXCEEDED
             break
-        config = successor
-        path.append(config)
+        pos = step_tape(cells, pos, inst)
+        state = inst.target
         applied.append(inst)
-        answer = model.accept(config)
     cost = CostMeter(
-        path_length=len(path),
+        path_length=len(applied) + 1,
         transition_ticks=len(applied),
         acceptor_ticks=model.acceptor_ticks - ticks_before,
     )
     return RunResult(
         verdict=verdict,
-        path=tuple(path),
+        start=start,
         applied=tuple(applied),
         cost=cost,
-        final_string=extract_string(path[-1]),
+        final_string="".join(cells).strip(BLANK),
     )
 
 

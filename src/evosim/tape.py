@@ -5,6 +5,12 @@ tape is left+head+right, extended with blanks on the right on demand. Both
 engines are pure functions, so the model is stateless and configurations
 can be shared freely across threads.
 
+The run loop steps a mutable tape instead: a list of cells, cell 0 being
+the origin, plus a head index. `applies_at` and `step_tape` carry the same
+two tape rules as `apply_instruction` (a left move at the origin does not
+apply; a right move off the last cell appends a blank), and `tape_view`
+turns such a tape back into a configuration.
+
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
 """
@@ -69,6 +75,36 @@ def apply_instruction(config, inst):
     return Configuration(
         inst.target, config.left[:-1], config.left[-1], inst.write + config.right
     )
+
+
+def applies_at(inst, pos):
+    """Whether a key-matching instruction applies with the head on cell
+    `pos`, cell 0 being the origin: every one does but a left move at the
+    origin, as in `apply_instruction`."""
+    return pos > 0 or inst.move == "R"
+
+
+def step_tape(cells, pos, inst):
+    """Apply an applicable, key-matching instruction to a mutable tape in
+    place and return the new head index.
+
+    `cells` is the whole allocated tape, cell 0 being the origin; a right
+    move off the last cell appends a blank, as `apply_instruction` extends
+    its right part.
+    """
+    cells[pos] = inst.write
+    if inst.move == "L":
+        return pos - 1
+    pos += 1
+    if pos == len(cells):
+        cells.append(BLANK)
+    return pos
+
+
+def tape_view(state, cells, pos):
+    """The immutable configuration of a mutable tape with the head on `pos`."""
+    return Configuration(state, "".join(cells[:pos]), cells[pos],
+                         "".join(cells[pos + 1:]))
 
 
 def halting_accept(config):

@@ -227,17 +227,19 @@ def test_criterion_7_oracle_agreement():
         model_runs = StandardModel()
         for n in range(11):
             for text in binary_strings(n):
-                verdict, steps, _ = oracle_run(table, text)
+                verdict, steps, final = oracle_run(table, text)
                 result = run(model_runs, imported, text, 100_000)
                 total += 1
                 if (result.verdict.value != verdict
-                        or result.cost.transition_ticks != steps):
+                        or result.cost.transition_ticks != steps
+                        or result.final_string != final):
                     mismatches += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _report(7, "oracle agreement", mismatches,
             f"{len(CORPUS_TM)} machines x {total // len(CORPUS_TM)} inputs, "
-            f"verdict and step count, {mismatches} mismatches, {elapsed:.1f}s")
+            f"verdict, step count and final string, "
+            f"{mismatches} mismatches, {elapsed:.1f}s")
 
 
 def test_criterion_8_snapshot_round_trip():

@@ -1,5 +1,6 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,14 @@ from evosim import (
     apply_instruction,
     compute_function,
     extract_string,
+    halting_accept,
     load_procedure,
     right_scanner,
     run,
     select_instruction,
     start_config,
 )
+from oracle_tm import oracle_run
 
 V = StandardModel()
 SCANNER = right_scanner()
@@ -55,6 +58,25 @@ def test_select_flags_bypassed_collisions():
         select_instruction(clashing, config)
 
 
+def test_run_flags_bypassed_collisions():
+    clashing = Procedure.unchecked([
+        Instruction("q0", BLANK, "h", BLANK, "R"),
+        Instruction("q0", BLANK, "h", "1", "R"),
+    ])
+    with pytest.raises(DeterminationError):
+        run(V, clashing, "1", 10)
+
+
+def test_run_ignores_a_clashing_left_move_at_the_origin():
+    half_clash = Procedure.unchecked([
+        Instruction("q0", BLANK, "h", BLANK, "L"),
+        Instruction("q0", BLANK, "h", "1", "R"),
+    ])
+    result = run(V, half_clash, "", 10)
+    assert result.applied == (half_clash.instructions[1],)
+    assert result.final_string == "1"
+
+
 def test_left_edge_makes_the_key_match_inapplicable():
     going_left = Procedure([Instruction("q0", BLANK, "p", BLANK, "L")])
     assert select_instruction(going_left, start_config("1")) is None
@@ -65,6 +87,7 @@ def test_run_scanner_hand_trace():
     assert result.verdict is Verdict.ACCEPTED
     assert result.cost.path_length == 5
     assert result.final_string == "101"
+    assert result.start == start_config("101")
     assert result.path == (
         Configuration("q0", "", BLANK, "101"),
         Configuration("h", BLANK, "1", "01"),
@@ -72,6 +95,23 @@ def test_run_scanner_hand_trace():
         Configuration("h", BLANK + "10", "1", ""),
         Configuration("h", BLANK + "101", BLANK, ""),
     )
+
+
+def test_runaway_memory_is_linear_in_the_budget():
+    runaway = Procedure([Instruction("q0", BLANK, "q0", BLANK, "R")])
+    budget = 10 ** 5
+    tracemalloc.start()
+    try:
+        result = run(V, runaway, "", budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.verdict is Verdict.BUDGET_EXCEEDED
+    assert result.cost.transition_ticks == budget
+    # Keeping every configuration would hold about budget**2 / 2 tape cells
+    # (gigabytes); the tape, the applied list and its tuple need a few
+    # pointers per step.
+    assert peak < 16 * 2 ** 20
 
 
 def test_run_budget_exceeded():
@@ -151,3 +191,73 @@ def test_only_the_acceptor_varies_between_models(name, text):
     assert evolving.final_string == standard.final_string
     assert evolving.cost.path_length == standard.cost.path_length
     assert evolving.cost.transition_ticks == standard.cost.transition_ticks
+
+
+STATES = ("q0", "a", "b", "h")
+SYMBOLS = ("0", "1", BLANK)
+
+# Small random procedures with instructions out of h (the trie is consulted
+# mid-run), left moves at the origin and blank writes (interior blanks).
+# Most are laid over the right scanner, or over a scanner that blanks its
+# zeros, so that runs often reach h on a right-edge blank; some of those
+# then leave it by a random instruction keyed on (h, blank).
+SCANNER_TABLE = {(i.state, i.read): (i.target, i.write, i.move) for i in SCANNER}
+BLANKING_TABLE = {**SCANNER_TABLE, ("h", "0"): ("h", BLANK, "R")}
+actions = st.tuples(st.sampled_from(STATES), st.sampled_from(SYMBOLS),
+                    st.sampled_from(("L", "R")))
+
+
+def tables(max_size):
+    return st.dictionaries(
+        st.tuples(st.sampled_from(STATES), st.sampled_from(SYMBOLS)),
+        actions, max_size=max_size)
+
+
+procedures = st.one_of(
+    tables(8),
+    st.builds(lambda base, out_of_h, extra: {**base, **out_of_h, **extra},
+              st.sampled_from((SCANNER_TABLE, BLANKING_TABLE)),
+              st.dictionaries(st.just(("h", BLANK)), actions, max_size=1),
+              tables(2)),
+)
+
+
+class SpyModel(EvolvingModel):
+    """An evolving model that also records every configuration it is
+    asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def accept(self, config):
+        self.asked.append(config)
+        return super().accept(config)
+
+
+@settings(max_examples=400, deadline=None)
+@given(procedures, st.text(alphabet="01", max_size=6),
+       st.integers(min_value=1, max_value=40))
+def test_run_loop_agrees_with_the_replayed_path_and_the_oracle(table, text, budget):
+    procedure = Procedure(Instruction(s, r, t, w, m)
+                          for (s, r), (t, w, m) in table.items())
+
+    world = SpyModel()
+    result = run(world, procedure, text, budget)
+    path = result.path
+    halts = [c for c in path if c.state == "h" and c.head == BLANK]
+    assert world.asked == halts
+    consulted = [c for c in halts
+                 if c.left and not c.right and BLANK not in c.left.strip(BLANK)]
+    assert [r.config for r in world.invocation_log] == consulted
+    assert [r.text for r in world.invocation_log] == [c.left.strip(BLANK) for c in consulted]
+    assert result.final_string == extract_string(path[-1])
+
+    standard = run(V, procedure, text, budget)
+    assert standard.path == path
+    if standard.verdict is not Verdict.BUDGET_EXCEEDED:
+        assert standard.accepted == halting_accept(path[-1])
+        assert select_instruction(procedure, path[-1]) is None
+    verdict, steps, final = oracle_run(table, text, budget)
+    assert (standard.verdict.value, standard.cost.transition_ticks,
+            standard.final_string) == (verdict, steps, final)

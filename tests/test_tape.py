@@ -27,6 +27,7 @@ from evosim import (
     run,
     start_config,
 )
+from evosim.tape import applies_at, step_tape, tape_view
 from oracle_tm import oracle_run
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -151,6 +152,20 @@ def test_transition_rewrites_only_the_head_cell(head, left, right, write, move):
     assert after in (rewritten, rewritten + BLANK)
     assert len(after) >= len(before)
 
+
+
+@given(st.sampled_from(["0", "1", BLANK]), tape_text, tape_text,
+       st.sampled_from(["0", "1", BLANK]), st.sampled_from(["L", "R"]))
+def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move):
+    inst = Instruction("p", head, "q", write, move)
+    expected = apply_instruction(Configuration("p", left, head, right), inst)
+    cells = list(left + head + right)
+    pos = len(left)
+    assert tape_view("p", cells, pos) == Configuration("p", left, head, right)
+    assert applies_at(inst, pos) == (expected is not None)
+    if expected is not None:
+        pos = step_tape(cells, pos, inst)
+        assert tape_view("q", cells, pos) == expected
 
 # Importing `evosim.tape` normally runs the package __init__, which loads
 # every module; the probe installs a bare package object so only the

@@ -9,9 +9,8 @@ from evosim import (
     InvalidSymbolError,
     PartialDfa,
     QueryCase,
-    QueryLedger,
-    replay_check,
 )
+from ledger import QueryLedger, replay_check
 
 queries = st.lists(st.text(alphabet="01", max_size=10), max_size=60)
 
