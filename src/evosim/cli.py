@@ -38,6 +38,23 @@ from .scenario import (
 )
 
 
+# What a user can get wrong: package errors, unreadable files and bad
+# values, UnicodeDecodeError from a file that is not UTF-8 among them. Each
+# is reported as an error line, never as a traceback.
+_USER_ERRORS = (EvosimError, OSError, ValueError)
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--model", choices=("v", "e"), default="v",
@@ -45,7 +62,8 @@ def _build_parser():
                              "(default: v)")
     shared.add_argument("--proc", metavar="FILE",
                         help="procedure file (default: built-in right scanner)")
-    shared.add_argument("--budget", type=int, default=10_000, metavar="N",
+    shared.add_argument("--budget", type=_positive_int, default=10_000,
+                        metavar="N",
                         help="transition-step budget per run (default: 10000)")
     shared.add_argument("--state", metavar="FILE",
                         help="snapshot file to load the world from; evolved "
@@ -176,7 +194,7 @@ def _cmd_repl(args):
                 continue
             for out in runner.execute(command):
                 print(out)
-        except (EvosimError, OSError) as exc:
+        except _USER_ERRORS as exc:
             print(f"error: {exc}")
     _write_back(args, runner.model)
     return 0 if runner.passed else 1
@@ -197,7 +215,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (EvosimError, OSError, ValueError) as exc:
+    except _USER_ERRORS as exc:
         print(f"evosim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import InvalidSymbolError, ProcedureSyntaxError
+from .errors import ProcedureSyntaxError
 from .runner import Instruction, Procedure
-from .tape import ALPHABET, BLANK
+from .tape import BLANK
 
 _LINE = re.compile(
     r"^\(\s*([^\s(),#]+)\s*,\s*([01_])\s*\)\s*->\s*"
@@ -57,19 +57,12 @@ def import_tm(rows):
     """Embed a deterministic single-tape transition table as a Procedure.
 
     `rows` are Instruction objects or (state, read, target, write, move)
-    tuples; the embedding is the identity, with symbol validation and the
-    duplicate-key check applied.
+    tuples; the embedding is the identity. `Instruction` rejects foreign
+    symbols (InvalidSymbolError) and `Procedure` duplicate keys
+    (DeterminationError).
     """
-    instructions = []
-    for row in rows:
-        if isinstance(row, Instruction):
-            instructions.append(row)
-            continue
-        state, read, target, write, move = row
-        if read not in ALPHABET or write not in ALPHABET:
-            raise InvalidSymbolError(f"symbol outside alphabet in row {row!r}")
-        instructions.append(Instruction(state, read, target, write, move))
-    return Procedure(instructions)
+    return Procedure(row if isinstance(row, Instruction) else Instruction(*row)
+                     for row in rows)
 
 
 def render_procedure(procedure):

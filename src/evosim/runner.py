@@ -1,9 +1,12 @@
 """Generic execution semantics: instruction selection, runs, cost accounting.
 
 The run loop owns the machine: it steps one mutable tape (a list of cells
-plus a head index, see `evosim.tape.step_tape`), looking up one
-(state, cell) key of the procedure's index per step, and reads off the
-final string. A *model* supplies only the accepting engine:
+plus a head index, see `evosim.tape.step_tape`) and reads off the final
+string. Each step looks up the one instruction keyed on (state, cell) and
+applies it unless the origin rule (`evosim.tape.applies_at`) says it does
+not apply. Determination is checked once, when a `Procedure` is built, so
+the loop never meets two candidates. A *model* supplies only the accepting
+engine:
 
     accept(config)            -> bool                (the accepting engine;
                                                       may mutate the model)
@@ -33,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DeterminationError
+from .errors import DeterminationError, InvalidSymbolError
 # BLANK is also re-exported here, for callers that build instructions.
 from .tape import (
     ALPHABET,
@@ -62,7 +65,7 @@ class Instruction:
 
     def __post_init__(self):
         if self.read not in ALPHABET or self.write not in ALPHABET:
-            raise ValueError(f"symbol outside alphabet in {self.key()}")
+            raise InvalidSymbolError(f"symbol outside alphabet in {self!r}")
         if self.move not in MOVES:
             raise ValueError(f"move must be L or R, got {self.move!r}")
         if not self.state or not self.target:
@@ -92,8 +95,9 @@ class Procedure:
     """A finite instruction set with at most one instruction per
     (state, symbol) key.
 
-    Construction rejects colliding keys; `Procedure.unchecked` skips the
-    check so that the selector's own collision guard can be exercised.
+    Construction rejects colliding keys with DeterminationError, and there
+    is no other way to build one, so each key of the index names a single
+    instruction.
     """
 
     def __init__(self, instructions):
@@ -101,25 +105,7 @@ class Procedure:
         collisions = check_determination(self.instructions)
         if collisions:
             raise DeterminationError(collisions)
-        self._index = {inst.key(): (inst,) for inst in self.instructions}
-
-    @classmethod
-    def unchecked(cls, instructions):
-        proc = cls.__new__(cls)
-        proc.instructions = tuple(instructions)
-        index = {}
-        for inst in proc.instructions:
-            index.setdefault(inst.key(), []).append(inst)
-        proc._index = {key: tuple(vals) for key, vals in index.items()}
-        return proc
-
-    def candidates(self, state, symbol):
-        """Instructions keyed on (state, symbol).
-
-        The transition engine only ever applies key-matching instructions,
-        so indexing by key is a safe shortcut for selection.
-        """
-        return self._index.get((state, symbol), ())
+        self._index = {inst.key(): inst for inst in self.instructions}
 
     def __len__(self):
         return len(self.instructions)
@@ -197,23 +183,13 @@ class RunResult:
         return tuple(path)
 
 
-def _select(candidates, pos):
-    """The one key-matching candidate that applies with the head on cell
-    `pos`, or None; DeterminationError when two apply."""
-    chosen = None
-    for inst in candidates:
-        if applies_at(inst, pos):
-            if chosen is not None:
-                raise DeterminationError([inst.key()])
-            chosen = inst
-    return chosen
-
-
 def select_instruction(procedure, config):
     """The unique instruction of `procedure` that applies to `config`,
     or None when none does."""
-    return _select(procedure.candidates(config.state, config.head),
-                   len(config.left))
+    inst = procedure._index.get((config.state, config.head))
+    if inst is not None and applies_at(inst, len(config.left)):
+        return inst
+    return None
 
 
 def run(model, procedure, text, budget=10_000):
@@ -224,9 +200,7 @@ def run(model, procedure, text, budget=10_000):
     every other configuration answers NO without a call (see the module
     docstring). Only the answer on the final configuration decides the
     verdict. `budget` bounds transition steps, not acceptor work; exhausting
-    it yields the BUDGET_EXCEEDED verdict rather than an error. Raises
-    DeterminationError when two instructions apply to one configuration,
-    which only a `Procedure.unchecked` procedure allows.
+    it yields the BUDGET_EXCEEDED verdict rather than an error.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -241,8 +215,8 @@ def run(model, procedure, text, budget=10_000):
         cell = cells[pos]
         answer = (state == HALT_STATE and cell == BLANK
                   and model.accept(tape_view(state, cells, pos)))
-        inst = _select(index.get((state, cell), ()), pos)
-        if inst is None:
+        inst = index.get((state, cell))
+        if inst is None or not applies_at(inst, pos):
             verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
             break
         if len(applied) >= budget:

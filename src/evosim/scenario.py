@@ -37,7 +37,7 @@ from .experiments import (
     sibling_search,
 )
 from .procfile import load_procedure
-from .runner import answer_word, run
+from .runner import Verdict, answer_word, run
 from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -256,8 +256,7 @@ class ScenarioRunner:
             lines = [f"saturate {arg} -> fed {report.fed} "
                      f"length-{int(arg) + 1} strings ({accepted} accepted)"]
             for text, verdict in report.probe_answers:
-                word = "accept" if verdict == "accepted" else "reject"
-                lines.append(f"  probe {text} -> {word}")
+                lines.append(f"  probe {text} -> {answer_word(Verdict(verdict))}")
             return lines
         if kind == "brute":
             self._require_evolving(command)

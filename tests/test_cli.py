@@ -123,6 +123,33 @@ def test_repl_survives_out_of_range_lines_and_writes_back(bad, tmp_path,
     assert "accept: s3" in state.read_text()
 
 
+def test_repl_survives_a_proc_file_that_is_not_utf8(tmp_path, capsys,
+                                                    monkeypatch):
+    state = tmp_path / "world.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(state)]) == 0
+    bad = tmp_path / "bad.proc"
+    bad.write_bytes(b"\xff\xfe")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"proc {bad}\nquery 101\n"))
+    assert main(["repl", "--model", "e", "--state", str(state)]) == 0
+    out = capsys.readouterr().out
+    assert "error: 'utf-8' codec can't decode" in out
+    assert "query 101 -> accept" in out
+    assert "accept: s3" in state.read_text()
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_is_a_usage_error_before_loading(budget, tmp_path,
+                                                          capsys):
+    missing = tmp_path / "no-such-world.pet"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["repl", "--model", "e", "--budget", budget,
+              "--state", str(missing)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: evosim repl")
+    assert "argument --budget: expected a positive integer" in err
+
+
 @pytest.mark.parametrize("name", ["order_dependence", "saturation",
                                   "observer_effect", "traced_run"])
 def test_shipped_scenarios_pass(name, capsys):

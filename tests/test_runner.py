@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from evosim import (
     BLANK,
     Configuration,
-    DeterminationError,
     EvolvingModel,
     Instruction,
     Procedure,
@@ -46,35 +45,6 @@ def test_select_none_when_no_rule_applies():
 
 def test_select_none_for_empty_procedure():
     assert select_instruction(Procedure([]), start_config("1")) is None
-
-
-def test_select_flags_bypassed_collisions():
-    clashing = Procedure.unchecked([
-        Instruction("h", "1", "h", "1", "R"),
-        Instruction("h", "1", "h", "0", "L"),
-    ])
-    config = Configuration("h", "0", "1", "0")
-    with pytest.raises(DeterminationError):
-        select_instruction(clashing, config)
-
-
-def test_run_flags_bypassed_collisions():
-    clashing = Procedure.unchecked([
-        Instruction("q0", BLANK, "h", BLANK, "R"),
-        Instruction("q0", BLANK, "h", "1", "R"),
-    ])
-    with pytest.raises(DeterminationError):
-        run(V, clashing, "1", 10)
-
-
-def test_run_ignores_a_clashing_left_move_at_the_origin():
-    half_clash = Procedure.unchecked([
-        Instruction("q0", BLANK, "h", BLANK, "L"),
-        Instruction("q0", BLANK, "h", "1", "R"),
-    ])
-    result = run(V, half_clash, "", 10)
-    assert result.applied == (half_clash.instructions[1],)
-    assert result.final_string == "1"
 
 
 def test_left_edge_makes_the_key_match_inapplicable():

@@ -134,6 +134,14 @@ def test_budget_exhaustion_fails_expectations_explicitly():
     assert "FAIL (got budget-exceeded)" in transcript
 
 
+def test_saturate_probes_show_budget_exhaustion_as_such():
+    scenario = parse_scenario("model e\nsaturate 1\n")
+    transcript, _ = execute_scenario(scenario, budget=1, base_dir=MACHINES)
+    assert "fed 4 length-2 strings (0 accepted)" in transcript
+    assert "  probe 0 -> budget-exceeded\n" in transcript
+    assert "  probe 1 -> budget-exceeded\n" in transcript
+
+
 def test_stats_needs_the_evolving_world():
     scenario = parse_scenario("model v\nstats\n")
     with pytest.raises(ScenarioError) as excinfo:

@@ -99,14 +99,27 @@ def test_import_tm_is_the_identity_embedding():
 
 
 def test_import_tm_rejects_duplicate_keys():
-    rows = [("h", "1", "h", "1", "R"), ("h", "1", "h", "0", "L")]
-    with pytest.raises(DeterminationError):
-        import_tm(rows)
+    clash = [("h", "1", "h", "1", "R"), ("h", "1", "h", "0", "L")]
+    # Only one of these can apply at the origin, where a left move does
+    # not, but both claim the key (q0, blank).
+    half_clash = [("q0", BLANK, "h", BLANK, "L"), ("q0", BLANK, "h", "1", "R")]
+    for rows in (clash, half_clash):
+        with pytest.raises(DeterminationError):
+            import_tm(rows)
 
 
 def test_import_tm_rejects_foreign_symbols():
     with pytest.raises(InvalidSymbolError):
         import_tm([("q0", "x", "h", "0", "R")])
+
+
+def test_instruction_checks_its_fields_where_it_is_built():
+    for read, write in (("x", "0"), ("0", "_")):
+        with pytest.raises(InvalidSymbolError):
+            Instruction("q0", read, "h", write, "R")
+    for state, target, move in (("q0", "h", "N"), ("", "h", "R"), ("q0", "", "L")):
+        with pytest.raises(ValueError):
+            Instruction(state, "0", target, "0", move)
 
 
 def test_check_determination():
