@@ -8,10 +8,15 @@
     evosim trace INPUT      run under the evolving model, show trie traffic
 
 Shared flags (after the subcommand): --model {v,e}, --proc FILE,
---budget N, --state FILE. With --state the world is loaded from a snapshot
-file first and, for mutating commands under the evolving model, written
-back on success, which is what lets order effects persist across
-one-line invocations.
+--budget N, --state FILE. `main` opens one world per invocation (model,
+procedure and budget in one ScenarioRunner), runs the subcommand against
+it and stores it once. With --state the world is loaded from a snapshot
+file first and, when the subcommand succeeds and the evolving world
+differs from what was loaded, written back, which is what lets order
+effects persist across one-line invocations. An exclusive lock on the
+sidecar FILE.lock is held from load to write-back, so concurrent
+invocations take turns, and the write replaces the file atomically, so a
+crash leaves the old world or the new one.
 
 Exit status: 0 all expectations met, 1 expectation failure,
 2 usage, parse, or I/O error.
@@ -20,14 +25,18 @@ Exit status: 0 all expectations met, 1 expectation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
+import os
+import shutil
 import sys
 from pathlib import Path
 
 from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import EvosimError
-from .experiments import right_scanner, run_traced
+from .experiments import run_traced
 from .procfile import load_procedure
-from .runner import answer_word, run
+from .runner import DEFAULT_BUDGET, answer_word, run
 from .scenario import (
     LineParser,
     ScenarioRunner,
@@ -62,9 +71,9 @@ def _build_parser():
                              "(default: v)")
     shared.add_argument("--proc", metavar="FILE",
                         help="procedure file (default: built-in right scanner)")
-    shared.add_argument("--budget", type=_positive_int, default=10_000,
-                        metavar="N",
-                        help="transition-step budget per run (default: 10000)")
+    shared.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                        metavar="N", help="transition-step budget per run "
+                                          "(default: %(default)s)")
     shared.add_argument("--state", metavar="FILE",
                         help="snapshot file to load the world from; evolved "
                              "state is written back on success (model e)")
@@ -91,59 +100,89 @@ def _build_parser():
     return parser
 
 
-def _make_model(args):
+def _open_world(args):
+    """The invocation's one world: a ScenarioRunner holding the model, the
+    procedure and the budget, plus the snapshot text loaded from --state
+    (None without it)."""
+    loaded = None
     if args.state:
-        model = decode_snapshot(Path(args.state).read_text(encoding="utf-8"))
+        loaded = Path(args.state).read_text(encoding="utf-8")
+        model = decode_snapshot(loaded)
         if args.model == "v":
             raise EvosimError("--state carries an evolving world; use --model e")
-        return model
-    return make_model(args.model)
+    else:
+        model = make_model(args.model)
+    procedure = load_procedure(args.proc) if args.proc else None
+    return ScenarioRunner(model, procedure, args.budget), loaded
 
 
-def _load_procedure(args):
-    return load_procedure(args.proc) if args.proc else right_scanner()
+@contextlib.contextmanager
+def _state_lock(state):
+    """Hold an exclusive lock on the sidecar FILE.lock of a --state file, so
+    concurrent invocations take turns from load to write-back. The sidecar
+    is never deleted: a new one would let two holders in at once."""
+    if not state:
+        yield
+        return
+    with open(state + ".lock", "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(lock, fcntl.LOCK_UN)
 
 
-def _write_back(args, model):
-    if args.state and isinstance(model, EvolvingModel):
-        Path(args.state).write_text(encode_snapshot(model), encoding="utf-8")
+def _write_back(state, model, loaded):
+    """Store an evolving world that differs from the text loaded from
+    `state`. The text goes to FILE.tmp (safe under the lock), is flushed
+    and fsynced, takes the file's permission bits, then replaces the file,
+    so a crash leaves the old world or the new one, never part of either."""
+    if not state or not isinstance(model, EvolvingModel):
+        return
+    text = encode_snapshot(model)
+    if text == loaded:
+        return
+    temp = Path(state + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as out:
+            out.write(text)
+            out.flush()
+            os.fsync(out.fileno())
+        shutil.copymode(state, temp)
+        os.replace(temp, state)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
-def _cmd_run(args):
-    model = _make_model(args)
-    result = run(model, _load_procedure(args), args.input, args.budget)
+def _cmd_run(runner, args):
+    result = run(runner.model, runner.procedure, args.input, runner.budget)
     print(run_line(args.input, result))
-    _write_back(args, model)
     return 0
 
 
-def _cmd_query(args):
-    model = _make_model(args)
-    result = run(model, _load_procedure(args), args.input, args.budget)
+def _cmd_query(runner, args):
+    result = run(runner.model, runner.procedure, args.input, runner.budget)
     print(answer_word(result.verdict))
-    _write_back(args, model)
     return 0
 
 
-def _cmd_trace(args):
-    model = _make_model(args)
-    if not isinstance(model, EvolvingModel):
+def _cmd_trace(runner, args):
+    if not isinstance(runner.model, EvolvingModel):
         raise EvosimError("trace needs the evolving world; pass --model e")
-    result, trace = run_traced(model, _load_procedure(args), args.input,
-                               args.budget)
+    result, trace = run_traced(runner.model, runner.procedure, args.input,
+                               runner.budget)
     print(run_line(args.input, result))
     print(trace_line(trace))
     for config in trace.halting_configs:
         print(f"  halt {show_config(config)}")
-    _write_back(args, model)
     return 0
 
 
-def _cmd_snapshot(args):
-    model = _make_model(args)
-    if not isinstance(model, EvolvingModel):
+def _cmd_snapshot(runner, args):
+    if not isinstance(runner.model, EvolvingModel):
         raise EvosimError("snapshots capture the evolving world; pass --model e")
-    text = encode_snapshot(model)
+    text = encode_snapshot(runner.model)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -151,28 +190,18 @@ def _cmd_snapshot(args):
     return 0
 
 
-def _scenario_runner(args, base_dir):
-    runner = ScenarioRunner(model=_make_model(args), budget=args.budget,
-                            base_dir=base_dir)
-    if args.proc:
-        runner.procedure = load_procedure(args.proc)
-    return runner
-
-
-def _cmd_scenario(args):
+def _cmd_scenario(runner, args):
     path = Path(args.file)
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
-    runner = _scenario_runner(args, path.parent)
+    runner.base_dir = path.parent
     for command in scenario.commands:
         for line in runner.execute(command):
             print(line)
     print(runner.summary())
-    _write_back(args, runner.model)
     return 0 if runner.passed else 1
 
 
-def _cmd_repl(args):
-    runner = _scenario_runner(args, Path.cwd())
+def _cmd_repl(runner, args):
     parser = LineParser()
     print("evosim repl; scenario commands, plus exit (or EOF) to leave")
     line_no = 0
@@ -196,7 +225,6 @@ def _cmd_repl(args):
                 print(out)
         except _USER_ERRORS as exc:
             print(f"error: {exc}")
-    _write_back(args, runner.model)
     return 0 if runner.passed else 1
 
 
@@ -214,10 +242,14 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with _state_lock(args.state):
+            runner, loaded = _open_world(args)
+            status = _COMMANDS[args.command](runner, args)
+            _write_back(args.state, runner.model, loaded)
     except _USER_ERRORS as exc:
         print(f"evosim: error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .engine import EvolvingModel, encode_snapshot
-from .runner import Instruction, Procedure, Verdict, answer_word, run
+from .runner import (DEFAULT_BUDGET, Instruction, Procedure, Verdict,
+                     answer_word, run)
 from .tape import BLANK
 
 
@@ -72,7 +73,7 @@ class SaturationReport:
     probe_answers: tuple
 
 
-def saturate(model, probe_length, procedure=None, budget=10_000):
+def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
     """Feed every string one symbol longer than the probes, then probe.
 
     Runs the procedure (default: the right scanner) on all 2^(n+1) strings
@@ -111,7 +112,7 @@ class SiblingSearchResult:
 SIBLING_LENGTH_LIMIT = 20
 
 
-def sibling_search(model, text, procedure=None, budget=10_000):
+def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
     """Brute-force search for an accepted string of the same length.
 
     Decides "does some string of length len(text) belong to the language?"
@@ -152,7 +153,7 @@ class TraceRecord:
     longer_by_two: tuple
 
 
-def run_traced(model, procedure, text, budget=10_000):
+def run_traced(model, procedure, text, budget=DEFAULT_BUDGET):
     """Run under the evolving model while capturing its trie consultations."""
     mark = len(model.invocation_log)
     result = run(model, procedure, text, budget)

@@ -125,6 +125,10 @@ class Procedure:
         return f"Procedure({len(self.instructions)} instructions)"
 
 
+# The transition-step budget of a run when the caller names none.
+DEFAULT_BUDGET = 10_000
+
+
 class Verdict(enum.Enum):
     ACCEPTED = "accepted"
     HALTED_REJECTED = "halted-rejected"
@@ -192,7 +196,7 @@ def select_instruction(procedure, config):
     return None
 
 
-def run(model, procedure, text, budget=10_000):
+def run(model, procedure, text, budget=DEFAULT_BUDGET):
     """Execute `procedure` on `text` under `model`.
 
     The accepting engine is consulted on every halt-on-blank configuration,
@@ -239,7 +243,7 @@ def run(model, procedure, text, budget=10_000):
     )
 
 
-def compute_function(model, procedure, text, budget=10_000):
+def compute_function(model, procedure, text, budget=DEFAULT_BUDGET):
     """The string a successful run leaves behind, or None if the run does
     not end accepted."""
     result = run(model, procedure, text, budget)

@@ -37,7 +37,7 @@ from .experiments import (
     sibling_search,
 )
 from .procfile import load_procedure
-from .runner import Verdict, answer_word, run
+from .runner import DEFAULT_BUDGET, Verdict, answer_word, run
 from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -195,7 +195,8 @@ class ScenarioRunner:
     Used both for whole scenario files and line-at-a-time by the REPL.
     """
 
-    def __init__(self, model=None, procedure=None, budget=10_000, base_dir=None):
+    def __init__(self, model=None, procedure=None, budget=DEFAULT_BUDGET,
+                 base_dir=None):
         self.model = model if model is not None else make_model("v")
         self.procedure = procedure if procedure is not None else right_scanner()
         self.budget = budget
@@ -215,9 +216,12 @@ class ScenarioRunner:
     def execute(self, command):
         """Run one command; returns its transcript lines."""
         kind, arg = command.kind, command.arg
+        # `expect` checks the answer of the command just before it, so every
+        # other command clears it first and only query, run and brute set it.
+        if kind != "expect":
+            self.last_answer = None
         if kind == "model":
             self.model = make_model(arg)
-            self.last_answer = None
             return [f"model {arg}"]
         if kind == "proc":
             path = Path(arg)
@@ -251,7 +255,6 @@ class ScenarioRunner:
         if kind == "saturate":
             self._require_evolving(command)
             report = saturate(self.model, int(arg), self.procedure, self.budget)
-            self.last_answer = None
             accepted = sum(1 for _, v in report.feed_answers if v == "accepted")
             lines = [f"saturate {arg} -> fed {report.fed} "
                      f"length-{int(arg) + 1} strings ({accepted} accepted)"]
@@ -278,7 +281,6 @@ class ScenarioRunner:
             if arg not in self.snapshots:
                 raise ScenarioError(f"unknown snapshot {arg!r}", command.line_no)
             self.model = decode_snapshot(self.snapshots[arg])
-            self.last_answer = None
             return [f"snapshot load {arg} -> {len(self.model.trie.states)} states"]
         if kind == "stats":
             self._require_evolving(command)
@@ -302,7 +304,7 @@ class ScenarioRunner:
         return f"scenario: pass ({self.expectations} expectations)"
 
 
-def execute_scenario(scenario, model=None, budget=10_000, base_dir=None):
+def execute_scenario(scenario, model=None, budget=DEFAULT_BUDGET, base_dir=None):
     """Execute a parsed scenario from a fresh (or supplied) world.
 
     Returns (transcript, passed). Expectation mismatches do not stop

@@ -180,7 +180,9 @@ class PartialDfa:
         Checks: one transition per (state, symbol); transitions reference
         known states; every non-start state has exactly one incoming
         transition and all states are reachable from the start (trie shape);
-        accepting states exist; fresh names never collide with the counter.
+        accepting states exist; the longest accepted length is the depth of
+        the deepest accepting state (0 if none is reachable); fresh names
+        never collide with the counter.
         """
         problems = []
         known = set(self.states)
@@ -202,16 +204,22 @@ class PartialDfa:
             if state != self.start and count != 1:
                 problems.append(f"state {state} has {count} incoming transitions")
         reachable = {self.start} if self.start in known else set()
-        stack = [self.start]
+        deepest_accepting = 0
+        stack = [(self.start, 0)]
         while stack:
-            state = stack.pop()
+            state, depth = stack.pop()
+            if state in self.accepting:
+                deepest_accepting = max(deepest_accepting, depth)
             for symbol in TRIE_ALPHABET:
                 dst = self.transitions.get((state, symbol))
                 if dst is not None and dst in known and dst not in reachable:
                     reachable.add(dst)
-                    stack.append(dst)
+                    stack.append((dst, depth + 1))
         if known - reachable:
             problems.append(f"unreachable states: {sorted(known - reachable)}")
+        if self.max_accepted_length != deepest_accepting:
+            problems.append(f"maxaccept {self.max_accepted_length} is not the "
+                            f"deepest accepting depth {deepest_accepting}")
         for extra in self.accepting - known:
             problems.append(f"accepting state {extra} unknown")
         for state in known:

@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, exit codes, state persistence."""
 
 import io
+import itertools
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from evosim import (EvolvingModel, decode_snapshot, encode_snapshot,
+                    right_scanner, run)
 from evosim.cli import main
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -86,6 +90,77 @@ def test_state_with_stateless_model_is_a_usage_error(tmp_path, capsys):
     assert main(["query", "1", "--state", str(state)]) == 2
 
 
+def test_parallel_state_queries_serialize_into_one_history(tmp_path):
+    # 000..111 is prefix-free, so every query grows the trie: a lost update
+    # or a torn read shows as a missing string or an exit 2.
+    state = tmp_path / "world.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(state)]) == 0
+    strings = ["".join(bits) for bits in itertools.product("01", repeat=3)]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "evosim.cli", "query", text,
+         "--model", "e", "--state", str(state)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for text in strings]
+    try:
+        outputs = [p.communicate(timeout=60) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert ([(p.returncode, *out) for p, out in zip(procs, outputs)]
+            == [(0, "accept\n", "")] * len(strings))
+
+    stored = state.read_text()
+    trie = decode_snapshot(stored).trie
+    created = {name: i for i, name in enumerate(trie.states)}
+
+    def chain_end(text):
+        node = trie.start
+        for symbol in text:
+            node = trie.transitions[(node, symbol)]
+        return node
+
+    replay = EvolvingModel()
+    for text in sorted(strings, key=lambda t: created[chain_end(t)]):
+        run(replay, right_scanner(), text)
+    assert encode_snapshot(replay) == stored
+
+
+def test_write_back_fails_whole_or_is_skipped_when_unchanged(tmp_path, capsys,
+                                                             monkeypatch):
+    state = tmp_path / "world.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(state)]) == 0
+    state.chmod(0o640)
+    assert main(["query", "101", "--model", "e", "--state", str(state)]) == 0
+    assert state.stat().st_mode & 0o777 == 0o640
+    before = state.read_bytes()
+
+    def broken_fsync(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(os, "fsync", broken_fsync)
+    # 101 is already in the world, so nothing is written
+    assert main(["query", "101", "--model", "e", "--state", str(state)]) == 0
+    # 0 grows the world, and the failed write leaves the old file whole
+    assert main(["query", "0", "--model", "e", "--state", str(state)]) == 2
+    assert "fsync failed" in capsys.readouterr().err
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["world.pet",
+                                                         "world.pet.lock"]
+
+
+def test_the_world_is_opened_before_the_subcommand_runs(tmp_path, capsys):
+    state = tmp_path / "world.pet"
+    state.write_text("PET9 v1\n")
+    scenario = tmp_path / "broken.scn"
+    scenario.write_text("warp 9\n")
+    assert main(["scenario", str(scenario), "--model", "e",
+                 "--state", str(state)]) == 2
+    assert "bad header" in capsys.readouterr().err
+    missing = tmp_path / "missing.proc"
+    assert main(["snapshot", "--model", "e", "--proc", str(missing)]) == 2
+    assert "missing.proc" in capsys.readouterr().err
+
+
 def test_trace_reports_trie_traffic(capsys):
     assert main(["trace", "11", "--model", "e"]) == 0
     out = capsys.readouterr().out
@@ -107,6 +182,16 @@ def test_repl_executes_commands_line_by_line():
     assert "query 10 -> reject" in proc.stdout
     assert "expect reject -> ok" in proc.stdout
     assert "error:" in proc.stdout
+
+
+def test_repl_expect_after_a_failed_command_sees_no_answer(capsys,
+                                                          monkeypatch):
+    script = "model v\nquery 1\nbrute 0\nexpect accept\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+    assert main(["repl"]) == 1
+    out = capsys.readouterr().out
+    assert "error: line 3: brute needs an evolving world (model e)" in out
+    assert "expect accept -> FAIL (got None)" in out
 
 
 @pytest.mark.parametrize("bad", ["saturate \u00b2", "brute " + "0" * 21])

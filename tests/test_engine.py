@@ -141,6 +141,13 @@ def test_decode_rejects_counter_collisions():
         decode_snapshot(text)
 
 
+@pytest.mark.parametrize("maxaccept", [0, 2, 99])
+def test_decode_rejects_a_maxaccept_off_the_deepest_accepting_state(maxaccept):
+    text = AFTER_101.replace("maxaccept: 3", f"maxaccept: {maxaccept}")
+    with pytest.raises(SnapshotError, match="deepest accepting depth 3"):
+        decode_snapshot(text)
+
+
 def test_decode_reports_parse_error_lines():
     with pytest.raises(SnapshotError) as excinfo:
         decode_snapshot("PET1 v1\nstates: q0\nstart q0\n")
