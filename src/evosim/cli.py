@@ -136,7 +136,9 @@ def _write_back(state, model, loaded):
     """Store an evolving world that differs from the text loaded from
     `state`. The text goes to FILE.tmp (safe under the lock), is flushed
     and fsynced, takes the file's permission bits, then replaces the file,
-    so a crash leaves the old world or the new one, never part of either."""
+    so a crash leaves the old world or the new one, never part of either.
+    The directory is fsynced after the rename, so that the new world
+    survives a power cut too."""
     if not state or not isinstance(model, EvolvingModel):
         return
     text = encode_snapshot(model)
@@ -153,6 +155,11 @@ def _write_back(state, model, loaded):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+    directory = os.open(temp.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _cmd_run(runner, args):

@@ -1,11 +1,12 @@
 """Generic execution semantics: instruction selection, runs, cost accounting.
 
 The run loop owns the machine: it steps one mutable tape (a list of cells
-plus a head index, see `evosim.tape.step_tape`) and reads off the final
-string. Each step looks up the one instruction keyed on (state, cell) and
-applies it unless the origin rule (`evosim.tape.applies_at`) says it does
-not apply. Determination is checked once, when a `Procedure` is built, so
-the loop never meets two candidates. A *model* supplies only the accepting
+plus a head index) through `evosim.tape.walk`, and reads off the final
+string. Each `Procedure` compiles its instructions once, where it checks
+determination, into a step table, (state, cell) -> (write, moves_right,
+target, instruction), which the walk and `select_instruction` read; the
+walk holds the two tape rules. Determination is checked only there, so the
+loop never meets two candidates. A *model* supplies only the accepting
 engine:
 
     accept(config)            -> bool                (the accepting engine;
@@ -20,9 +21,19 @@ configuration in the halt state with the head on a blank, and must answer
 NO everywhere else without doing any work. The run loop relies on this: it
 builds a `Configuration` and calls `accept` only on those halt-on-blank
 configurations, in order of generation, and takes NO as the answer
-everywhere else. Every other configuration costs a comparison, so apart
-from the halt-on-blank configurations it builds, a run costs time and
-memory linear in its steps, not steps times tape.
+everywhere else, so a run costs time and memory linear in its steps, apart
+from the halt-on-blank configurations it builds.
+
+Sweeps: a *sweep state* is one whose 0- and 1-instructions both write back
+the symbol they read, move right and stay in the state (the right
+scanner's h, the palindrome machine's seek0 and seek1, the increment
+machine's scan and ret). In a sweep state on a non-blank cell the walk
+jumps to the next blank, or as far as the remaining budget allows, with
+one `list.index`, and extends the applied instructions with one `map` over
+the cells it crossed. Every configuration it skips has the head on a
+non-blank cell, where the acceptor contract answers NO without a call, so
+a sweep skips no acceptor call; `applied`, the costs, the verdicts and the
+final string are those of single steps.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.
@@ -43,12 +54,14 @@ from .tape import (
     BLANK,
     HALT_STATE,
     MOVES,
-    Configuration,
-    applies_at,
+    START_STATE,
     apply_instruction,
     start_config,
-    step_tape,
+    start_tape,
+    step_config,
+    step_table,
     tape_view,
+    walk,
 )
 
 
@@ -96,8 +109,9 @@ class Procedure:
     (state, symbol) key.
 
     Construction rejects colliding keys with DeterminationError, and there
-    is no other way to build one, so each key of the index names a single
-    instruction.
+    is no other way to build one, so each key of the step table names a
+    single instruction. The step table and the sweep table (see
+    `evosim.tape.step_table`) are compiled here, once.
     """
 
     def __init__(self, instructions):
@@ -105,7 +119,7 @@ class Procedure:
         collisions = check_determination(self.instructions)
         if collisions:
             raise DeterminationError(collisions)
-        self._index = {inst.key(): inst for inst in self.instructions}
+        self._steps, self._sweeps = step_table(self.instructions)
 
     def __len__(self):
         return len(self.instructions)
@@ -161,11 +175,12 @@ class CostMeter:
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
-    """The outcome of one run: its verdict, start configuration, applied
-    instructions, cost and final string; `path` is replayed on demand."""
+    """The outcome of one run: its verdict, input text, applied
+    instructions, cost and final string; `start` and `path` are built on
+    demand."""
 
     verdict: Verdict
-    start: Configuration
+    text: str
     applied: tuple
     cost: CostMeter
     final_string: str
@@ -173,6 +188,11 @@ class RunResult:
     @property
     def accepted(self):
         return self.verdict is Verdict.ACCEPTED
+
+    @property
+    def start(self):
+        """The start configuration of the run."""
+        return start_config(self.text)
 
     @property
     def path(self):
@@ -190,10 +210,7 @@ class RunResult:
 def select_instruction(procedure, config):
     """The unique instruction of `procedure` that applies to `config`,
     or None when none does."""
-    inst = procedure._index.get((config.state, config.head))
-    if inst is not None and applies_at(inst, len(config.left)):
-        return inst
-    return None
+    return step_config(procedure._steps, config)[0]
 
 
 def run(model, procedure, text, budget=DEFAULT_BUDGET):
@@ -208,27 +225,30 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    start = start_config(text)
-    cells = [BLANK, *text]
-    pos = 0
-    state = start.state
-    index = procedure._index
+    cells = start_tape(text)
+    steps, sweeps = procedure._steps, procedure._sweeps
     applied = []
     ticks_before = model.acceptor_ticks
+    # The start state is not the halt state, so the start configuration
+    # answers NO.
+    state, pos, answer = START_STATE, 0, False
     while True:
-        cell = cells[pos]
-        answer = (state == HALT_STATE and cell == BLANK
-                  and model.accept(tape_view(state, cells, pos)))
-        inst = index.get((state, cell))
-        if inst is None or not applies_at(inst, pos):
+        taken = len(applied)
+        state, pos, halted = walk(steps, sweeps, cells, pos, state,
+                                  budget - taken, applied)
+        # A walk that took steps ends on a new configuration, so ask about
+        # it (NO without a call unless it is h on a blank). One that took
+        # none ends on the configuration last asked about, halted or out of
+        # budget.
+        if len(applied) > taken:
+            answer = (state == HALT_STATE and cells[pos] == BLANK
+                      and model.accept(tape_view(state, cells, pos)))
+        if halted:
             verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
             break
-        if len(applied) >= budget:
+        if len(applied) == taken:
             verdict = Verdict.BUDGET_EXCEEDED
             break
-        pos = step_tape(cells, pos, inst)
-        state = inst.target
-        applied.append(inst)
     cost = CostMeter(
         path_length=len(applied) + 1,
         transition_ticks=len(applied),
@@ -236,7 +256,7 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     )
     return RunResult(
         verdict=verdict,
-        start=start,
+        text=text,
         applied=tuple(applied),
         cost=cost,
         final_string="".join(cells).strip(BLANK),

@@ -1,15 +1,15 @@
-"""The tape machine: alphabet, configurations and both plain engines.
+"""The tape machine: alphabet, configurations, the step table and its walk.
 
 A configuration splits the tape into (left, head, right); the conceptual
-tape is left+head+right, extended with blanks on the right on demand. Both
-engines are pure functions, so the model is stateless and configurations
-can be shared freely across threads.
+tape is left+head+right, extended with blanks on the right on demand.
 
-The run loop steps a mutable tape instead: a list of cells, cell 0 being
-the origin, plus a head index. `applies_at` and `step_tape` carry the same
-two tape rules as `apply_instruction` (a left move at the origin does not
-apply; a right move off the last cell appends a blank), and `tape_view`
-turns such a tape back into a configuration.
+Every step is taken by `walk`, on a mutable tape: a list of cells, cell 0
+being the origin, plus a head index. It reads a step table, compiled once
+from the instructions by `step_table`, and it is the one place that holds
+the two tape rules: a left move at the origin does not apply, and a right
+move off the last cell appends a blank. The pure engine
+`apply_instruction` takes one step of a configuration through the same
+walk, and `tape_view` turns a mutable tape back into a configuration.
 
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
@@ -46,65 +46,111 @@ class Configuration:
         return f"({self.state}, {self.left}[{self.head}]{self.right})"
 
 
+def start_tape(text):
+    """The cells of an input's start tape: the origin blank, then the
+    input."""
+    bad = set(text).difference("01")
+    if bad:
+        raise InvalidSymbolError(f"input contains {sorted(bad)!r}; allowed: 0, 1")
+    return [BLANK, *text]
+
+
 def start_config(text):
     """The start configuration of an input: head on a blank, input to its
     right."""
-    bad = sorted(set(text) - {"0", "1"})
-    if bad:
-        raise InvalidSymbolError(f"input contains {bad!r}; allowed: 0, 1")
-    return Configuration(state=START_STATE, left="", head=BLANK, right=text)
-
-
-def apply_instruction(config, inst):
-    """One transition-engine step; None where the instruction does not apply.
-
-    An instruction applies when its (state, read) key matches the
-    configuration. Moving right past the last written cell extends the tape
-    with a blank; moving left at the tape origin does not apply.
-    """
-    if config.state != inst.state or config.head != inst.read:
-        return None
-    if inst.move == "R":
-        if config.right:
-            head, right = config.right[0], config.right[1:]
-        else:
-            head, right = BLANK, ""
-        return Configuration(inst.target, config.left + inst.write, head, right)
-    if not config.left:
-        return None
-    return Configuration(
-        inst.target, config.left[:-1], config.left[-1], inst.write + config.right
-    )
-
-
-def applies_at(inst, pos):
-    """Whether a key-matching instruction applies with the head on cell
-    `pos`, cell 0 being the origin: every one does but a left move at the
-    origin, as in `apply_instruction`."""
-    return pos > 0 or inst.move == "R"
-
-
-def step_tape(cells, pos, inst):
-    """Apply an applicable, key-matching instruction to a mutable tape in
-    place and return the new head index.
-
-    `cells` is the whole allocated tape, cell 0 being the origin; a right
-    move off the last cell appends a blank, as `apply_instruction` extends
-    its right part.
-    """
-    cells[pos] = inst.write
-    if inst.move == "L":
-        return pos - 1
-    pos += 1
-    if pos == len(cells):
-        cells.append(BLANK)
-    return pos
+    return tape_view(START_STATE, start_tape(text), 0)
 
 
 def tape_view(state, cells, pos):
     """The immutable configuration of a mutable tape with the head on `pos`."""
     return Configuration(state, "".join(cells[:pos]), cells[pos],
                          "".join(cells[pos + 1:]))
+
+
+def step_table(instructions):
+    """Compile key-unique instructions into a step table and a sweep table.
+
+    The step table maps each (state, read) key to (write, moves_right,
+    target, instruction). The sweep table maps each *sweep state* to its
+    {symbol: instruction} for "0" and "1": a state whose 0- and
+    1-instructions both write back the symbol they read, move right and stay
+    in the state, so that it crosses a run of non-blank cells unchanged.
+    """
+    steps = {inst.key(): (inst.write, inst.move == "R", inst.target, inst)
+             for inst in instructions}
+    sweeps = {}
+    for state, _ in steps:
+        loops = {symbol: steps.get((state, symbol)) for symbol in "01"}
+        if all(entry is not None and entry[:3] == (symbol, True, state)
+               for symbol, entry in loops.items()):
+            sweeps[state] = {symbol: entry[3] for symbol, entry in loops.items()}
+    return steps, sweeps
+
+
+def walk(steps, sweeps, cells, pos, state, room, applied):
+    """Step a mutable tape in place from `state` with the head on `pos`;
+    return the new (state, pos, halted).
+
+    `cells` is the whole allocated tape, cell 0 being the origin. Each
+    applied instruction is appended to `applied`. The walk takes at most
+    `room` steps and stops at the first configuration where no instruction
+    of `steps` applies (halted is True), where the room is used up, or
+    that a step reaches in the halt state on a blank (both with halted
+    False), so that the caller can ask an acceptor about it.
+
+    In a state of `sweeps`, on a non-blank cell, the walk crosses every
+    cell up to the next blank (or up to the room) in one move: on such a
+    cell the sweep state's instruction writes back what it reads and stays
+    in the state, so no configuration in between is in the halt state on a
+    blank.
+    """
+    while True:
+        cell = cells[pos]
+        entry = steps.get((state, cell))
+        # A left move at the origin does not apply.
+        if entry is None or not (pos or entry[1]):
+            return state, pos, True
+        if not room:
+            return state, pos, False
+        if cell != BLANK and state in sweeps:
+            try:
+                stop = cells.index(BLANK, pos, pos + room)
+            except ValueError:
+                stop = min(pos + room, len(cells))
+            applied.extend(map(sweeps[state].__getitem__, cells[pos:stop]))
+            room -= stop - pos
+            pos = stop
+        else:
+            cells[pos], moves_right, state, inst = entry
+            pos += 1 if moves_right else -1
+            applied.append(inst)
+            room -= 1
+        # A right move off the last cell appends a blank.
+        if pos == len(cells):
+            cells.append(BLANK)
+        if state == HALT_STATE and cells[pos] == BLANK:
+            return state, pos, False
+
+
+def step_config(steps, config):
+    """The instruction of a step table that applies to `config`, and the
+    configuration it leads to; (None, None) where none applies."""
+    cells = list(config.left + config.head + config.right)
+    applied = []
+    state, pos, _ = walk(steps, {}, cells, len(config.left), config.state, 1,
+                         applied)
+    if not applied:
+        return None, None
+    return applied[0], tape_view(state, cells, pos)
+
+
+def apply_instruction(config, inst):
+    """One transition-engine step; None where the instruction does not apply.
+
+    An instruction applies when its (state, read) key matches the
+    configuration and `walk`'s tape rules admit the move.
+    """
+    return step_config(step_table([inst])[0], config)[1]
 
 
 def halting_accept(config):

@@ -3,6 +3,7 @@
 import io
 import itertools
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,28 @@ def test_write_back_fails_whole_or_is_skipped_when_unchanged(tmp_path, capsys,
     assert state.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["world.pet",
                                                          "world.pet.lock"]
+
+
+def test_write_back_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["snapshot", "--model", "e", "--out", "world.pet"]) == 0
+    before = (tmp_path / "world.pet").read_bytes()
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        renamed = (tmp_path / "world.pet").read_bytes() != before
+        synced.append((stat.S_ISDIR(info.st_mode), info.st_ino, renamed))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    # a relative --state path: its directory is the working directory
+    assert main(["query", "101", "--model", "e", "--state", "world.pet"]) == 0
+    directory = os.stat(tmp_path).st_ino
+    # the temp file before the rename, then the directory after it
+    assert [(d, r) for d, _, r in synced] == [(False, False), (True, True)]
+    assert synced[-1][1] == directory
 
 
 def test_the_world_is_opened_before_the_subcommand_runs(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evosim import (
@@ -163,16 +163,43 @@ def test_only_the_acceptor_varies_between_models(name, text):
     assert evolving.cost.transition_ticks == standard.cost.transition_ticks
 
 
+def test_sweep_states_of_the_shipped_machines():
+    runaway = Procedure([Instruction("q0", BLANK, "q0", BLANK, "R")])
+    sweeps = {name: set(procedure._sweeps) for name, procedure in PROCEDURES.items()}
+    assert sweeps == {"right_scanner": {"h"}, "palindrome": {"seek0", "seek1"},
+                      "binary_increment": {"scan", "ret"}}
+    # Left moves, rewrites and blank-only loops are stepped one cell at a time.
+    assert "left" not in sweeps["palindrome"]
+    assert "carry" not in sweeps["binary_increment"]
+    assert runaway._sweeps == {}
+
+
 STATES = ("q0", "a", "b", "h")
 SYMBOLS = ("0", "1", BLANK)
 
 # Small random procedures with instructions out of h (the trie is consulted
 # mid-run), left moves at the origin and blank writes (interior blanks).
-# Most are laid over the right scanner, or over a scanner that blanks its
-# zeros, so that runs often reach h on a right-edge blank; some of those
-# then leave it by a random instruction keyed on (h, blank).
-SCANNER_TABLE = {(i.state, i.read): (i.target, i.write, i.move) for i in SCANNER}
+# Most are laid over a shipped machine, or over a scanner that blanks its
+# zeros, so that runs often sweep (h in the scanner, seek0/seek1 in the
+# palindrome machine, scan/ret in the increment machine) and reach h on a
+# right-edge blank; some of those then leave it by a random instruction
+# keyed on (h, blank), and the random extras may break or make a sweep.
+
+
+def table_of(procedure):
+    return {(i.state, i.read): (i.target, i.write, i.move) for i in procedure}
+
+
+SCANNER_TABLE = table_of(SCANNER)
 BLANKING_TABLE = {**SCANNER_TABLE, ("h", "0"): ("h", BLANK, "R")}
+PALINDROME_TABLE = table_of(PROCEDURES["palindrome"])
+INCREMENT_TABLE = table_of(PROCEDURES["binary_increment"])
+# The scanner's h sweep state, entered left of a blank that a wrote inside
+# the tape: on "101" h must stop on that blank (and ask about it) before
+# it sweeps on to the right edge.
+INTERIOR_BLANK_TABLE = {**SCANNER_TABLE, ("q0", BLANK): ("a", BLANK, "R"),
+                        ("a", "1"): ("a", "1", "R"), ("a", "0"): ("b", BLANK, "L"),
+                        ("b", "1"): ("h", "1", "L"), ("h", BLANK): ("h", BLANK, "R")}
 actions = st.tuples(st.sampled_from(STATES), st.sampled_from(SYMBOLS),
                     st.sampled_from(("L", "R")))
 
@@ -186,10 +213,15 @@ def tables(max_size):
 procedures = st.one_of(
     tables(8),
     st.builds(lambda base, out_of_h, extra: {**base, **out_of_h, **extra},
-              st.sampled_from((SCANNER_TABLE, BLANKING_TABLE)),
+              st.sampled_from((SCANNER_TABLE, BLANKING_TABLE, PALINDROME_TABLE,
+                               INCREMENT_TABLE)),
               st.dictionaries(st.just(("h", BLANK)), actions, max_size=1),
               tables(2)),
 )
+# Budgets short enough to cut sweeps, and long enough for a 24-bit
+# palindrome check to finish.
+budgets = st.one_of(st.integers(min_value=1, max_value=40),
+                    st.integers(min_value=1, max_value=800))
 
 
 class SpyModel(EvolvingModel):
@@ -206,8 +238,20 @@ class SpyModel(EvolvingModel):
 
 
 @settings(max_examples=400, deadline=None)
-@given(procedures, st.text(alphabet="01", max_size=6),
-       st.integers(min_value=1, max_value=40))
+@given(procedures, st.text(alphabet="01", max_size=24), budgets)
+# Sweeps that end on the right-edge blank exactly at the budget (the
+# scanner's h), one cell short of that blank, on the right-edge blank inside
+# the budget (seek0, scan, ret), cut by the budget (seek0, scan), and on a
+# blank that the palindrome machine wrote inside the tape (its second seek0),
+# and on a blank inside the tape in h.
+@example(INTERIOR_BLANK_TABLE, "101", 40)
+@example(SCANNER_TABLE, "0110", 5)
+@example(SCANNER_TABLE, "0110", 4)
+@example(PALINDROME_TABLE, "0110", 6)
+@example(PALINDROME_TABLE, "0110", 5)
+@example(PALINDROME_TABLE, "10101", 100)
+@example(INCREMENT_TABLE, "1011", 40)
+@example(INCREMENT_TABLE, "1011", 5)
 def test_run_loop_agrees_with_the_replayed_path_and_the_oracle(table, text, budget):
     procedure = Procedure(Instruction(s, r, t, w, m)
                           for (s, r), (t, w, m) in table.items())

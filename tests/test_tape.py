@@ -27,7 +27,7 @@ from evosim import (
     run,
     start_config,
 )
-from evosim.tape import applies_at, step_tape, tape_view
+from evosim.tape import step_table, tape_view, walk
 from oracle_tm import oracle_run
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -172,13 +172,24 @@ def test_transition_rewrites_only_the_head_cell(head, left, right, write, move):
 def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move):
     inst = Instruction("p", head, "q", write, move)
     expected = apply_instruction(Configuration("p", left, head, right), inst)
+    steps, sweeps = step_table([inst])
+    assert sweeps == {}
     cells = list(left + head + right)
-    pos = len(left)
-    assert tape_view("p", cells, pos) == Configuration("p", left, head, right)
-    assert applies_at(inst, pos) == (expected is not None)
-    if expected is not None:
-        pos = step_tape(cells, pos, inst)
-        assert tape_view("q", cells, pos) == expected
+    applied = []
+    state, pos, halted = walk(steps, sweeps, cells, len(left), "p", 1, applied)
+    # No instruction is keyed on q, so the walk ends halted either way.
+    assert halted
+    # The two tape rules, stated apart from the code that applies them.
+    if move == "L" and not left:
+        assert (applied, expected) == ([], None)
+        assert (state, pos, cells) == ("p", 0, list(head + right))
+        return
+    grown = [BLANK] if move == "R" and not right else []
+    assert applied == [inst]
+    assert cells == list(left + write + right) + grown
+    assert (state, pos) == ("q", len(left) + (1 if move == "R" else -1))
+    assert tape_view(state, cells, pos) == expected
+
 
 # Importing `evosim.tape` normally runs the package __init__, which loads
 # every module; the probe installs a bare package object so only the
