@@ -1,7 +1,10 @@
 """The tape machine: alphabet, configurations, the step table and its walk.
 
 A configuration splits the tape into (left, head, right); the conceptual
-tape is left+head+right, extended with blanks on the right on demand.
+tape is left+head+right, extended with blanks on the right on demand. Both
+plain engines (`apply_instruction` and `halting_accept`) are pure
+functions, so the model is stateless and configurations can be shared
+freely across threads.
 
 Every step is taken by `walk`, on a mutable tape: a list of cells, cell 0
 being the origin, plus a head index. It reads a step table, compiled once
@@ -79,11 +82,13 @@ def step_table(instructions):
     steps = {inst.key(): (inst.write, inst.move == "R", inst.target, inst)
              for inst in instructions}
     sweeps = {}
-    for state, _ in steps:
-        loops = {symbol: steps.get((state, symbol)) for symbol in "01"}
-        if all(entry is not None and entry[:3] == (symbol, True, state)
-               for symbol, entry in loops.items()):
-            sweeps[state] = {symbol: entry[3] for symbol, entry in loops.items()}
+    for (state, read), zero in steps.items():
+        if read != "0":
+            continue
+        one = steps.get((state, "1"))
+        if (zero[:3] == ("0", True, state)
+                and one is not None and one[:3] == ("1", True, state)):
+            sweeps[state] = {"0": zero[3], "1": one[3]}
     return steps, sweeps
 
 
