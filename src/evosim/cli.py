@@ -19,7 +19,7 @@ invocations take turns, and the write replaces the file atomically, so a
 crash leaves the old world or the new one.
 
 Exit status: 0 all expectations met, 1 expectation failure,
-2 usage, parse, or I/O error.
+2 usage, parse, or I/O error, or out of memory (nothing written back).
 """
 
 from __future__ import annotations
@@ -255,6 +255,12 @@ def main(argv=None):
             _write_back(args.state, runner.model, loaded)
     except _USER_ERRORS as exc:
         print(f"evosim: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Here only, not among the REPL's user errors: a world that ran out
+        # of memory part way through growing is never written back.
+        print("evosim: error: out of memory; the world was not written back",
+              file=sys.stderr)
         return 2
     return status
 

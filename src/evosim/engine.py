@@ -15,11 +15,13 @@ alternative histories.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import SnapshotError
 from .tape import BLANK, HALT_STATE, StandardModel
-from .trie import PartialDfa
+from .trie import TRIE_ALPHABET, PartialDfa
 
 SNAPSHOT_HEADER = "PET1 v1"
 
@@ -84,21 +86,21 @@ def encode_snapshot(model):
 
     Only the trie is captured (logs are replayable from scenario scripts).
     Equal query histories give byte-identical text: states in creation
-    order, accepting in creation order, transitions sorted by source
-    creation index then symbol.
+    order, accepting in creation order, transitions by source creation
+    index then symbol, which is the order the trie's arrays hold them in.
     """
     trie = model.trie
-    order = {name: i for i, name in enumerate(trie.states)}
-    lines = [SNAPSHOT_HEADER]
-    lines.append(("states: " + " ".join(trie.states)).rstrip())
-    lines.append(f"start: {trie.start}")
-    lines.append(("accept: " + " ".join(trie.accepting_in_creation_order())).rstrip())
-    triples = sorted(
-        ((src, symbol, dst) for (src, symbol), dst in trie.transitions.items()),
-        key=lambda t: (order[t[0]], t[1]),
-    )
-    for src, symbol, dst in triples:
-        lines.append(f"trans: {src} {symbol} {dst}")
+    names = trie.names()
+    root = trie.root
+    lines = [SNAPSHOT_HEADER,
+             ("states: " + " ".join(names)).rstrip(),
+             f"start: {trie.start}",
+             ("accept: " + " ".join(compress(names, trie.marks))).rstrip()]
+    for src, zero, one in zip(names, trie.kids0, trie.kids1):
+        if zero != root:
+            lines.append(f"trans: {src} 0 {names[zero]}")
+        if one != root:
+            lines.append(f"trans: {src} 1 {names[one]}")
     lines.append(f"maxaccept: {trie.max_accepted_length}")
     lines.append(f"counter: {trie.creation_counter}")
     return "\n".join(lines) + "\n"
@@ -114,36 +116,84 @@ def _field(lines, index, key):
 
 
 def decode_snapshot(text):
-    """Rebuild an EvolvingModel from snapshot text.
+    """Rebuild an EvolvingModel from snapshot text, in one pass.
 
-    Raises SnapshotError with a line number on malformed text, and on
-    structural violations (duplicate transitions per key, non-trie shape,
-    a creation counter that would collide with existing state names).
+    Raises SnapshotError with a line number on malformed text, checked line
+    by line, and without one on structural violations: unknown names, two
+    transitions into one state or one into the start state, unreachable
+    states, a `maxaccept` that is not the depth of the deepest accepting
+    state, and a creation counter that would collide with existing state
+    names. The transitions go straight into the trie's child arrays, and a
+    state's depth is set from its parent's as its transition is read; only
+    a snapshot that lists a child's transitions before its parent's needs
+    a second pass (`structure_problems`).
     """
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise SnapshotError(f"bad header; expected {SNAPSHOT_HEADER!r}", 1)
     states_field = _field(lines, 1, "states")
-    states = states_field.split() if states_field else []
-    if not states:
+    names = states_field.split() if states_field else []
+    if not names:
         raise SnapshotError("no states listed", 2)
     start = _field(lines, 2, "start")
     accept_field = _field(lines, 3, "accept")
-    accepting = accept_field.split() if accept_field else []
 
-    transitions = {}
-    index = 4
-    while index < len(lines) and lines[index].startswith("trans: "):
-        parts = lines[index].split()
-        if len(parts) != 4:
+    count = len(names)
+    index_of = dict(zip(names, range(count)))
+    problems = [] if len(index_of) == count else ["duplicate state names"]
+    root = index_of.get(start)
+    if root is None:
+        problems.append("start state unknown")
+        root = 0
+    kids0 = array("l", (root,)) * count
+    kids1 = array("l", (root,)) * count
+    sides = dict(zip(TRIE_ALPHABET, (kids0, kids1)))
+    # -2: no parent yet; -1: a parent whose depth was unknown when read
+    depth = array("l", (-2,)) * count
+    depth[root] = 0
+    deferred = False
+    unslotted = set()
+    get = index_of.get
+    for index, line in enumerate(lines[4:], 4):
+        if not line.startswith("trans: "):
+            break
+        try:
+            _, src, symbol, dst = line.split()
+        except ValueError:
             raise SnapshotError("transition needs source, symbol, target",
-                                index + 1)
-        _, src, symbol, dst = parts
-        if (src, symbol) in transitions:
+                                index + 1) from None
+        parent = get(src)
+        child = get(dst)
+        kids = sides.get(symbol)
+        if parent is None or kids is None:
+            # A key with no child slot: only the same key can repeat it.
+            if (src, symbol) in unslotted:
+                raise SnapshotError(
+                    f"two transitions from ({src},{symbol})", index + 1)
+            unslotted.add((src, symbol))
+            problems.append(f"transition {src}-{symbol}->{dst} has an "
+                            f"unknown state or a symbol outside the alphabet")
+            continue
+        if kids[parent] != root:
             raise SnapshotError(
                 f"two transitions from ({src},{symbol})", index + 1)
-        transitions[(src, symbol)] = dst
-        index += 1
+        if child is None or child == root:
+            kids[parent] = -1  # taken: a repeat of the key is a duplicate
+            problems.append(f"transition {src}-{symbol}->{dst} enters "
+                            f"the start state or an unknown state")
+            continue
+        kids[parent] = child
+        above = depth[parent]
+        if depth[child] != -2:
+            problems.append(f"state {dst} has more than one incoming "
+                            f"transition")
+        elif above >= 0:
+            depth[child] = above + 1
+        else:
+            depth[child] = -1
+            deferred = True
+    else:
+        index = len(lines)
 
     maxaccept_field = _field(lines, index, "maxaccept")
     counter_field = _field(lines, index + 1, "counter")
@@ -157,11 +207,29 @@ def decode_snapshot(text):
     if index + 2 != len(lines):
         raise SnapshotError("trailing content after 'counter:'", index + 3)
 
-    try:
-        trie = PartialDfa.from_parts(states, start, transitions, accepting,
-                                     maxaccept, counter)
-    except ValueError as exc:
-        raise SnapshotError(str(exc)) from None
+    marks = bytearray(count)
+    for name in accept_field.split():
+        state = get(name)
+        if state is None:
+            problems.append(f"accepting state {name} unknown")
+        else:
+            marks[state] = 1
+    if problems:
+        raise SnapshotError("; ".join(problems))
+    trie = PartialDfa.from_arrays(kids0, kids1, marks, root, names, counter,
+                                  maxaccept)
+    if deferred:
+        problems = trie.structure_problems()
+    else:
+        if min(depth) < 0:
+            problems.append(f"{sum(d < 0 for d in depth)} unreachable states")
+        deepest = max(compress(depth, marks), default=0)
+        if maxaccept != deepest:
+            problems.append(f"maxaccept {maxaccept} is not the deepest "
+                            f"accepting depth {deepest}")
+        problems += trie.name_problems()
+    if problems:
+        raise SnapshotError("; ".join(problems))
     return EvolvingModel(trie)
 
 

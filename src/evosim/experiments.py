@@ -57,7 +57,7 @@ class StructureDelta:
 
 def _counts(model):
     trie = model.trie
-    return (len(trie.states), len(trie.transitions), len(trie.accepting))
+    return (trie.state_count, trie.transition_count, trie.accepting_count)
 
 
 def _delta(before, after):

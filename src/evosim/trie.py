@@ -20,14 +20,38 @@ permanent: once a string has been accepted or rejected, every future query
 of it repeats the answer. The *order* of first-time queries, on the other
 hand, decides which strings end up in the language at all.
 
-Instances are single-writer: queries must be serialized; reading stats on
-a quiescent instance is safe.
+Layout: flat arrays indexed by creation order, after the child arrays of
+J. Aoe, "An efficient digital search algorithm by using a double-array
+structure", IEEE TSE 15(9), 1989. State i is the i-th state created;
+`kids0[i]` and `kids1[i]` (each an `array('l')`) hold its children on 0
+and on 1, and the `bytearray` `marks[i]` is 1 when it accepts. A child slot
+that holds the start state's index (`root`, 0 unless a decoded snapshot
+lists the start state elsewhere) is empty, since the start state is never
+a child. About 17 bytes per state, against some 190 for name strings in a
+dict keyed by (name, symbol) tuples. State names are not stored: fresh
+states are named `s<counter>`, computed from their index, and only a
+decoded snapshot whose names follow another rule keeps its list of names.
+The counters `state_count`, `transition_count` (a trie has one transition
+per state but the start) and `accepting_count` are O(1).
+
+Views: `states` (a sequence of names), `transitions` (a mapping
+(source, symbol) -> target) and `accepting` (a set of names) read the
+arrays by name, each with an O(1) `len`; they hold no copy. The snapshot
+codec in `evosim.engine` reads and fills the arrays directly.
+
+Instances are single-writer: queries must be serialized, and no view,
+stat or snapshot may be read while a query runs; reading them on a
+quiescent instance is safe. The arrays are written only by `query` (and
+filled once by `from_arrays`); everything else only reads them.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InvalidSymbolError
 
@@ -67,85 +91,271 @@ class MachineStats:
     accepting_count: int
 
 
-class PartialDfa:
-    """The growing trie acceptor.
+class _View:
+    """A read-only view of a PartialDfa by state name, with O(1) `len`."""
 
-    `states` is kept in creation order and fresh states are named s1, s2, …
-    from `creation_counter`, so identical query histories produce identical
-    machines, state names included.
+    __slots__ = ("_machine",)
+    _plain = list  # the built-in type the view reads as
+
+    def __init__(self, machine):
+        self._machine = machine
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._plain(self)!r})"
+
+
+class StateNames(_View, Sequence):
+    """The state names in creation order; equal to a list or tuple of the
+    same names."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return self._machine.state_count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._machine.names()[index]
+        count = self._machine.state_count
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("state index out of range")
+        return self._machine.name(index)
+
+    def __iter__(self):
+        return iter(self._machine.names())
+
+    def __eq__(self, other):
+        if isinstance(other, (StateNames, list, tuple)):
+            return self._machine.names() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+class Transitions(_View, Mapping):
+    """{(source, symbol): target} by name."""
+
+    __slots__ = ()
+    _plain = dict
+
+    def __len__(self):
+        return self._machine.transition_count
+
+    def __getitem__(self, key):
+        machine = self._machine
+        source, symbol = key
+        index = machine.index(source)
+        if index is None or symbol not in TRIE_ALPHABET:
+            raise KeyError(key)
+        child = (machine.kids1 if symbol == "1" else machine.kids0)[index]
+        if child == machine.root:
+            raise KeyError(key)
+        return machine.name(child)
+
+    def __iter__(self):
+        machine = self._machine
+        root = machine.root
+        for src, zero, one in zip(machine.names(), machine.kids0, machine.kids1):
+            if zero != root:
+                yield src, "0"
+            if one != root:
+                yield src, "1"
+
+
+class AcceptingNames(_View, Set):
+    """The set of accepting state names."""
+
+    __slots__ = ()
+    _plain = set
+
+    def __len__(self):
+        return self._machine.accepting_count
+
+    def __contains__(self, name):
+        index = self._machine.index(name)
+        return index is not None and self._machine.marks[index] == 1
+
+    def __iter__(self):
+        return iter(self._machine.accepting_in_creation_order())
+
+
+def _levels(kids0, kids1, root):
+    """The states reachable from `root`, one list per depth. A state reached
+    twice is expanded once, so malformed arrays cannot loop."""
+    seen = bytearray(len(kids0))
+    seen[root] = 1
+    level = [root]
+    while level:
+        yield level
+        below = []
+        for node in level:
+            for child in (kids0[node], kids1[node]):
+                if not seen[child]:
+                    seen[child] = 1
+                    below.append(child)
+        level = below
+
+
+class PartialDfa:
+    """The growing trie acceptor, laid out as the module docstring says.
+
+    Fresh states are named s1, s2, … from `creation_counter`, so identical
+    query histories produce identical machines, state names included.
     """
 
     def __init__(self):
-        self.states = [TRIE_START]
-        self.start = TRIE_START
-        self.transitions = {}
-        self.accepting = set()
+        self.kids0 = array("l", (0,))
+        self.kids1 = array("l", (0,))
+        self.marks = bytearray(1)
+        self.root = 0
+        self._named = []   # names of the first states, when not fresh names
+        self._shift = 0    # creation_counter minus state_count
+        self.accepting_count = 0
         self.max_accepted_length = 0
-        self.creation_counter = 1
 
     @classmethod
-    def from_parts(cls, states, start, transitions, accepting,
-                   max_accepted_length, creation_counter):
-        """Rebuild a machine from snapshot data; validates the invariants."""
+    def from_arrays(cls, kids0, kids1, marks, root, names, creation_counter,
+                    max_accepted_length):
+        """A machine over filled arrays, unchecked: `decode_snapshot` checks
+        the invariants while it fills them, and `structure_problems()`
+        checks them afterwards. `names` are the states' names in creation
+        order; they are kept only when they are not the fresh names."""
         machine = cls.__new__(cls)
-        machine.states = list(states)
-        machine.start = start
-        machine.transitions = dict(transitions)
-        machine.accepting = set(accepting)
+        machine.kids0 = kids0
+        machine.kids1 = kids1
+        machine.marks = marks
+        machine.root = root
+        count = len(marks)
+        fresh = (creation_counter == count
+                 and names == [TRIE_START, *[f"s{i}" for i in range(1, count)]])
+        machine._named = [] if fresh else list(names)
+        machine._shift = creation_counter - count
+        machine.accepting_count = marks.count(1)
         machine.max_accepted_length = max_accepted_length
-        machine.creation_counter = creation_counter
-        problems = machine.structure_problems()
-        if problems:
-            raise ValueError("; ".join(problems))
         return machine
 
-    def _fresh_state(self):
-        name = f"s{self.creation_counter}"
-        self.creation_counter += 1
-        self.states.append(name)
-        return name
+    @property
+    def state_count(self):
+        return len(self.marks)
+
+    @property
+    def transition_count(self):
+        return len(self.marks) - 1
+
+    @property
+    def creation_counter(self):
+        return len(self.marks) + self._shift
+
+    def name(self, index):
+        """The name of the state created `index`-th (0 is the first)."""
+        if index < len(self._named):
+            return self._named[index]
+        return f"s{index + self._shift}" if index else TRIE_START
+
+    def names(self):
+        """Every state name, in creation order, as a new list."""
+        named = self._named
+        first = len(named) or 1
+        shift = self._shift
+        return ((named or [TRIE_START])
+                + [f"s{i}" for i in range(first + shift, len(self.marks) + shift)])
+
+    def index(self, name):
+        """The creation index of the state named `name`, or None."""
+        named = self._named
+        if name in named:
+            return named.index(name)
+        if name == TRIE_START and not named:
+            return 0
+        if name[:1] == "s" and name[1:].isdecimal():
+            index = int(name[1:]) - self._shift
+            if (len(named) or 1) <= index < len(self.marks) and self.name(index) == name:
+                return index
+        return None
+
+    @property
+    def start(self):
+        return self.name(self.root)
+
+    @property
+    def states(self):
+        """View: the state names in creation order."""
+        return StateNames(self)
+
+    @property
+    def transitions(self):
+        """View: {(source, symbol): target} by name."""
+        return Transitions(self)
+
+    @property
+    def accepting(self):
+        """View: the set of accepting state names."""
+        return AcceptingNames(self)
+
+    def accepting_in_creation_order(self):
+        return list(compress(self.names(), self.marks))
 
     def query(self, text):
         """Answer a membership query, growing the machine as needed."""
-        bad = sorted(set(text) - set(TRIE_ALPHABET))
-        if bad:
+        if text.strip("01"):
+            bad = sorted(set(text) - set(TRIE_ALPHABET))
             raise InvalidSymbolError(f"query contains {bad!r}; allowed: 0, 1")
-        current = self.start
+        kids0 = self.kids0
+        kids1 = self.kids1
+        root = self.root
+        node = root
         read = 0
         for symbol in text:
-            target = self.transitions.get((current, symbol))
-            if target is None:
+            child = (kids1 if symbol == "1" else kids0)[node]
+            if child == root:
                 break
-            current = target
+            node = child
             read += 1
 
+        marks = self.marks
         if read == len(text):
-            if current in self.accepting:
+            if marks[node]:
                 return QueryOutcome(True, QueryCase.AT_ACCEPTING,
                                     (), (), (), read)
-            if any(self.transitions.get((current, a)) in self.accepting
-                   for a in TRIE_ALPHABET):
+            zero = kids0[node]
+            one = kids1[node]
+            if (zero != root and marks[zero]) or (one != root and marks[one]):
                 return QueryOutcome(False, QueryCase.NEAR_ACCEPTING,
                                     (), (), (), read)
-            self.accepting.add(current)
-            self.max_accepted_length = max(self.max_accepted_length, len(text))
+            self._mark(node, read)
             return QueryOutcome(True, QueryCase.MARKED_ACCEPTING,
-                                (), (), (current,), read + 1)
+                                (), (), (self.name(node),), read + 1)
 
         new_states = []
         new_transitions = []
+        source = self.name(node)
+        fresh = len(marks)
+        shift = self._shift
         for symbol in text[read:]:
-            fresh = self._fresh_state()
-            self.transitions[(current, symbol)] = fresh
-            new_states.append(fresh)
-            new_transitions.append((current, symbol, fresh))
-            current = fresh
-        self.accepting.add(current)
-        self.max_accepted_length = max(self.max_accepted_length, len(text))
+            (kids1 if symbol == "1" else kids0)[node] = fresh
+            kids0.append(root)
+            kids1.append(root)
+            marks.append(0)
+            name = f"s{fresh + shift}"
+            new_states.append(name)
+            new_transitions.append((source, symbol, name))
+            node = fresh
+            source = name
+            fresh += 1
+        self._mark(node, len(text))
         ticks = read + 2 * len(new_states) + 1
         return QueryOutcome(True, QueryCase.GREW_CHAIN,
                             tuple(new_states), tuple(new_transitions),
-                            (current,), ticks)
+                            (source,), ticks)
+
+    def _mark(self, node, length):
+        """Mark `node`, where a query of `length` symbols ends, accepting."""
+        self.marks[node] = 1
+        self.accepting_count += 1
+        if length > self.max_accepted_length:
+            self.max_accepted_length = length
 
     def stats(self):
         """Measured figures: the depth is recomputed by traversal, not read
@@ -153,79 +363,65 @@ class PartialDfa:
         return MachineStats(
             max_accepted_length=self.max_accepted_length,
             depth=self.depth(),
-            state_count=len(self.states),
-            accepting_count=len(self.accepting),
+            state_count=self.state_count,
+            accepting_count=self.accepting_count,
         )
 
     def depth(self):
         """Length of the longest transition path from the start state."""
-        children = {}
-        for (src, _), dst in self.transitions.items():
-            children.setdefault(src, []).append(dst)
-        deepest = 0
-        stack = [(self.start, 0)]
-        while stack:
-            state, d = stack.pop()
-            deepest = max(deepest, d)
-            for child in children.get(state, ()):
-                stack.append((child, d + 1))
+        deepest = -1
+        for _ in _levels(self.kids0, self.kids1, self.root):
+            deepest += 1
         return deepest
-
-    def accepting_in_creation_order(self):
-        return [s for s in self.states if s in self.accepting]
 
     def structure_problems(self):
         """Violations of the machine's structural invariants, if any.
 
-        Checks: one transition per (state, symbol); transitions reference
-        known states; every non-start state has exactly one incoming
-        transition and all states are reachable from the start (trie shape);
-        accepting states exist; the longest accepted length is the depth of
-        the deepest accepting state (0 if none is reachable); fresh names
-        never collide with the counter.
+        Checks: every child slot holds a known state; every non-start state
+        has exactly one incoming transition and all states are reachable
+        from the start (trie shape); the longest accepted length is the
+        depth of the deepest accepting state (0 if none is reachable); the
+        accepting counter matches the marks; names are distinct and fresh
+        names never collide with the counter. One transition per
+        (state, symbol), symbols in the alphabet and no transition into the
+        start state hold by the layout of the arrays.
         """
-        problems = []
-        known = set(self.states)
-        if len(known) != len(self.states):
-            problems.append("duplicate state names")
-        if self.start not in known:
-            problems.append("start state unknown")
-        incoming = {s: 0 for s in self.states}
-        for (src, symbol), dst in self.transitions.items():
-            if symbol not in TRIE_ALPHABET:
-                problems.append(f"transition symbol {symbol!r} outside alphabet")
-            if src not in known or dst not in known:
-                problems.append(f"transition {src}-{symbol}->{dst} references unknown state")
-            elif dst == self.start:
-                problems.append("start state has an incoming transition")
-            else:
-                incoming[dst] += 1
-        for state, count in incoming.items():
-            if state != self.start and count != 1:
-                problems.append(f"state {state} has {count} incoming transitions")
-        reachable = {self.start} if self.start in known else set()
+        kids0, kids1, root, marks = self.kids0, self.kids1, self.root, self.marks
+        count = len(marks)
+        if not (len(kids0) == len(kids1) == count
+                and all(0 <= k < count for k in kids0)
+                and all(0 <= k < count for k in kids1)):
+            return ["child slots reference unknown states"]
+        problems = self.name_problems()
+        targets = [k for k in (*kids0, *kids1) if k != root]
+        if len(set(targets)) != len(targets):
+            problems.append("a state has more than one incoming transition")
+        reached = 0
         deepest_accepting = 0
-        stack = [(self.start, 0)]
-        while stack:
-            state, depth = stack.pop()
-            if state in self.accepting:
-                deepest_accepting = max(deepest_accepting, depth)
-            for symbol in TRIE_ALPHABET:
-                dst = self.transitions.get((state, symbol))
-                if dst is not None and dst in known and dst not in reachable:
-                    reachable.add(dst)
-                    stack.append((dst, depth + 1))
-        if known - reachable:
-            problems.append(f"unreachable states: {sorted(known - reachable)}")
+        for depth, level in enumerate(_levels(kids0, kids1, root)):
+            reached += len(level)
+            if any(marks[node] for node in level):
+                deepest_accepting = depth
+        if reached != count:
+            problems.append(f"{count - reached} unreachable states")
         if self.max_accepted_length != deepest_accepting:
             problems.append(f"maxaccept {self.max_accepted_length} is not the "
                             f"deepest accepting depth {deepest_accepting}")
-        for extra in self.accepting - known:
-            problems.append(f"accepting state {extra} unknown")
-        for state in known:
-            if state.startswith("s") and state[1:].isdigit():
-                if int(state[1:]) >= self.creation_counter:
-                    problems.append(f"creation counter {self.creation_counter} "
-                                    f"would collide with existing {state}")
+        if self.accepting_count != marks.count(1):
+            problems.append(f"accepting count {self.accepting_count} is not "
+                            f"the number of accepting states")
         return problems
 
+    def name_problems(self):
+        """Duplicate names, and names a fresh state would take again. Fresh
+        names lie below the counter, so only kept names are checked."""
+        named = self._named
+        problems = []
+        if len(set(named)) != len(named):
+            problems.append("duplicate state names")
+        counter = self.creation_counter
+        for name in named:
+            if name[:1] == "s" and name[1:].isdecimal() and int(name[1:]) >= counter:
+                problems.append(f"creation counter {counter} "
+                                f"would collide with existing {name}")
+        return problems

@@ -12,6 +12,7 @@ import pytest
 
 from evosim import (EvolvingModel, decode_snapshot, encode_snapshot,
                     right_scanner, run)
+from evosim import cli
 from evosim.cli import main
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -145,6 +146,28 @@ def test_write_back_fails_whole_or_is_skipped_when_unchanged(tmp_path, capsys,
     assert main(["query", "0", "--model", "e", "--state", str(state)]) == 2
     assert "fsync failed" in capsys.readouterr().err
     assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["world.pet",
+                                                         "world.pet.lock"]
+
+
+def test_running_out_of_memory_exits_two_and_writes_nothing_back(tmp_path, capsys,
+                                                                monkeypatch):
+    state = tmp_path / "world.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(state)]) == 0
+    assert main(["query", "101", "--model", "e", "--state", str(state)]) == 0
+    lock = tmp_path / "world.pet.lock"
+    before = (state.read_bytes(), lock.read_bytes())
+    capsys.readouterr()
+
+    def half_grown(runner, args):
+        runner.model.trie.query("0110")  # the world has grown
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "query", half_grown)
+    assert main(["query", "0110", "--model", "e", "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("evosim: error: ") and "Traceback" not in err
+    assert (state.read_bytes(), lock.read_bytes()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["world.pet",
                                                          "world.pet.lock"]
 

@@ -154,6 +154,24 @@ def test_decode_reports_parse_error_lines():
     assert excinfo.value.line_no == 3
 
 
+def test_a_world_with_its_own_names_keeps_them_and_grows_fresh_ones():
+    text = (
+        "PET1 v1\nstates: n1 root n2 s3\nstart: root\naccept: n2 s3\n"
+        "trans: n1 1 s3\ntrans: root 0 n1\ntrans: root 1 n2\n"
+        "maxaccept: 2\ncounter: 7\n"
+    )
+    model = decode_snapshot(text)
+    trie = model.trie
+    assert trie.start == "root" and trie.states == ["n1", "root", "n2", "s3"]
+    assert model.accept(right_edge("11")) is True  # grows s7 below n2
+    assert trie.states == ["n1", "root", "n2", "s3", "s7"]
+    assert trie.transitions[("n2", "1")] == "s7"
+    assert ("s7", "0") not in trie.transitions and "s7" in trie.accepting
+    assert trie.accepting == {"n2", "s3", "s7"}
+    assert (trie.creation_counter, trie.structure_problems()) == (8, [])
+    assert decode_snapshot(encode_snapshot(model)).trie.states == trie.states
+
+
 def test_make_model_builds_both_worlds():
     from evosim import StandardModel, make_model
 

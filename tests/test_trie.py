@@ -1,5 +1,7 @@
 """The growing trie acceptor and the arrival-order numbering process."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from evosim import (
     InvalidSymbolError,
     PartialDfa,
     QueryCase,
+    binary_strings,
 )
 from ledger import QueryLedger, replay_check
 
@@ -95,6 +98,38 @@ def test_stats_fresh_and_after_growth():
     m.query("10")
     s = m.stats()
     assert (s.max_accepted_length, s.depth, s.state_count, s.accepting_count) == (3, 3, 4, 1)
+
+
+def test_full_trie_memory_per_state_is_bounded():
+    # Name strings in a list, a dict keyed by (name, symbol) tuples and a
+    # set of names held about 190 bytes per state here; two child slots of
+    # 8 bytes and one accepting byte per state hold about 20.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        machine = PartialDfa()
+        for text in binary_strings(15):
+            machine.query(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(machine.states) == 65_535
+    assert held / len(machine.states) <= 96
+
+
+def test_views_and_counters_agree():
+    m = PartialDfa()
+    for text in ("101", "10", "", "0110", "11"):
+        m.query(text)
+    names = ["q0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"]
+    assert m.states == names and list(m.states) == names
+    assert m.states[-1] == "s8" and m.states[1:3] == ["s1", "s2"]
+    assert m.transitions[("s1", "1")] == "s8"
+    assert m.accepting == {"q0", "s3", "s7", "s8"}
+    assert m.accepting_in_creation_order() == ["q0", "s3", "s7", "s8"]
+    assert (m.state_count, m.transition_count, m.accepting_count) == (
+        len(m.states), len(m.transitions), len(m.accepting))
+    assert m.creation_counter == 9
 
 
 def test_replay_check_accepts_a_faithful_ledger():
