@@ -125,8 +125,8 @@ def decode_snapshot(text):
     state, and a creation counter that would collide with existing state
     names. The transitions go straight into the trie's child arrays, and a
     state's depth is set from its parent's as its transition is read; only
-    a snapshot that lists a child's transitions before its parent's needs
-    a second pass (`structure_problems`).
+    a snapshot that lists a child's transitions before its parent's, or has
+    unreachable states, needs a second pass (`structure_problems`).
     """
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_HEADER:
@@ -148,10 +148,12 @@ def decode_snapshot(text):
     kids0 = array("l", (root,)) * count
     kids1 = array("l", (root,)) * count
     sides = dict(zip(TRIE_ALPHABET, (kids0, kids1)))
-    # -2: no parent yet; -1: a parent whose depth was unknown when read
-    depth = array("l", (-2,)) * count
+    # Depths are set from the parent's as each transition is read, from
+    # `unset` at first. A child read before its parent, or cut off from
+    # the start state, stays negative: it can climb at most once per row.
+    unset = -2 * count - 1
+    depth = array("l", (unset,)) * count
     depth[root] = 0
-    deferred = False
     unslotted = set()
     get = index_of.get
     for index, line in enumerate(lines[4:], 4):
@@ -183,15 +185,10 @@ def decode_snapshot(text):
                             f"the start state or an unknown state")
             continue
         kids[parent] = child
-        above = depth[parent]
-        if depth[child] != -2:
+        if depth[child] != unset:
             problems.append(f"state {dst} has more than one incoming "
                             f"transition")
-        elif above >= 0:
-            depth[child] = above + 1
-        else:
-            depth[child] = -1
-            deferred = True
+        depth[child] = depth[parent] + 1
     else:
         index = len(lines)
 
@@ -218,11 +215,9 @@ def decode_snapshot(text):
         raise SnapshotError("; ".join(problems))
     trie = PartialDfa.from_arrays(kids0, kids1, marks, root, names, counter,
                                   maxaccept)
-    if deferred:
+    if min(depth) < 0:
         problems = trie.structure_problems()
     else:
-        if min(depth) < 0:
-            problems.append(f"{sum(d < 0 for d in depth)} unreachable states")
         deepest = max(compress(depth, marks), default=0)
         if maxaccept != deepest:
             problems.append(f"maxaccept {maxaccept} is not the deepest "

@@ -114,14 +114,7 @@ class StateNames(_View, Sequence):
         return self._machine.state_count
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._machine.names()[index]
-        count = self._machine.state_count
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("state index out of range")
-        return self._machine.name(index)
+        return self._machine.names()[index]
 
     def __iter__(self):
         return iter(self._machine.names())
@@ -271,7 +264,8 @@ class PartialDfa:
             return 0
         if name[:1] == "s" and name[1:].isdecimal():
             index = int(name[1:]) - self._shift
-            if (len(named) or 1) <= index < len(self.marks) and self.name(index) == name:
+            fresh = range(len(named) or 1, len(self.marks))
+            if index in fresh and self.name(index) == name:
                 return index
         return None
 

@@ -87,7 +87,8 @@ def mutations(text):
             edits = [(piece, piece) for piece in pieces if piece != word]
             edits += [("<drop>", None), ("<double>", f"{word} {word}")]
             for tag, piece in edits:
-                changed = words[:j] + ([] if piece is None else [piece]) + words[j + 1:]
+                middle = [] if piece is None else [piece]
+                changed = words[:j] + middle + words[j + 1:]
                 out.append((f"word {i}.{j}={tag}",
                             joined(lines[:i] + [" ".join(changed)] + lines[i + 1:])))
     return out
