@@ -15,13 +15,12 @@ alternative histories.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 
 from .errors import SnapshotError
 from .tape import BLANK, HALT_STATE, StandardModel
-from .trie import TRIE_ALPHABET, PartialDfa
+from .trie import TRIE_ALPHABET, PartialDfa, int_array
 
 SNAPSHOT_HEADER = "PET1 v1"
 
@@ -145,14 +144,14 @@ def decode_snapshot(text):
     if root is None:
         problems.append("start state unknown")
         root = 0
-    kids0 = array("l", (root,)) * count
-    kids1 = array("l", (root,)) * count
+    kids0 = int_array(root, count)
+    kids1 = int_array(root, count)
     sides = dict(zip(TRIE_ALPHABET, (kids0, kids1)))
     # Depths are set from the parent's as each transition is read, from
     # `unset` at first. A child read before its parent, or cut off from
     # the start state, stays negative: it can climb at most once per row.
     unset = -2 * count - 1
-    depth = array("l", (unset,)) * count
+    depth = int_array(unset, count)
     depth[root] = 0
     unslotted = set()
     get = index_of.get
