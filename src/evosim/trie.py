@@ -199,7 +199,8 @@ def _levels(kids0, kids1, root):
 
 
 class PartialDfa:
-    """The growing trie acceptor, laid out as the module docstring says.
+    """The growing trie acceptor, laid out as the module docstring says,
+    with its views; single-writer.
 
     Fresh states are named s1, s2, … from `creation_counter`, so identical
     query histories produce identical machines, state names included.
