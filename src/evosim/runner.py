@@ -24,16 +24,29 @@ configurations, in order of generation, and takes NO as the answer
 everywhere else, so a run costs time and memory linear in its steps, apart
 from the halt-on-blank configurations it builds.
 
-Sweeps: a *sweep state* is one whose 0- and 1-instructions both write back
-the symbol they read, move right and stay in the state (the right
-scanner's h, the palindrome machine's seek0 and seek1, the increment
-machine's scan and ret). In a sweep state on a non-blank cell the walk
-jumps to the next blank, or as far as the remaining budget allows, with
-one `list.index`, and extends the applied instructions with one `map` over
-the cells it crossed. Every configuration it skips has the head on a
-non-blank cell, where the acceptor contract answers NO without a call, so
-a sweep skips no acceptor call; `applied`, the costs, the verdicts and the
-final string are those of single steps.
+Sweeps: the walk crosses three kinds of runs in one move each.
+- A right sweep: a state whose 0- and 1-instructions both write back the
+  symbol they read, move right and stay in the state (the right scanner's
+  h, the palindrome machine's seek0 and seek1, the increment machine's
+  scan and ret). On a non-blank cell the walk jumps to the next blank, or
+  as far as the remaining budget allows, with one `list.index`.
+- A left sweep: the same, moving left (the palindrome machine's left). The
+  walk jumps to the nearest blank on the left with one search of a
+  reversed slice; with no blank between the head and the origin it lands
+  on cell 0, where a left move does not apply, so the run halts there.
+- An end-of-tape blank sweep: a state other than h whose blank-instruction
+  writes a blank, moves right and stays (a runaway's q0). Once a step
+  appends a blank in such a state, only blanks lie ahead, and the walk
+  takes the rest of the budget in one go. Blanks inside the tape are
+  stepped one cell at a time.
+Each sweep extends the applied instructions in one call (a `map` over the
+crossed cells, or an `itertools.repeat`). Every configuration it skips has
+the head on a non-blank cell, or is not in h, so the acceptor contract
+answers NO there without a call, and a sweep skips no acceptor call;
+`applied`, the costs, the verdicts and the final string are those of single
+steps. For the same reason blank runs in h (the palindrome machine's final
+walk left) stay single steps: each of their configurations is asked about,
+in order.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.
@@ -55,7 +68,6 @@ from .tape import (
     HALT_STATE,
     MOVES,
     START_STATE,
-    apply_instruction,
     start_config,
     start_tape,
     step_config,
@@ -110,7 +122,7 @@ class Procedure:
 
     Construction rejects colliding keys with DeterminationError, and there
     is no other way to build one, so each key of the step table names a
-    single instruction. The step table and the sweep table (see
+    single instruction. The step table and the two sweep tables (see
     `evosim.tape.step_table`) are compiled here, once.
     """
 
@@ -119,7 +131,8 @@ class Procedure:
         collisions = check_determination(self.instructions)
         if collisions:
             raise DeterminationError(collisions)
-        self._steps, self._sweeps = step_table(self.instructions)
+        self._steps, self._sweeps, self._blank_sweeps = step_table(
+            self.instructions)
 
     def __len__(self):
         return len(self.instructions)
@@ -197,13 +210,22 @@ class RunResult:
     @property
     def path(self):
         """Every configuration of the run in order, rebuilt by replaying
-        `applied` from `start` through the pure transition engine, which
-        makes the replay exact. Costs O(steps x tape); call it sparingly."""
-        config = self.start
-        path = [config]
-        for inst in self.applied:
-            config = apply_instruction(config, inst)
-            path.append(config)
+        `applied` from `start` one single step at a time, through a step
+        table of the applied instructions and no sweeps. Each step must take
+        the next applied instruction, which makes the replay exact. Costs
+        O(steps x tape); call it sparingly."""
+        steps = step_table(self.applied)[0]
+        cells = start_tape(self.text)
+        state, pos = START_STATE, 0
+        path = [tape_view(state, cells, pos)]
+        taken = []
+        for i, inst in enumerate(self.applied):
+            state, pos, _ = walk(steps, {}, {}, cells, pos, state, 1, taken)
+            if taken != [inst]:
+                raise ValueError(f"step {i} of the replay takes {taken}, "
+                                 f"not the applied {inst}")
+            taken.clear()
+            path.append(tape_view(state, cells, pos))
         return tuple(path)
 
 
@@ -227,6 +249,7 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
         raise ValueError("budget must be at least 1")
     cells = start_tape(text)
     steps, sweeps = procedure._steps, procedure._sweeps
+    blank_sweeps = procedure._blank_sweeps
     applied = []
     ticks_before = model.acceptor_ticks
     # The start state is not the halt state, so the start configuration
@@ -234,8 +257,8 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     state, pos, answer = START_STATE, 0, False
     while True:
         taken = len(applied)
-        state, pos, halted = walk(steps, sweeps, cells, pos, state,
-                                  budget - taken, applied)
+        state, pos, halted = walk(steps, sweeps, blank_sweeps, cells, pos,
+                                  state, budget - taken, applied)
         # A walk that took steps ends on a new configuration, so ask about
         # it (NO without a call unless it is h on a blank). One that took
         # none ends on the configuration last asked about, halted or out of

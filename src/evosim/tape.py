@@ -10,7 +10,10 @@ Every step is taken by `walk`, on a mutable tape: a list of cells, cell 0
 being the origin, plus a head index. It reads a step table, compiled once
 from the instructions by `step_table`, and it is the one place that holds
 the two tape rules: a left move at the origin does not apply, and a right
-move off the last cell appends a blank. The pure engine
+move off the last cell appends a blank. It crosses three kinds of sweep in
+one move each (right and left sweeps over non-blank cells, and blank
+sweeps past the end of the tape), stopping a left sweep at the origin and
+never sweeping the halt state over blanks. The pure engine
 `apply_instruction` takes one step of a configuration through the same
 walk, and `tape_view` turns a mutable tape back into a configuration.
 
@@ -21,6 +24,7 @@ evosim but the error types, and the run loop and the engines build on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InvalidSymbolError
 
@@ -71,28 +75,39 @@ def tape_view(state, cells, pos):
 
 
 def step_table(instructions):
-    """Compile key-unique instructions into a step table and a sweep table.
+    """Compile key-unique instructions into a step table and two sweep
+    tables.
 
     The step table maps each (state, read) key to (write, moves_right,
     target, instruction). The sweep table maps each *sweep state* to its
     {symbol: instruction} for "0" and "1": a state whose 0- and
-    1-instructions both write back the symbol they read, move right and stay
-    in the state, so that it crosses a run of non-blank cells unchanged.
+    1-instructions both write back the symbol they read, move the same way
+    (right or left) and stay in the state, so that it crosses a run of
+    non-blank cells unchanged. The blank-sweep table maps each *blank-sweep
+    state* to its blank-instruction: a state other than the halt state that
+    reads a blank, writes a blank, moves right and stays, so that past the
+    last cell it fills the rest of a walk with blanks. The halt state is
+    left out there, because every blank configuration of it is one an
+    acceptor must be asked about.
     """
     steps = {inst.key(): (inst.write, inst.move == "R", inst.target, inst)
              for inst in instructions}
     sweeps = {}
-    for (state, read), zero in steps.items():
-        if read != "0":
+    blank_sweeps = {}
+    for (state, read), (write, moves_right, target, inst) in steps.items():
+        if target != state or write != read:
             continue
-        one = steps.get((state, "1"))
-        if (zero[:3] == ("0", True, state)
-                and one is not None and one[:3] == ("1", True, state)):
-            sweeps[state] = {"0": zero[3], "1": one[3]}
-    return steps, sweeps
+        if read == BLANK:
+            if moves_right and state != HALT_STATE:
+                blank_sweeps[state] = inst
+        elif read == "0":
+            one = steps.get((state, "1"))
+            if one is not None and one[:3] == ("1", moves_right, state):
+                sweeps[state] = {"0": inst, "1": one[3]}
+    return steps, sweeps, blank_sweeps
 
 
-def walk(steps, sweeps, cells, pos, state, room, applied):
+def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
     """Step a mutable tape in place from `state` with the head on `pos`;
     return the new (state, pos, halted).
 
@@ -103,11 +118,20 @@ def walk(steps, sweeps, cells, pos, state, room, applied):
     that a step reaches in the halt state on a blank (both with halted
     False), so that the caller can ask an acceptor about it.
 
-    In a state of `sweeps`, on a non-blank cell, the walk crosses every
-    cell up to the next blank (or up to the room) in one move: on such a
-    cell the sweep state's instruction writes back what it reads and stays
-    in the state, so no configuration in between is in the halt state on a
-    blank.
+    Sweeps cross many cells in one move, with the same applied
+    instructions as single steps (see `step_table` for the two tables):
+
+    - In a state of `sweeps`, on a non-blank cell, the walk crosses every
+      cell up to the nearest blank in the state's direction, or up to the
+      room, with one C-level search. A left sweep with no blank between
+      the head and the origin lands on cell 0; a left move does not apply
+      there, so the next step halts. On every crossed cell the instruction
+      writes back what it reads and stays in the state, so no
+      configuration in between is in the halt state on a blank.
+    - When a step appends a blank in a state of `blank_sweeps`, only
+      blanks lie ahead, so the walk takes the rest of the room in one go.
+      Blanks inside the tape are still stepped one cell at a time, and the
+      halt state is never a blank-sweep state.
     """
     while True:
         cell = cells[pos]
@@ -118,12 +142,23 @@ def walk(steps, sweeps, cells, pos, state, room, applied):
         if not room:
             return state, pos, False
         if cell != BLANK and state in sweeps:
-            try:
-                stop = cells.index(BLANK, pos, pos + room)
-            except ValueError:
-                stop = min(pos + room, len(cells))
-            applied.extend(map(sweeps[state].__getitem__, cells[pos:stop]))
-            room -= stop - pos
+            if entry[1]:
+                try:
+                    stop = cells.index(BLANK, pos, pos + room)
+                except ValueError:
+                    stop = min(pos + room, len(cells))
+                crossed = cells[pos:stop]
+            else:
+                crossed = cells[max(pos - room, 0):pos + 1]
+                crossed.reverse()
+                try:
+                    del crossed[crossed.index(BLANK):]
+                except ValueError:
+                    # No blank within reach: land on its farthest cell.
+                    crossed.pop()
+                stop = pos - len(crossed)
+            applied.extend(map(sweeps[state].__getitem__, crossed))
+            room -= len(crossed)
             pos = stop
         else:
             cells[pos], moves_right, state, inst = entry
@@ -133,6 +168,11 @@ def walk(steps, sweeps, cells, pos, state, room, applied):
         # A right move off the last cell appends a blank.
         if pos == len(cells):
             cells.append(BLANK)
+            if state in blank_sweeps:
+                cells.extend(repeat(BLANK, room))
+                applied.extend(repeat(blank_sweeps[state], room))
+                pos += room
+                room = 0
         if state == HALT_STATE and cells[pos] == BLANK:
             return state, pos, False
 
@@ -142,8 +182,8 @@ def step_config(steps, config):
     configuration it leads to; (None, None) where none applies."""
     cells = list(config.left + config.head + config.right)
     applied = []
-    state, pos, _ = walk(steps, {}, cells, len(config.left), config.state, 1,
-                         applied)
+    state, pos, _ = walk(steps, {}, {}, cells, len(config.left), config.state,
+                         1, applied)
     if not applied:
         return None, None
     return applied[0], tape_view(state, cells, pos)

@@ -166,12 +166,17 @@ def test_only_the_acceptor_varies_between_models(name, text):
 def test_sweep_states_of_the_shipped_machines():
     runaway = Procedure([Instruction("q0", BLANK, "q0", BLANK, "R")])
     sweeps = {name: set(procedure._sweeps) for name, procedure in PROCEDURES.items()}
-    assert sweeps == {"right_scanner": {"h"}, "palindrome": {"seek0", "seek1"},
+    assert sweeps == {"right_scanner": {"h"},
+                      "palindrome": {"seek0", "seek1", "left"},
                       "binary_increment": {"scan", "ret"}}
-    # Left moves, rewrites and blank-only loops are stepped one cell at a time.
-    assert "left" not in sweeps["palindrome"]
+    assert all(not procedure._blank_sweeps for procedure in PROCEDURES.values())
+    assert (runaway._sweeps, set(runaway._blank_sweeps)) == ({}, {"q0"})
+    # Rewrites are stepped one cell at a time, and so is every blank walk of
+    # the halt state, either way.
     assert "carry" not in sweeps["binary_increment"]
-    assert runaway._sweeps == {}
+    assert "h" not in sweeps["palindrome"]
+    h_right = Procedure([Instruction("h", BLANK, "h", BLANK, "R")])
+    assert (h_right._sweeps, h_right._blank_sweeps) == ({}, {})
 
 
 STATES = ("q0", "a", "b", "h")
@@ -179,11 +184,13 @@ SYMBOLS = ("0", "1", BLANK)
 
 # Small random procedures with instructions out of h (the trie is consulted
 # mid-run), left moves at the origin and blank writes (interior blanks).
-# Most are laid over a shipped machine, or over a scanner that blanks its
-# zeros, so that runs often sweep (h in the scanner, seek0/seek1 in the
-# palindrome machine, scan/ret in the increment machine) and reach h on a
-# right-edge blank; some of those then leave it by a random instruction
-# keyed on (h, blank), and the random extras may break or make a sweep.
+# Most are laid over a shipped machine, over a scanner that blanks its
+# zeros, or over a scanner that rewinds to the origin, so that runs often
+# sweep (h in the scanner, seek0/seek1 and left in the palindrome machine,
+# scan/ret in the increment machine, a and b in the rewinder) and reach h
+# on a right-edge blank; some of those then leave it by a random
+# instruction keyed on (h, blank), and the random extras may break or make
+# a sweep.
 
 
 def table_of(procedure):
@@ -200,6 +207,29 @@ INCREMENT_TABLE = table_of(PROCEDURES["binary_increment"])
 INTERIOR_BLANK_TABLE = {**SCANNER_TABLE, ("q0", BLANK): ("a", BLANK, "R"),
                         ("a", "1"): ("a", "1", "R"), ("a", "0"): ("b", BLANK, "L"),
                         ("b", "1"): ("h", "1", "L"), ("h", BLANK): ("h", BLANK, "R")}
+# Scan right, then sweep left (b) back to the origin blank and step into h.
+REWIND_TABLE = {("q0", BLANK): ("a", BLANK, "R"), ("a", "0"): ("a", "0", "R"),
+                ("a", "1"): ("a", "1", "R"), ("a", BLANK): ("b", BLANK, "L"),
+                ("b", "0"): ("b", "0", "L"), ("b", "1"): ("b", "1", "L"),
+                ("b", BLANK): ("h", BLANK, "R")}
+# The increment machine, then a left sweep to its origin, where it wrote
+# the carry's 1 on "111": with no blank to stop at, the sweep lands on the
+# origin and halts there.
+INCREMENT_REWIND_TABLE = {**INCREMENT_TABLE, ("ret", BLANK): ("b", BLANK, "L"),
+                          ("b", "0"): ("b", "0", "L"), ("b", "1"): ("b", "1", "L")}
+# Blank the zeros, then sweep left in h: h must stop on every blank that a
+# wrote (and be asked about it) before it steps over it.
+H_LEFT_TABLE = {("q0", BLANK): ("a", BLANK, "R"), ("a", "0"): ("a", BLANK, "R"),
+                ("a", "1"): ("a", "1", "R"), ("a", BLANK): ("h", BLANK, "L"),
+                ("h", "0"): ("h", "0", "L"), ("h", "1"): ("h", "1", "L"),
+                ("h", BLANK): ("h", BLANK, "L")}
+RUNAWAY_TABLE = {("q0", BLANK): ("q0", BLANK, "R")}
+# Mark the origin with a 0 and blank the leading zeros, walk back over the
+# blanks to the mark, then cross them again in the blank-sweep state d up to
+# the first 1, where no instruction applies: the tape must not grow.
+FILL_TABLE = {("q0", BLANK): ("a", "0", "R"), ("a", "0"): ("a", BLANK, "R"),
+              ("a", "1"): ("c", "1", "L"), ("c", BLANK): ("c", BLANK, "L"),
+              ("c", "0"): ("d", "0", "R"), ("d", BLANK): ("d", BLANK, "R")}
 actions = st.tuples(st.sampled_from(STATES), st.sampled_from(SYMBOLS),
                     st.sampled_from(("L", "R")))
 
@@ -214,7 +244,7 @@ procedures = st.one_of(
     tables(8),
     st.builds(lambda base, out_of_h, extra: {**base, **out_of_h, **extra},
               st.sampled_from((SCANNER_TABLE, BLANKING_TABLE, PALINDROME_TABLE,
-                               INCREMENT_TABLE)),
+                               INCREMENT_TABLE, REWIND_TABLE)),
               st.dictionaries(st.just(("h", BLANK)), actions, max_size=1),
               tables(2)),
 )
@@ -242,8 +272,21 @@ class SpyModel(EvolvingModel):
 # Sweeps that end on the right-edge blank exactly at the budget (the
 # scanner's h), one cell short of that blank, on the right-edge blank inside
 # the budget (seek0, scan, ret), cut by the budget (seek0, scan), and on a
-# blank that the palindrome machine wrote inside the tape (its second seek0),
-# and on a blank inside the tape in h.
+# blank that the palindrome machine wrote inside the tape (its second seek0,
+# and every left sweep), and on a blank inside the tape in h. Left sweeps
+# cut by the budget (the rewinder's b, the palindrome machine's left), one
+# that lands on a non-blank origin, and one in h that stops on each blank.
+# The runaway's end-of-tape blank sweep, under budgets that leave it 0, 1
+# and 36 steps, and a blank-sweep state over blanks inside the tape.
+@example(REWIND_TABLE, "0110110", 12)
+@example(REWIND_TABLE, "0110110", 40)
+@example(PALINDROME_TABLE, "0110", 8)
+@example(INCREMENT_REWIND_TABLE, "111", 40)
+@example(H_LEFT_TABLE, "1101001", 40)
+@example(RUNAWAY_TABLE, "", 1)
+@example(RUNAWAY_TABLE, "", 2)
+@example(RUNAWAY_TABLE, "", 37)
+@example(FILL_TABLE, "0001", 40)
 @example(INTERIOR_BLANK_TABLE, "101", 40)
 @example(SCANNER_TABLE, "0110", 5)
 @example(SCANNER_TABLE, "0110", 4)

@@ -172,11 +172,12 @@ def test_transition_rewrites_only_the_head_cell(head, left, right, write, move):
 def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move):
     inst = Instruction("p", head, "q", write, move)
     expected = apply_instruction(Configuration("p", left, head, right), inst)
-    steps, sweeps = step_table([inst])
-    assert sweeps == {}
+    steps, sweeps, blank_sweeps = step_table([inst])
+    assert sweeps == blank_sweeps == {}
     cells = list(left + head + right)
     applied = []
-    state, pos, halted = walk(steps, sweeps, cells, len(left), "p", 1, applied)
+    state, pos, halted = walk(steps, sweeps, blank_sweeps, cells, len(left), "p", 1,
+                              applied)
     # No instruction is keyed on q, so the walk ends halted either way.
     assert halted
     # The two tape rules, stated apart from the code that applies them.
