@@ -1,5 +1,6 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -65,6 +66,15 @@ def test_run_scanner_hand_trace():
         Configuration("h", BLANK + "10", "1", ""),
         Configuration("h", BLANK + "101", BLANK, ""),
     )
+
+
+def test_path_replay_takes_exactly_the_applied_instructions():
+    result = run(V, SCANNER, "101", 100)
+    # Out of order, and the start instruction again where no rule of the
+    # replay applies: each replay step must take the next applied one.
+    for applied in (result.applied[::-1], result.applied[:1] * 2):
+        with pytest.raises(ValueError, match="step"):
+            dataclasses.replace(result, applied=applied).path
 
 
 def test_runaway_memory_is_linear_in_the_budget():
