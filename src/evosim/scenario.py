@@ -304,13 +304,13 @@ class ScenarioRunner:
         return f"scenario: pass ({self.expectations} expectations)"
 
 
-def execute_scenario(scenario, model=None, budget=DEFAULT_BUDGET, base_dir=None):
-    """Execute a parsed scenario from a fresh (or supplied) world.
+def execute_scenario(scenario, budget=DEFAULT_BUDGET, base_dir=None):
+    """Execute a parsed scenario from a fresh world.
 
     Returns (transcript, passed). Expectation mismatches do not stop
     execution; I/O and usage problems raise instead.
     """
-    runner = ScenarioRunner(model=model, budget=budget, base_dir=base_dir)
+    runner = ScenarioRunner(budget=budget, base_dir=base_dir)
     lines = []
     for command in scenario.commands:
         lines.extend(runner.execute(command))

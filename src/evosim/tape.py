@@ -49,9 +49,6 @@ class Configuration:
     head: str
     right: str
 
-    def __str__(self):
-        return f"({self.state}, {self.left}[{self.head}]{self.right})"
-
 
 def start_tape(text):
     """The cells of an input's start tape: the origin blank, then the

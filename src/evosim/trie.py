@@ -36,13 +36,18 @@ per state but the start) and `accepting_count` are O(1).
 
 Views: `states` (a sequence of names), `transitions` (a mapping
 (source, symbol) -> target) and `accepting` (a set of names) read the
-arrays by name, each with an O(1) `len`; they hold no copy. The snapshot
-codec in `evosim.engine` reads and fills the arrays directly.
+arrays by name, each with an O(1) `len`; they hold no copy.
+
+Snapshots: `snapshot()` writes the machine as canonical 7-bit text, the
+format of a `--state` world file, and `PartialDfa.from_snapshot(text)`
+reads it back, filling a new machine's arrays while it checks the trie
+shape. The format, like the layout it is read into, is known to this
+module only.
 
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
 quiescent instance is safe. The arrays are written only by `query` (and
-filled once by `from_arrays`); everything else only reads them.
+filled once by `from_snapshot`); everything else only reads them.
 """
 
 from __future__ import annotations
@@ -52,10 +57,11 @@ from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import InvalidSymbolError
+from .errors import InvalidSymbolError, SnapshotError
 
 TRIE_ALPHABET = ("0", "1")
 TRIE_START = "q0"
+SNAPSHOT_HEADER = "PET1 v1"
 
 
 class QueryCase(enum.Enum):
@@ -198,6 +204,22 @@ def _levels(kids0, kids1, root):
         level = below
 
 
+def _field(lines, index, key):
+    if index >= len(lines):
+        raise SnapshotError(f"missing '{key}:' line", index + 1)
+    line = lines[index]
+    if line != key + ":" and not line.startswith(key + ": "):
+        raise SnapshotError(f"expected '{key}:' line, got {line!r}", index + 1)
+    return line[len(key) + 1:].strip()
+
+
+def _decimal(text):
+    """The value of an ASCII decimal numeral, or ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an ASCII decimal numeral: {text!r}")
+    return int(text)
+
+
 class PartialDfa:
     """The growing trie acceptor, laid out as the module docstring says,
     with its views; single-writer.
@@ -217,25 +239,146 @@ class PartialDfa:
         self.max_accepted_length = 0
 
     @classmethod
-    def from_arrays(cls, kids0, kids1, marks, root, names, creation_counter,
-                    max_accepted_length):
-        """A machine over filled arrays, unchecked: `decode_snapshot` checks
-        the invariants while it fills them, and `structure_problems()`
-        checks them afterwards. `names` are the states' names in creation
-        order; they are kept only when they are not the fresh names."""
+    def from_snapshot(cls, text):
+        """Rebuild a machine from snapshot text, in one pass.
+
+        Raises SnapshotError with a line number on malformed text, checked
+        line by line, and without one on structural violations: unknown
+        names, two transitions into one state or one into the start state,
+        unreachable states, a `maxaccept` that is not the depth of the
+        deepest accepting state, and a creation counter that would collide
+        with existing state names. `maxaccept` and `counter` are ASCII
+        decimal numerals. The transitions go straight into the new
+        machine's child arrays, and a state's depth is set from its
+        parent's as its transition is read; only a snapshot that lists a
+        child's transitions before its parent's, or has unreachable states,
+        needs a second pass (`structure_problems`).
+        """
+        lines = text.splitlines()
+        if not lines or lines[0] != SNAPSHOT_HEADER:
+            raise SnapshotError(f"bad header; expected {SNAPSHOT_HEADER!r}", 1)
+        states_field = _field(lines, 1, "states")
+        names = states_field.split() if states_field else []
+        if not names:
+            raise SnapshotError("no states listed", 2)
+        start = _field(lines, 2, "start")
+        accept_field = _field(lines, 3, "accept")
+
+        count = len(names)
+        index_of = dict(zip(names, range(count)))
+        problems = [] if len(index_of) == count else ["duplicate state names"]
+        root = index_of.get(start)
+        if root is None:
+            problems.append("start state unknown")
+            root = 0
         machine = cls.__new__(cls)
-        machine.kids0 = kids0
-        machine.kids1 = kids1
-        machine.marks = marks
         machine.root = root
-        count = len(marks)
-        fresh = (creation_counter == count
+        machine.kids0 = int_array(root, count)
+        machine.kids1 = int_array(root, count)
+        sides = dict(zip(TRIE_ALPHABET, (machine.kids0, machine.kids1)))
+        # Depths are set from the parent's as each transition is read, from
+        # `unset` at first. A child read before its parent, or cut off from
+        # the start state, stays negative: it can climb at most once per row.
+        unset = -2 * count - 1
+        depth = int_array(unset, count)
+        depth[root] = 0
+        unslotted = set()
+        get = index_of.get
+        for index, line in enumerate(lines[4:], 4):
+            if not line.startswith("trans: "):
+                break
+            try:
+                _, src, symbol, dst = line.split()
+            except ValueError:
+                raise SnapshotError("transition needs source, symbol, target",
+                                    index + 1) from None
+            parent = get(src)
+            child = get(dst)
+            kids = sides.get(symbol)
+            if parent is None or kids is None:
+                # A key with no child slot: only the same key can repeat it.
+                if (src, symbol) in unslotted:
+                    raise SnapshotError(
+                        f"two transitions from ({src},{symbol})", index + 1)
+                unslotted.add((src, symbol))
+                problems.append(f"transition {src}-{symbol}->{dst} has an "
+                                f"unknown state or a symbol outside the "
+                                f"alphabet")
+                continue
+            if kids[parent] != root:
+                raise SnapshotError(
+                    f"two transitions from ({src},{symbol})", index + 1)
+            if child is None or child == root:
+                kids[parent] = -1  # taken: a repeat of the key is a duplicate
+                problems.append(f"transition {src}-{symbol}->{dst} enters "
+                                f"the start state or an unknown state")
+                continue
+            kids[parent] = child
+            if depth[child] != unset:
+                problems.append(f"state {dst} has more than one incoming "
+                                f"transition")
+            depth[child] = depth[parent] + 1
+        else:
+            index = len(lines)
+
+        maxaccept_field = _field(lines, index, "maxaccept")
+        counter_field = _field(lines, index + 1, "counter")
+        try:
+            maxaccept = _decimal(maxaccept_field)
+            counter = _decimal(counter_field)
+        except ValueError as exc:
+            raise SnapshotError(str(exc), index + 1) from None
+        if index + 2 != len(lines):
+            raise SnapshotError("trailing content after 'counter:'", index + 3)
+
+        machine.marks = marks = bytearray(count)
+        for name in accept_field.split():
+            state = get(name)
+            if state is None:
+                problems.append(f"accepting state {name} unknown")
+            else:
+                marks[state] = 1
+        if problems:
+            raise SnapshotError("; ".join(problems))
+        fresh = (counter == count
                  and names == [TRIE_START, *[f"s{i}" for i in range(1, count)]])
-        machine._named = [] if fresh else list(names)
-        machine._shift = creation_counter - count
+        machine._named = [] if fresh else names
+        machine._shift = counter - count
         machine.accepting_count = marks.count(1)
-        machine.max_accepted_length = max_accepted_length
+        machine.max_accepted_length = maxaccept
+        if min(depth) < 0:
+            problems = machine.structure_problems()
+        else:
+            deepest = max(compress(depth, marks), default=0)
+            if maxaccept != deepest:
+                problems.append(f"maxaccept {maxaccept} is not the deepest "
+                                f"accepting depth {deepest}")
+            problems += machine.name_problems()
+        if problems:
+            raise SnapshotError("; ".join(problems))
         return machine
+
+    def snapshot(self):
+        """Canonical text for the machine.
+
+        Equal query histories give byte-identical text: states in creation
+        order, accepting in creation order, transitions by source creation
+        index then symbol, which is the order the arrays hold them in.
+        """
+        names = self.names()
+        root = self.root
+        lines = [SNAPSHOT_HEADER,
+                 ("states: " + " ".join(names)).rstrip(),
+                 f"start: {self.start}",
+                 ("accept: " + " ".join(compress(names, self.marks))).rstrip()]
+        for src, zero, one in zip(names, self.kids0, self.kids1):
+            if zero != root:
+                lines.append(f"trans: {src} 0 {names[zero]}")
+            if one != root:
+                lines.append(f"trans: {src} 1 {names[one]}")
+        lines.append(f"maxaccept: {self.max_accepted_length}")
+        lines.append(f"counter: {self.creation_counter}")
+        return "\n".join(lines) + "\n"
 
     @property
     def state_count(self):

@@ -268,7 +268,7 @@ def test_repl_survives_a_proc_file_that_is_not_utf8(tmp_path, capsys,
     assert "accept: s3" in state.read_text()
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("budget", ["0", "-3", "abc"])
 def test_budget_below_one_is_a_usage_error_before_loading(budget, tmp_path,
                                                           capsys):
     missing = tmp_path / "no-such-world.pet"

@@ -148,6 +148,19 @@ def test_decode_rejects_a_maxaccept_off_the_deepest_accepting_state(maxaccept):
         decode_snapshot(text)
 
 
+@pytest.mark.parametrize("line", ["counter: +4", "counter: \u0664",
+                                  "maxaccept: 0_3", "maxaccept: \u00b3",
+                                  "counter: -4", "maxaccept: "])
+def test_decode_takes_only_ascii_decimal_counts(line):
+    key = line.split(":")[0]
+    text = "".join(line + "\n" if row.startswith(key + ":") else row
+                   for row in AFTER_101.splitlines(keepends=True))
+    with pytest.raises(SnapshotError) as excinfo:
+        decode_snapshot(text)
+    # The maxaccept line, for a bad counter too: the two are read together.
+    assert excinfo.value.line_no == 8
+
+
 def test_decode_reports_parse_error_lines():
     with pytest.raises(SnapshotError) as excinfo:
         decode_snapshot("PET1 v1\nstates: q0\nstart q0\n")

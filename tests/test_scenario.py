@@ -70,6 +70,16 @@ def test_parse_rejects_loading_an_unsaved_snapshot():
     assert excinfo.value.line_no == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("snapshot save a/b", "bad snapshot name 'a/b'"),
+    ("stats 1", "stats takes no argument"),
+])
+def test_parse_errors_name_their_line(line, message):
+    with pytest.raises(ScenarioError, match=message) as excinfo:
+        parse_scenario(f"model e\n{line}\n")
+    assert excinfo.value.line_no == 2
+
+
 def test_parse_rejects_nonbinary_query_strings():
     with pytest.raises(ScenarioError):
         parse_scenario("query 12\n")
@@ -174,3 +184,13 @@ def test_snapshot_fork_restores_the_earlier_world():
     assert passed
     assert transcript.count("-> 4 states") == 2
     assert "stats -> maxaccept 3, depth 3, states 4, accepting 1" in transcript
+
+
+def test_brute_reports_a_search_that_finds_nothing():
+    # After `saturate 2` every length-3 string is accepted, so each length-2
+    # string is rejected one step above acceptance and the trie does not grow.
+    scenario = parse_scenario("model e\nsaturate 2\nbrute 10\nexpect reject\n")
+    transcript, passed = execute_scenario(scenario)
+    assert passed
+    assert ("brute 10 -> not found after 4 queries "
+            "(states +0, transitions +0, accepting +0)\n") in transcript

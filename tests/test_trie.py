@@ -1,6 +1,8 @@
 """The growing trie acceptor and the arrival-order numbering process."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,30 @@ def test_views_and_counters_agree():
     assert (m.state_count, m.transition_count, m.accepting_count) == (
         len(m.states), len(m.transitions), len(m.accepting))
     assert m.creation_counter == 9
+
+
+# The trie's layout and the snapshot format read into it: only trie.py may
+# name these.
+LAYOUT_NAMES = {"kids0", "kids1", "marks", "_named", "_shift", "from_arrays",
+                "int_array", "TRIE_ALPHABET"}
+
+
+def test_only_the_trie_module_touches_its_layout():
+    package = Path(__file__).resolve().parent.parent / "src" / "evosim"
+    touched = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "trie.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            touched += [f"{path.name}:{node.lineno} {name}"
+                        for name in names if name in LAYOUT_NAMES]
+    assert touched == []
 
 
 def test_replay_check_accepts_a_faithful_ledger():
