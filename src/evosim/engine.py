@@ -17,14 +17,13 @@ alternative histories. The snapshot format belongs to the trie
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tape import BLANK, HALT_STATE, StandardModel
 from .trie import PartialDfa
 
 
-@dataclass(frozen=True, slots=True)
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     """One consultation of the embedded trie: where, on what, with what
     answer, at what cost."""
 

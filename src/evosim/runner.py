@@ -48,6 +48,18 @@ steps. For the same reason blank runs in h (the palindrome machine's final
 walk left) stay single steps: each of their configurations is asked about,
 in order.
 
+Value types: a type built on every run is a `typing.NamedTuple`, and a
+type built once per procedure, experiment or scenario is a frozen
+dataclass. A named tuple builds in about half the time (`Configuration`,
+`QueryOutcome`, `InvocationRecord`, `CostMeter`, `RunResult`); it also
+equals a plain tuple of the same values, iterates and orders, and takes
+`_replace` where a dataclass takes `dataclasses.replace`. The rest stay
+dataclasses, each for a reason: `Instruction` validates in
+`__post_init__`, `MachineStats` is digested by the benchmark with
+`dataclasses.astuple`, `Scenario` defines its own `__len__`, and
+`Command` and the experiment reports are built once per line or
+experiment, where the saving does not count.
+
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.
 The run loop itself holds no state: all mutation lives in the model, so a
@@ -59,6 +71,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DeterminationError, InvalidSymbolError
 # BLANK is also re-exported here, for callers that build instructions.
@@ -172,8 +185,7 @@ def answer_word(verdict):
     return "budget-exceeded"
 
 
-@dataclass(frozen=True, slots=True)
-class CostMeter:
+class CostMeter(NamedTuple):
     """Two-level cost of a run.
 
     path_length counts configurations; transition_ticks counts engine steps
@@ -186,8 +198,7 @@ class CostMeter:
     acceptor_ticks: int
 
 
-@dataclass(frozen=True, slots=True)
-class RunResult:
+class RunResult(NamedTuple):
     """The outcome of one run: its verdict, input text, applied
     instructions, cost and final string; `start` and `path` are built on
     demand."""

@@ -1,7 +1,10 @@
 """The tape machine: alphabet, configurations, the step table and its walk.
 
-A configuration splits the tape into (left, head, right); the conceptual
-tape is left+head+right, extended with blanks on the right on demand. Both
+A configuration is a named tuple (state, left, head, right) that splits
+the tape at the head; the conceptual tape is left+head+right, extended
+with blanks on the right on demand. As a tuple it equals a plain tuple of
+the same values, and it is cheap to build: the run loop builds one for
+every acceptor question, and `RunResult.path` one per step. Both
 plain engines (`apply_instruction` and `halting_accept`) are pure
 functions, so the model is stateless and configurations can be shared
 freely across threads.
@@ -23,8 +26,8 @@ evosim but the error types, and the run loop and the engines build on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import InvalidSymbolError
 
@@ -36,8 +39,7 @@ START_STATE = "q0"
 HALT_STATE = "h"
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Machine snapshot: control state plus the split tape.
 
     `left` never carries an implied infinite blank prefix; it is exactly
@@ -53,9 +55,9 @@ class Configuration:
 def start_tape(text):
     """The cells of an input's start tape: the origin blank, then the
     input."""
-    bad = set(text).difference("01")
-    if bad:
-        raise InvalidSymbolError(f"input contains {sorted(bad)!r}; allowed: 0, 1")
+    if text.strip("01"):
+        bad = sorted(set(text).difference("01"))
+        raise InvalidSymbolError(f"input contains {bad!r}; allowed: 0, 1")
     return [BLANK, *text]
 
 

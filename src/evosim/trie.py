@@ -56,6 +56,7 @@ import enum
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import InvalidSymbolError, SnapshotError
 
@@ -71,8 +72,7 @@ class QueryCase(enum.Enum):
     GREW_CHAIN = "grew-chain"              # stuck; suffix chain appended
 
 
-@dataclass(frozen=True, slots=True)
-class QueryOutcome:
+class QueryOutcome(NamedTuple):
     """What one query answered and what it added.
 
     `ticks` charges one unit per transition traversed and one per element
@@ -325,9 +325,12 @@ class PartialDfa:
         counter_field = _field(lines, index + 1, "counter")
         try:
             maxaccept = _decimal(maxaccept_field)
-            counter = _decimal(counter_field)
         except ValueError as exc:
             raise SnapshotError(str(exc), index + 1) from None
+        try:
+            counter = _decimal(counter_field)
+        except ValueError as exc:
+            raise SnapshotError(str(exc), index + 2) from None
         if index + 2 != len(lines):
             raise SnapshotError("trailing content after 'counter:'", index + 3)
 

@@ -7,7 +7,9 @@ decoder did: accepted (with a hash of the re-encoded text) or rejected
 `python tests/test_decoder_record.py > tests/golden/decoder_record.json`
 with the dict-based decoder that preceded the array trie, so any later
 decoder must accept and reject exactly what that one did, report the same
-line, and re-encode every accepted snapshot to the same bytes.
+line, and re-encode every accepted snapshot to the same bytes. The 40
+verdicts on a bad `counter:` value were re-recorded once, when the
+decoder began to report it at its own line instead of at `maxaccept:`.
 """
 
 import hashlib

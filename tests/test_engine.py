@@ -157,8 +157,8 @@ def test_decode_takes_only_ascii_decimal_counts(line):
                    for row in AFTER_101.splitlines(keepends=True))
     with pytest.raises(SnapshotError) as excinfo:
         decode_snapshot(text)
-    # The maxaccept line, for a bad counter too: the two are read together.
-    assert excinfo.value.line_no == 8
+    # Each count at its own line: maxaccept is line 8, counter line 9.
+    assert excinfo.value.line_no == {"maxaccept": 8, "counter": 9}[key]
 
 
 def test_decode_reports_parse_error_lines():

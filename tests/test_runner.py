@@ -1,6 +1,5 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
-import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -74,7 +73,7 @@ def test_path_replay_takes_exactly_the_applied_instructions():
     # replay applies: each replay step must take the next applied one.
     for applied in (result.applied[::-1], result.applied[:1] * 2):
         with pytest.raises(ValueError, match="step"):
-            dataclasses.replace(result, applied=applied).path
+            result._replace(applied=applied).path
 
 
 def test_runaway_memory_is_linear_in_the_budget():
