@@ -213,10 +213,10 @@ def _field(lines, index, key):
     return line[len(key) + 1:].strip()
 
 
-def _decimal(text):
-    """The value of an ASCII decimal numeral, or ValueError."""
+def _decimal(text, line_no):
+    """The value of an ASCII decimal numeral, or SnapshotError at `line_no`."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not an ASCII decimal numeral: {text!r}")
+        raise SnapshotError(f"not an ASCII decimal numeral: {text!r}", line_no)
     return int(text)
 
 
@@ -323,14 +323,8 @@ class PartialDfa:
 
         maxaccept_field = _field(lines, index, "maxaccept")
         counter_field = _field(lines, index + 1, "counter")
-        try:
-            maxaccept = _decimal(maxaccept_field)
-        except ValueError as exc:
-            raise SnapshotError(str(exc), index + 1) from None
-        try:
-            counter = _decimal(counter_field)
-        except ValueError as exc:
-            raise SnapshotError(str(exc), index + 2) from None
+        maxaccept = _decimal(maxaccept_field, index + 1)
+        counter = _decimal(counter_field, index + 2)
         if index + 2 != len(lines):
             raise SnapshotError("trailing content after 'counter:'", index + 3)
 
