@@ -1,13 +1,13 @@
 """Generic execution semantics: instruction selection, runs, cost accounting.
 
-The run loop owns the machine: it steps one mutable tape (a list of cells
-plus a head index) through `evosim.tape.walk`, and reads off the final
-string. Each `Procedure` compiles its instructions once, where it checks
-determination, into a step table, (state, cell) -> (write, moves_right,
-target, instruction), which the walk and `select_instruction` read; the
-walk holds the two tape rules. Determination is checked only there, so the
-loop never meets two candidates. A *model* supplies only the accepting
-engine:
+The run loop owns the machine: it steps one mutable tape (a `bytearray` of
+cell codes plus a head index, see `evosim.tape`) through
+`evosim.tape.walk`, and reads off the final string. Each `Procedure`
+compiles its instructions once, where it checks determination, into a step
+table, (state, cell) -> (write, moves_right, target, instruction), which
+the walk and `select_instruction` read; the walk holds the two tape rules.
+Determination is checked only there, so the loop never meets two
+candidates. A *model* supplies only the accepting engine:
 
     accept(config)            -> bool                (the accepting engine;
                                                       may mutate the model)
@@ -17,36 +17,41 @@ engine:
                                                       models)
 
 Acceptor contract: an accepting engine may answer YES only on a
-configuration in the halt state with the head on a blank, and must answer
-NO everywhere else without doing any work. The run loop relies on this: it
-builds a `Configuration` and calls `accept` only on those halt-on-blank
-configurations, in order of generation, and takes NO as the answer
-everywhere else, so a run costs time and memory linear in its steps, apart
-from the halt-on-blank configurations it builds.
+configuration in the halt state with the head on a blank at a tape edge
+(cell 0 or the last cell: an empty `left` or an empty `right`), the
+paper's halting pattern, and must answer NO everywhere else without doing
+any work. The run loop relies on this: it builds a `Configuration` and
+calls `accept` only on those edge configurations, in order of generation,
+and takes NO as the answer everywhere else, so a run costs time and memory
+linear in its steps, apart from the edge configurations it builds. A model
+that would answer YES with the halt state on a blank inside the tape is
+not asked there.
 
-Sweeps: the walk crosses three kinds of runs in one move each.
+Sweeps: the walk crosses four kinds of runs in one move each.
 - A right sweep: a state whose 0- and 1-instructions both write back the
   symbol they read, move right and stay in the state (the right scanner's
   h, the palindrome machine's seek0 and seek1, the increment machine's
   scan and ret). On a non-blank cell the walk jumps to the next blank, or
-  as far as the remaining budget allows, with one `list.index`.
+  as far as the remaining budget allows, with one `bytearray.find`.
 - A left sweep: the same, moving left (the palindrome machine's left). The
-  walk jumps to the nearest blank on the left with one search of a
-  reversed slice; with no blank between the head and the origin it lands
-  on cell 0, where a left move does not apply, so the run halts there.
+  walk jumps to the nearest blank on the left with one `bytearray.rfind`;
+  with no blank between the head and the origin it lands on cell 0, where
+  a left move does not apply, so the run halts there.
 - An end-of-tape blank sweep: a state other than h whose blank-instruction
   writes a blank, moves right and stays (a runaway's q0). Once a step
   appends a blank in such a state, only blanks lie ahead, and the walk
-  takes the rest of the budget in one go. Blanks inside the tape are
-  stepped one cell at a time.
-Each sweep extends the applied instructions in one call (a `map` over the
-crossed cells, or an `itertools.repeat`). Every configuration it skips has
-the head on a non-blank cell, or is not in h, so the acceptor contract
-answers NO there without a call, and a sweep skips no acceptor call;
-`applied`, the costs, the verdicts and the final string are those of single
-steps. For the same reason blank runs in h (the palindrome machine's final
-walk left) stay single steps: each of their configurations is asked about,
-in order.
+  takes the rest of the budget in one go (`bytearray.extend`).
+- A blank walk of h: where h's blank-instruction writes a blank and stays
+  in h (the palindrome machine's final walk left), h crosses blanks inside
+  the tape, either way, up to the next non-blank cell, the tape edge or the
+  end of the budget.
+Other blanks inside the tape are stepped one cell at a time. Each sweep
+extends the applied instructions in one call (a `map` over the crossed
+cells, or an `itertools.repeat`). Every configuration it skips has the
+head on a non-blank cell, or is not in h, or is inside the tape, so the
+acceptor contract answers NO there without a call, and a sweep skips no
+acceptor call; `applied`, the costs, the verdicts and the final string are
+those of single steps.
 
 Value types: a type built on every run is a `typing.NamedTuple`, and a
 type built once per procedure, experiment or scenario is a frozen
@@ -249,12 +254,13 @@ def select_instruction(procedure, config):
 def run(model, procedure, text, budget=DEFAULT_BUDGET):
     """Execute `procedure` on `text` under `model`.
 
-    The accepting engine is consulted on every halt-on-blank configuration,
-    in order of generation (its side effects on an evolving model persist);
-    every other configuration answers NO without a call (see the module
-    docstring). Only the answer on the final configuration decides the
-    verdict. `budget` bounds transition steps, not acceptor work; exhausting
-    it yields the BUDGET_EXCEEDED verdict rather than an error.
+    The accepting engine is consulted on every configuration in the halt
+    state with the head on a blank at a tape edge, in order of generation
+    (its side effects on an evolving model persist); every other
+    configuration answers NO without a call (see the module docstring).
+    Only the answer on the final configuration decides the verdict.
+    `budget` bounds transition steps, not acceptor work; exhausting it
+    yields the BUDGET_EXCEEDED verdict rather than an error.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -271,11 +277,12 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
         state, pos, halted = walk(steps, sweeps, blank_sweeps, cells, pos,
                                   state, budget - taken, applied)
         # A walk that took steps ends on a new configuration, so ask about
-        # it (NO without a call unless it is h on a blank). One that took
-        # none ends on the configuration last asked about, halted or out of
-        # budget.
+        # it (NO without a call unless it is h on a blank at a tape edge).
+        # One that took none ends on the configuration last asked about,
+        # halted or out of budget.
         if len(applied) > taken:
-            answer = (state == HALT_STATE and cells[pos] == BLANK
+            answer = (state == HALT_STATE and not cells[pos]
+                      and (not pos or pos == len(cells) - 1)
                       and model.accept(tape_view(state, cells, pos)))
         if halted:
             verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
@@ -293,7 +300,7 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
         text=text,
         applied=tuple(applied),
         cost=cost,
-        final_string="".join(cells).strip(BLANK),
+        final_string=cells.strip(b"\0").decode("latin-1").replace("\0", BLANK),
     )
 
 

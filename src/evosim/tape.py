@@ -9,16 +9,19 @@ plain engines (`apply_instruction` and `halting_accept`) are pure
 functions, so the model is stateless and configurations can be shared
 freely across threads.
 
-Every step is taken by `walk`, on a mutable tape: a list of cells, cell 0
-being the origin, plus a head index. It reads a step table, compiled once
-from the instructions by `step_table`, and it is the one place that holds
-the two tape rules: a left move at the origin does not apply, and a right
-move off the last cell appends a blank. It crosses three kinds of sweep in
-one move each (right and left sweeps over non-blank cells, and blank
-sweeps past the end of the tape), stopping a left sweep at the origin and
-never sweeping the halt state over blanks. The pure engine
-`apply_instruction` takes one step of a configuration through the same
-walk, and `tape_view` turns a mutable tape back into a configuration.
+Every step is taken by `walk`, on a mutable tape: a `bytearray` of cell
+codes (blank 0, "0" and "1" their ASCII codes), cell 0 being the origin,
+plus a head index. It reads a step table, compiled once from the
+instructions by `step_table` and keyed by cell code, and it is the one
+place that holds the two tape rules: a left move at the origin does not
+apply, and a right move off the last cell appends a blank. An acceptor is
+asked only where the halt state reads a blank at a tape edge (cell 0 or
+the last cell), so the walk stops for one only there. It crosses four
+kinds of run in one move each: right and left sweeps over non-blank cells,
+blank sweeps past the end of the tape, and walks of the halt state over
+blanks inside the tape. The pure engine `apply_instruction` takes one step
+of a configuration through the same walk, and `tape_view` turns a mutable
+tape back into a configuration.
 
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
@@ -37,6 +40,13 @@ MOVES = ("L", "R")
 
 START_STATE = "q0"
 HALT_STATE = "h"
+
+# The code of each symbol on the byte tape, and the symbol object of each
+# code: a view's head is the ALPHABET string itself, shared by every
+# configuration.
+CODE = dict(zip(ALPHABET, b"01\0"))
+SYMBOL = {code: symbol for symbol, code in CODE.items()}
+ZERO, ONE = CODE["0"], CODE["1"]
 
 
 class Configuration(NamedTuple):
@@ -58,7 +68,7 @@ def start_tape(text):
     if text.strip("01"):
         bad = sorted(set(text).difference("01"))
         raise InvalidSymbolError(f"input contains {bad!r}; allowed: 0, 1")
-    return [BLANK, *text]
+    return bytearray(b"\0" + text.encode("ascii"))
 
 
 def start_config(text):
@@ -69,40 +79,42 @@ def start_config(text):
 
 def tape_view(state, cells, pos):
     """The immutable configuration of a mutable tape with the head on `pos`."""
-    return Configuration(state, "".join(cells[:pos]), cells[pos],
-                         "".join(cells[pos + 1:]))
+    return Configuration(state, cells[:pos].decode("latin-1").replace("\0", BLANK),
+                         SYMBOL[cells[pos]],
+                         cells[pos + 1:].decode("latin-1").replace("\0", BLANK))
 
 
 def step_table(instructions):
     """Compile key-unique instructions into a step table and two sweep
-    tables.
+    tables, all keyed by cell code.
 
     The step table maps each (state, read) key to (write, moves_right,
     target, instruction). The sweep table maps each *sweep state* to its
-    {symbol: instruction} for "0" and "1": a state whose 0- and
+    {read: instruction} for "0" and "1": a state whose 0- and
     1-instructions both write back the symbol they read, move the same way
     (right or left) and stay in the state, so that it crosses a run of
     non-blank cells unchanged. The blank-sweep table maps each *blank-sweep
     state* to its blank-instruction: a state other than the halt state that
     reads a blank, writes a blank, moves right and stays, so that past the
     last cell it fills the rest of a walk with blanks. The halt state is
-    left out there, because every blank configuration of it is one an
-    acceptor must be asked about.
+    left out there, because every blank configuration of it past the last
+    cell is at the tape edge, where an acceptor must be asked about it.
     """
-    steps = {inst.key(): (inst.write, inst.move == "R", inst.target, inst)
+    steps = {(inst.state, CODE[inst.read]):
+             (CODE[inst.write], inst.move == "R", inst.target, inst)
              for inst in instructions}
     sweeps = {}
     blank_sweeps = {}
     for (state, read), (write, moves_right, target, inst) in steps.items():
         if target != state or write != read:
             continue
-        if read == BLANK:
+        if not read:
             if moves_right and state != HALT_STATE:
                 blank_sweeps[state] = inst
-        elif read == "0":
-            one = steps.get((state, "1"))
-            if one is not None and one[:3] == ("1", moves_right, state):
-                sweeps[state] = {"0": inst, "1": one[3]}
+        elif read == ZERO:
+            one = steps.get((state, ONE))
+            if one is not None and one[:3] == (ONE, moves_right, state):
+                sweeps[state] = {ZERO: inst, ONE: one[3]}
     return steps, sweeps, blank_sweeps
 
 
@@ -114,10 +126,12 @@ def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
     applied instruction is appended to `applied`. The walk takes at most
     `room` steps and stops at the first configuration where no instruction
     of `steps` applies (halted is True), where the room is used up, or
-    that a step reaches in the halt state on a blank (both with halted
-    False), so that the caller can ask an acceptor about it.
+    that a step reaches in the halt state on a blank at a tape edge, cell
+    0 or the last cell (both with halted False), so that the caller can
+    ask an acceptor about it. The halt state on a blank inside the tape is
+    not such a stop.
 
-    Sweeps cross many cells in one move, with the same applied
+    Runs of steps are crossed in one move, with the same applied
     instructions as single steps (see `step_table` for the two tables):
 
     - In a state of `sweeps`, on a non-blank cell, the walk crosses every
@@ -129,8 +143,14 @@ def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
       configuration in between is in the halt state on a blank.
     - When a step appends a blank in a state of `blank_sweeps`, only
       blanks lie ahead, so the walk takes the rest of the room in one go.
-      Blanks inside the tape are still stepped one cell at a time, and the
-      halt state is never a blank-sweep state.
+    - When a step leaves the halt state on a blank inside the tape, and
+      its blank-instruction writes a blank and stays in it, the walk
+      crosses the blanks that way up to the next non-blank cell, the tape
+      edge or the end of the room. Every configuration in between is
+      inside the tape, so no acceptor is asked about it.
+
+    Blanks inside the tape in any other state are stepped one cell at a
+    time.
     """
     while True:
         cell = cells[pos]
@@ -140,22 +160,18 @@ def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
             return state, pos, True
         if not room:
             return state, pos, False
-        if cell != BLANK and state in sweeps:
+        if cell and state in sweeps:
             if entry[1]:
-                try:
-                    stop = cells.index(BLANK, pos, pos + room)
-                except ValueError:
+                stop = cells.find(0, pos, pos + room)
+                if stop < 0:
                     stop = min(pos + room, len(cells))
                 crossed = cells[pos:stop]
             else:
-                crossed = cells[max(pos - room, 0):pos + 1]
-                crossed.reverse()
-                try:
-                    del crossed[crossed.index(BLANK):]
-                except ValueError:
+                stop = cells.rfind(0, max(pos - room, 0), pos)
+                if stop < 0:
                     # No blank within reach: land on its farthest cell.
-                    crossed.pop()
-                stop = pos - len(crossed)
+                    stop = max(pos - room, 0)
+                crossed = cells[pos:stop:-1]
             applied.extend(map(sweeps[state].__getitem__, crossed))
             room -= len(crossed)
             pos = stop
@@ -166,20 +182,45 @@ def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
             room -= 1
         # A right move off the last cell appends a blank.
         if pos == len(cells):
-            cells.append(BLANK)
+            cells.append(0)
             if state in blank_sweeps:
-                cells.extend(repeat(BLANK, room))
+                cells.extend(bytes(room))
                 applied.extend(repeat(blank_sweeps[state], room))
                 pos += room
                 room = 0
-        if state == HALT_STATE and cells[pos] == BLANK:
-            return state, pos, False
+        if state == HALT_STATE and not cells[pos]:
+            last = len(cells) - 1
+            entry = steps.get((state, 0)) if room and 0 < pos < last else None
+            if entry is not None and entry[2] == state and not entry[0]:
+                if entry[1]:
+                    stop = min(pos + room, last)
+                    for code in (ZERO, ONE):
+                        found = cells.find(code, pos, stop)
+                        if found >= 0:
+                            stop = found
+                else:
+                    stop = max(pos - room, 0)
+                    for code in (ZERO, ONE):
+                        found = cells.rfind(code, stop, pos)
+                        if found >= 0:
+                            stop = found
+                applied.extend(repeat(entry[3], abs(stop - pos)))
+                room -= abs(stop - pos)
+                pos = stop
+            if not cells[pos] and (not pos or pos == last):
+                return state, pos, False
 
 
 def step_config(steps, config):
     """The instruction of a step table that applies to `config`, and the
-    configuration it leads to; (None, None) where none applies."""
-    cells = list(config.left + config.head + config.right)
+    configuration it leads to; (None, None) where none applies.
+
+    InvalidSymbolError if the configuration holds a symbol outside the
+    alphabet."""
+    tape = config.left + config.head + config.right
+    if config.head not in ALPHABET or tape.strip("".join(ALPHABET)):
+        raise InvalidSymbolError(f"symbol outside alphabet in {config!r}")
+    cells = bytearray(tape.replace(BLANK, "\0"), "ascii")
     applied = []
     state, pos, _ = walk(steps, {}, {}, cells, len(config.left), config.state,
                          1, applied)
@@ -193,6 +234,8 @@ def apply_instruction(config, inst):
 
     An instruction applies when its (state, read) key matches the
     configuration and `walk`'s tape rules admit the move.
+    InvalidSymbolError if the configuration holds a symbol outside the
+    alphabet.
     """
     return step_config(step_table([inst])[0], config)[1]
 

@@ -1,5 +1,6 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from evosim import (
     select_instruction,
     start_config,
 )
+from evosim.tape import ALPHABET, start_tape, tape_view
 from oracle_tm import oracle_run
 
 V = StandardModel()
@@ -180,8 +182,9 @@ def test_sweep_states_of_the_shipped_machines():
                       "binary_increment": {"scan", "ret"}}
     assert all(not procedure._blank_sweeps for procedure in PROCEDURES.values())
     assert (runaway._sweeps, set(runaway._blank_sweeps)) == ({}, {"q0"})
-    # Rewrites are stepped one cell at a time, and so is every blank walk of
-    # the halt state, either way.
+    # Rewrites are stepped one cell at a time. The halt state is in neither
+    # table: its blank walks inside the tape are crossed apart, either way,
+    # and past the last cell each of its blank steps is asked about.
     assert "carry" not in sweeps["binary_increment"]
     assert "h" not in sweeps["palindrome"]
     h_right = Procedure([Instruction("h", BLANK, "h", BLANK, "R")])
@@ -211,8 +214,8 @@ BLANKING_TABLE = {**SCANNER_TABLE, ("h", "0"): ("h", BLANK, "R")}
 PALINDROME_TABLE = table_of(PROCEDURES["palindrome"])
 INCREMENT_TABLE = table_of(PROCEDURES["binary_increment"])
 # The scanner's h sweep state, entered left of a blank that a wrote inside
-# the tape: on "101" h must stop on that blank (and ask about it) before
-# it sweeps on to the right edge.
+# the tape: on "101" h must cross that blank (without asking about it)
+# before it sweeps on to the right edge.
 INTERIOR_BLANK_TABLE = {**SCANNER_TABLE, ("q0", BLANK): ("a", BLANK, "R"),
                         ("a", "1"): ("a", "1", "R"), ("a", "0"): ("b", BLANK, "L"),
                         ("b", "1"): ("h", "1", "L"), ("h", BLANK): ("h", BLANK, "R")}
@@ -226,8 +229,8 @@ REWIND_TABLE = {("q0", BLANK): ("a", BLANK, "R"), ("a", "0"): ("a", "0", "R"),
 # origin and halts there.
 INCREMENT_REWIND_TABLE = {**INCREMENT_TABLE, ("ret", BLANK): ("b", BLANK, "L"),
                           ("b", "0"): ("b", "0", "L"), ("b", "1"): ("b", "1", "L")}
-# Blank the zeros, then sweep left in h: h must stop on every blank that a
-# wrote (and be asked about it) before it steps over it.
+# Blank the zeros, then sweep left in h: h must cross every blank that a
+# wrote (without being asked about it) and sweep on to the origin.
 H_LEFT_TABLE = {("q0", BLANK): ("a", BLANK, "R"), ("a", "0"): ("a", BLANK, "R"),
                 ("a", "1"): ("a", "1", "R"), ("a", BLANK): ("h", BLANK, "L"),
                 ("h", "0"): ("h", "0", "L"), ("h", "1"): ("h", "1", "L"),
@@ -276,6 +279,24 @@ class SpyModel(EvolvingModel):
         return super().accept(config)
 
 
+def test_long_accepted_runs_ask_the_acceptor_once():
+    rng = random.Random(0)
+    half = "".join(rng.choice("01") for _ in range(100))
+    scanned = "".join(rng.choice("01") for _ in range(8000))
+    for name, text in (("palindrome", half + half[::-1]), ("right_scanner", scanned)):
+        world = SpyModel()
+        assert run(world, PROCEDURES[name], text, 100_000).accepted
+        assert len(world.asked) == 1, name
+
+
+def test_views_share_the_symbols_of_the_alphabet():
+    # Every configuration the acceptor keeps holds its head; a fresh string
+    # per view would grow the evolving model's log.
+    cells = start_tape("01")
+    heads = [tape_view("h", cells, pos).head for pos in (1, 2, 0)]
+    assert all(head is symbol for head, symbol in zip(heads, ALPHABET))
+
+
 @settings(max_examples=400, deadline=None)
 @given(procedures, st.text(alphabet="01", max_size=24), budgets)
 # Sweeps that end on the right-edge blank exactly at the budget (the
@@ -286,7 +307,9 @@ class SpyModel(EvolvingModel):
 # cut by the budget (the rewinder's b, the palindrome machine's left), one
 # that lands on a non-blank origin, and one in h that stops on each blank.
 # The runaway's end-of-tape blank sweep, under budgets that leave it 0, 1
-# and 36 steps, and a blank-sweep state over blanks inside the tape.
+# and 36 steps, and a blank-sweep state over blanks inside the tape. The
+# palindrome machine's final blank walk of h, cut by the budget on a blank
+# inside the tape: not asked about, and out of budget.
 @example(REWIND_TABLE, "0110110", 12)
 @example(REWIND_TABLE, "0110110", 40)
 @example(PALINDROME_TABLE, "0110", 8)
@@ -296,6 +319,7 @@ class SpyModel(EvolvingModel):
 @example(RUNAWAY_TABLE, "", 2)
 @example(RUNAWAY_TABLE, "", 37)
 @example(FILL_TABLE, "0001", 40)
+@example(PALINDROME_TABLE, "0110", 18)
 @example(INTERIOR_BLANK_TABLE, "101", 40)
 @example(SCANNER_TABLE, "0110", 5)
 @example(SCANNER_TABLE, "0110", 4)
@@ -312,7 +336,7 @@ def test_run_loop_agrees_with_the_replayed_path_and_the_oracle(table, text, budg
     result = run(world, procedure, text, budget)
     path = result.path
     halts = [c for c in path if c.state == "h" and c.head == BLANK]
-    assert world.asked == halts
+    assert world.asked == [c for c in halts if not c.left or not c.right]
     consulted = [c for c in halts
                  if c.left and not c.right and BLANK not in c.left.strip(BLANK)]
     assert [r.config for r in world.invocation_log] == consulted

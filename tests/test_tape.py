@@ -14,6 +14,7 @@ from evosim import (
     DeterminationError,
     Instruction,
     InvalidSymbolError,
+    Procedure,
     StandardModel,
     apply_instruction,
     binary_strings,
@@ -25,6 +26,7 @@ from evosim import (
     load_procedure,
     right_scanner,
     run,
+    select_instruction,
     start_config,
 )
 from evosim.tape import step_table, tape_view, walk
@@ -71,6 +73,21 @@ def test_apply_moves_left_within_the_tape():
     rule = Instruction("p", "0", "q", "1", "L")
     before = Configuration("p", "10", "0", "11")
     assert apply_instruction(before, rule) == Configuration("q", "1", "0", "111")
+
+
+@pytest.mark.parametrize("config", [
+    Configuration("p", "€x", "0", "y"),
+    Configuration("p", "1\0", "0", ""),
+    Configuration("p", "", "\0", "1"),
+    Configuration("p", "1", "01", ""),
+    Configuration("p", "1", "", "0"),
+])
+def test_steps_reject_configurations_outside_the_alphabet(config):
+    inst = Instruction("p", "0", "q", "1", "R")
+    with pytest.raises(InvalidSymbolError):
+        apply_instruction(config, inst)
+    with pytest.raises(InvalidSymbolError):
+        select_instruction(Procedure([inst]), config)
 
 
 def test_halting_accept_patterns():
@@ -167,6 +184,11 @@ def test_transition_rewrites_only_the_head_cell(head, left, right, write, move):
 
 
 
+def byte_tape(text):
+    """The mutable tape of a string: blank 0, "0" and "1" their ASCII codes."""
+    return bytearray({"0": 0x30, "1": 0x31, BLANK: 0}[symbol] for symbol in text)
+
+
 @given(st.sampled_from(["0", "1", BLANK]), tape_text, tape_text,
        st.sampled_from(["0", "1", BLANK]), st.sampled_from(["L", "R"]))
 def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move):
@@ -174,7 +196,7 @@ def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move)
     expected = apply_instruction(Configuration("p", left, head, right), inst)
     steps, sweeps, blank_sweeps = step_table([inst])
     assert sweeps == blank_sweeps == {}
-    cells = list(left + head + right)
+    cells = byte_tape(left + head + right)
     applied = []
     state, pos, halted = walk(steps, sweeps, blank_sweeps, cells, len(left), "p", 1,
                               applied)
@@ -183,11 +205,11 @@ def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move)
     # The two tape rules, stated apart from the code that applies them.
     if move == "L" and not left:
         assert (applied, expected) == ([], None)
-        assert (state, pos, cells) == ("p", 0, list(head + right))
+        assert (state, pos, cells) == ("p", 0, byte_tape(head + right))
         return
-    grown = [BLANK] if move == "R" and not right else []
+    grown = BLANK if move == "R" and not right else ""
     assert applied == [inst]
-    assert cells == list(left + write + right) + grown
+    assert cells == byte_tape(left + write + right + grown)
     assert (state, pos) == ("q", len(left) + (1 if move == "R" else -1))
     assert tape_view(state, cells, pos) == expected
 
