@@ -83,13 +83,14 @@ from .errors import DeterminationError, InvalidSymbolError
 from .tape import (
     ALPHABET,
     BLANK,
-    HALT_STATE,
     MOVES,
     START_STATE,
+    at_halting_edge,
     start_config,
     start_tape,
     step_config,
     step_table,
+    tape_string,
     tape_view,
     walk,
 )
@@ -281,8 +282,7 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
         # One that took none ends on the configuration last asked about,
         # halted or out of budget.
         if len(applied) > taken:
-            answer = (state == HALT_STATE and not cells[pos]
-                      and (not pos or pos == len(cells) - 1)
+            answer = (at_halting_edge(state, cells, pos)
                       and model.accept(tape_view(state, cells, pos)))
         if halted:
             verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
@@ -300,7 +300,7 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
         text=text,
         applied=tuple(applied),
         cost=cost,
-        final_string=cells.strip(b"\0").decode("latin-1").replace("\0", BLANK),
+        final_string=tape_string(cells),
     )
 
 

@@ -84,6 +84,18 @@ def tape_view(state, cells, pos):
                          cells[pos + 1:].decode("latin-1").replace("\0", BLANK))
 
 
+def tape_string(cells):
+    """The content of a mutable tape with blank ends stripped (interior
+    blanks retained)."""
+    return cells.strip(b"\0").decode("latin-1").replace("\0", BLANK)
+
+
+def at_halting_edge(state, cells, pos):
+    """Whether a mutable tape is in the halt state with the head on a blank
+    at a tape edge: the only configurations an acceptor is asked about."""
+    return state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1)
+
+
 def step_table(instructions):
     """Compile key-unique instructions into a step table and two sweep
     tables, all keyed by cell code.
