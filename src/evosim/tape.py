@@ -79,9 +79,8 @@ def start_config(text):
 
 def tape_view(state, cells, pos):
     """The immutable configuration of a mutable tape with the head on `pos`."""
-    return Configuration(state, cells[:pos].decode("latin-1").replace("\0", BLANK),
-                         SYMBOL[cells[pos]],
-                         cells[pos + 1:].decode("latin-1").replace("\0", BLANK))
+    tape = cells.decode("latin-1").replace("\0", BLANK)
+    return Configuration(state, tape[:pos], SYMBOL[cells[pos]], tape[pos + 1:])
 
 
 def tape_string(cells):
