@@ -42,8 +42,9 @@ START_STATE = "q0"
 HALT_STATE = "h"
 
 # The code of each symbol on the byte tape, and the symbol object of each
-# code: a view's head is the ALPHABET string itself, shared by every
-# configuration.
+# code. A view's head is the ALPHABET string itself: a blank sliced out of a
+# decoded tape would be a fresh string in every configuration that the
+# evolving model's log keeps.
 CODE = dict(zip(ALPHABET, b"01\0"))
 SYMBOL = {code: symbol for symbol, code in CODE.items()}
 ZERO, ONE = CODE["0"], CODE["1"]
