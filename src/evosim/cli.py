@@ -9,17 +9,24 @@
 
 Shared flags (after the subcommand): --model {v,e}, --proc FILE,
 --budget N, --state FILE. `main` opens one world per invocation (model,
-procedure and budget in one ScenarioRunner), runs the subcommand against
-it and stores it once. With --state the world is loaded from a snapshot
-file first and, when the subcommand succeeds and the evolving world
-differs from what was loaded, written back, which is what lets order
-effects persist across one-line invocations. An exclusive lock on the
-sidecar FILE.lock is held from load to write-back, so concurrent
-invocations take turns, and the write replaces the file atomically, so a
-crash leaves the old world or the new one.
+procedure and budget), runs the subcommand against it and stores, once,
+the model the subcommand ended with: `scenario` and `repl` hand commands
+to a ScenarioRunner, whose `model` and `snapshot load` may replace the
+model. With --state the world is loaded from a snapshot file first and,
+when the subcommand succeeds and the evolving world differs from what was
+loaded, written back, which is what lets order effects persist across
+one-line invocations. An exclusive lock on the sidecar FILE.lock is held
+from load to write-back, so concurrent invocations take turns, and the
+write replaces the file atomically, so a crash leaves the old world or the
+new one.
 
 Exit status: 0 all expectations met, 1 expectation failure,
 2 usage, parse, or I/O error, or out of memory (nothing written back).
+
+A one-shot process pays for the modules it imports, so the scenario,
+experiment and procedure-file modules are imported only by the subcommands
+and flags that use them: `query` and `snapshot` load none of them without
+--proc.
 """
 
 from __future__ import annotations
@@ -31,20 +38,11 @@ import os
 import shutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import EvosimError
-from .experiments import run_traced
-from .procfile import load_procedure
-from .runner import DEFAULT_BUDGET, answer_word, run
-from .scenario import (
-    LineParser,
-    ScenarioRunner,
-    parse_scenario,
-    run_line,
-    show_config,
-    trace_line,
-)
+from .runner import DEFAULT_BUDGET, answer_word, right_scanner, run
 
 
 # What a user can get wrong: package errors, unreadable files and bad
@@ -101,9 +99,8 @@ def _build_parser():
 
 
 def _open_world(args):
-    """The invocation's one world: a ScenarioRunner holding the model, the
-    procedure and the budget, plus the snapshot text loaded from --state
-    (None without it)."""
+    """The invocation's one world, holding the model, the procedure and the
+    budget, plus the snapshot text loaded from --state (None without it)."""
     loaded = None
     if args.state:
         loaded = Path(args.state).read_text(encoding="utf-8")
@@ -112,8 +109,13 @@ def _open_world(args):
             raise EvosimError("--state carries an evolving world; use --model e")
     else:
         model = make_model(args.model)
-    procedure = load_procedure(args.proc) if args.proc else None
-    return ScenarioRunner(model, procedure, args.budget), loaded
+    if args.proc:
+        from .procfile import load_procedure
+        procedure = load_procedure(args.proc)
+    else:
+        procedure = right_scanner()
+    return SimpleNamespace(model=model, procedure=procedure,
+                           budget=args.budget), loaded
 
 
 @contextlib.contextmanager
@@ -162,23 +164,26 @@ def _write_back(state, model, loaded):
         os.close(directory)
 
 
-def _cmd_run(runner, args):
-    result = run(runner.model, runner.procedure, args.input, runner.budget)
+def _cmd_run(world, args):
+    from .scenario import run_line
+    result = run(world.model, world.procedure, args.input, world.budget)
     print(run_line(args.input, result))
     return 0
 
 
-def _cmd_query(runner, args):
-    result = run(runner.model, runner.procedure, args.input, runner.budget)
+def _cmd_query(world, args):
+    result = run(world.model, world.procedure, args.input, world.budget)
     print(answer_word(result.verdict))
     return 0
 
 
-def _cmd_trace(runner, args):
-    if not isinstance(runner.model, EvolvingModel):
+def _cmd_trace(world, args):
+    from .experiments import run_traced
+    from .scenario import run_line, show_config, trace_line
+    if not isinstance(world.model, EvolvingModel):
         raise EvosimError("trace needs the evolving world; pass --model e")
-    result, trace = run_traced(runner.model, runner.procedure, args.input,
-                               runner.budget)
+    result, trace = run_traced(world.model, world.procedure, args.input,
+                               world.budget)
     print(run_line(args.input, result))
     print(trace_line(trace))
     for config in trace.halting_configs:
@@ -186,10 +191,10 @@ def _cmd_trace(runner, args):
     return 0
 
 
-def _cmd_snapshot(runner, args):
-    if not isinstance(runner.model, EvolvingModel):
+def _cmd_snapshot(world, args):
+    if not isinstance(world.model, EvolvingModel):
         raise EvosimError("snapshots capture the evolving world; pass --model e")
-    text = encode_snapshot(runner.model)
+    text = encode_snapshot(world.model)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -197,18 +202,23 @@ def _cmd_snapshot(runner, args):
     return 0
 
 
-def _cmd_scenario(runner, args):
+def _cmd_scenario(world, args):
+    from .scenario import ScenarioRunner, parse_scenario
     path = Path(args.file)
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
-    runner.base_dir = path.parent
+    runner = ScenarioRunner(world.model, world.procedure, world.budget,
+                            path.parent)
     for command in scenario.commands:
         for line in runner.execute(command):
             print(line)
+    world.model = runner.model
     print(runner.summary())
     return 0 if runner.passed else 1
 
 
-def _cmd_repl(runner, args):
+def _cmd_repl(world, args):
+    from .scenario import LineParser, ScenarioRunner
+    runner = ScenarioRunner(world.model, world.procedure, world.budget)
     parser = LineParser()
     print("evosim repl; scenario commands, plus exit (or EOF) to leave")
     line_no = 0
@@ -232,6 +242,7 @@ def _cmd_repl(runner, args):
                 print(out)
         except _USER_ERRORS as exc:
             print(f"error: {exc}")
+    world.model = runner.model
     return 0 if runner.passed else 1
 
 
@@ -250,9 +261,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         with _state_lock(args.state):
-            runner, loaded = _open_world(args)
-            status = _COMMANDS[args.command](runner, args)
-            _write_back(args.state, runner.model, loaded)
+            world, loaded = _open_world(args)
+            status = _COMMANDS[args.command](world, args)
+            _write_back(args.state, world.model, loaded)
     except _USER_ERRORS as exc:
         print(f"evosim: error: {exc}", file=sys.stderr)
         return 2

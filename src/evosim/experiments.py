@@ -12,24 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .engine import EvolvingModel, encode_snapshot
-from .runner import (DEFAULT_BUDGET, Instruction, Procedure, Verdict,
-                     answer_word, run)
-from .tape import BLANK
-
-
-def right_scanner():
-    """The three-instruction scanner: step off the origin blank, sweep
-    right over the input, halt on the first blank past it.
-
-    Under the stateless model it accepts every binary string; under the
-    evolving model every run ends by consulting the trie on the input, so
-    its language is whatever the trie has grown into.
-    """
-    return Procedure([
-        Instruction("q0", BLANK, "h", BLANK, "R"),
-        Instruction("h", "0", "h", "0", "R"),
-        Instruction("h", "1", "h", "1", "R"),
-    ])
+# right_scanner lives beside Procedure, so that the CLI builds its default
+# procedure without this module; it is re-exported here, unchanged.
+from .runner import DEFAULT_BUDGET, Verdict, answer_word, right_scanner, run
 
 
 def binary_strings(length):

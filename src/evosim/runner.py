@@ -171,6 +171,22 @@ class Procedure:
         return f"Procedure({len(self.instructions)} instructions)"
 
 
+def right_scanner():
+    """The three-instruction scanner: step off the origin blank, sweep
+    right over the input, halt on the first blank past it.
+
+    Under the stateless model it accepts every binary string; under the
+    evolving model every run ends by consulting the trie on the input, so
+    its language is whatever the trie has grown into. It is the default
+    procedure of the CLI and of scenarios.
+    """
+    return Procedure([
+        Instruction("q0", BLANK, "h", BLANK, "R"),
+        Instruction("h", "0", "h", "0", "R"),
+        Instruction("h", "1", "h", "1", "R"),
+    ])
+
+
 # The transition-step budget of a run when the caller names none.
 DEFAULT_BUDGET = 10_000
 

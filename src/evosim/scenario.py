@@ -29,15 +29,9 @@ from pathlib import Path
 
 from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import ScenarioError
-from .experiments import (
-    SIBLING_LENGTH_LIMIT,
-    right_scanner,
-    run_traced,
-    saturate,
-    sibling_search,
-)
+from .experiments import SIBLING_LENGTH_LIMIT, run_traced, saturate, sibling_search
 from .procfile import load_procedure
-from .runner import DEFAULT_BUDGET, Verdict, answer_word, run
+from .runner import DEFAULT_BUDGET, Verdict, answer_word, right_scanner, run
 from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")

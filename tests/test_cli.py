@@ -285,3 +285,31 @@ def test_budget_below_one_is_a_usage_error_before_loading(budget, tmp_path,
                                   "observer_effect", "traced_run"])
 def test_shipped_scenarios_pass(name, capsys):
     assert main(["scenario", str(SCENARIOS / f"{name}.scn")]) == 0
+
+
+@pytest.mark.parametrize("script, replay", [
+    # the world at `a`, saved before `query 0` grew it
+    ("query 101\nsnapshot save a\nquery 0\nsnapshot load a\n", ["1", "101"]),
+    # a fresh world, in place of the loaded one that `query 0` grew
+    ("query 0\nmodel e\n", []),
+])
+@pytest.mark.parametrize("command", ["scenario", "repl"])
+def test_write_back_stores_the_world_the_script_ended_with(command, script,
+                                                          replay, tmp_path,
+                                                          capsys, monkeypatch):
+    state = tmp_path / "world.pet"
+    loaded = EvolvingModel()
+    run(loaded, right_scanner(), "1")
+    state.write_text(encode_snapshot(loaded))
+    if command == "scenario":
+        path = tmp_path / "script.scn"
+        path.write_text(script)
+        argv = ["scenario", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+        argv = ["repl"]
+    assert main([*argv, "--model", "e", "--state", str(state)]) == 0
+    expected = EvolvingModel()
+    for text in replay:
+        run(expected, right_scanner(), text)
+    assert state.read_text() == encode_snapshot(expected)
