@@ -25,8 +25,8 @@ Exit status: 0 all expectations met, 1 expectation failure,
 
 A one-shot process pays for the modules it imports, so the scenario,
 experiment and procedure-file modules are imported only by the subcommands
-and flags that use them: `query` and `snapshot` load none of them without
---proc.
+and flags that use them: `run`, `query` and `snapshot` load none of them
+without --proc.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import EvosimError
-from .runner import DEFAULT_BUDGET, answer_word, right_scanner, run
+from .runner import DEFAULT_BUDGET, answer_word, right_scanner, run, run_line
 
 
 # What a user can get wrong: package errors, unreadable files and bad
@@ -165,7 +165,6 @@ def _write_back(state, model, loaded):
 
 
 def _cmd_run(world, args):
-    from .scenario import run_line
     result = run(world.model, world.procedure, args.input, world.budget)
     print(run_line(args.input, result))
     return 0
@@ -179,7 +178,7 @@ def _cmd_query(world, args):
 
 def _cmd_trace(world, args):
     from .experiments import run_traced
-    from .scenario import run_line, show_config, trace_line
+    from .scenario import show_config, trace_line
     if not isinstance(world.model, EvolvingModel):
         raise EvosimError("trace needs the evolving world; pass --model e")
     result, trace = run_traced(world.model, world.procedure, args.input,

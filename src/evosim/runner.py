@@ -4,9 +4,9 @@ The run loop owns the machine: it steps one mutable tape (a `bytearray` of
 cell codes plus a head index, see `evosim.tape`) through
 `evosim.tape.walk`, and reads off the final string. Each `Procedure`
 compiles its instructions once, where it checks determination, into a step
-table, (state, cell) -> (write, moves_right, target, instruction), which
-the walk and `select_instruction` read; the walk holds the two tape rules.
-Determination is checked only there, so the loop never meets two
+table, (state, cell) -> (write, moves_right, target, instruction, run),
+which the walk and `select_instruction` read; the walk holds the two tape
+rules. Determination is checked only there, so the loop never meets two
 candidates. A *model* supplies only the accepting engine:
 
     accept(config)            -> bool                (the accepting engine;
@@ -27,29 +27,20 @@ linear in its steps, apart from the edge configurations it builds. A model
 that would answer YES with the halt state on a blank inside the tape is
 not asked there.
 
-Sweeps: the walk crosses four kinds of runs in one move each.
-- A right sweep: a state whose 0- and 1-instructions both write back the
-  symbol they read, move right and stay in the state (the right scanner's
-  h, the palindrome machine's seek0 and seek1, the increment machine's
-  scan and ret). On a non-blank cell the walk jumps to the next blank, or
-  as far as the remaining budget allows, with one `bytearray.find`.
-- A left sweep: the same, moving left (the palindrome machine's left). The
-  walk jumps to the nearest blank on the left with one `bytearray.rfind`;
-  with no blank between the head and the origin it lands on cell 0, where
-  a left move does not apply, so the run halts there.
-- An end-of-tape blank sweep: a state other than h whose blank-instruction
-  writes a blank, moves right and stays (a runaway's q0). Once a step
-  appends a blank in such a state, only blanks lie ahead, and the walk
-  takes the rest of the budget in one go (`bytearray.extend`).
-- A blank walk of h: where h's blank-instruction writes a blank and stays
-  in h (the palindrome machine's final walk left), h crosses blanks inside
-  the tape, either way, up to the next non-blank cell, the tape edge or the
-  end of the budget.
-Other blanks inside the tape are stepped one cell at a time. Each sweep
-extends the applied instructions in one call (a `map` over the crossed
-cells, or an `itertools.repeat`). Every configuration it skips has the
-head on a non-blank cell, or is not in h, or is inside the tape, so the
-acceptor contract answers NO there without a call, and a sweep skips no
+Loops: an instruction that writes back the symbol it reads and stays in
+its state crosses the whole run of cells it loops on in one move (see
+`evosim.tape.walk`): the right scanner's h, the palindrome machine's
+seek0, seek1 and left and its final walk left in h, the increment
+machine's scan and ret, a runaway's q0. The crossing stops at the nearest
+cell whose instruction is not such a loop, with one `bytearray.find` or
+`rfind` per symbol, or at the end of the budget; a right crossing in h
+stops at the last cell, and one in another state that loops on blanks runs
+past the end of the tape. Rewrites (the increment machine's carry) are
+stepped one cell at a time. A crossing extends the applied instructions in
+one call (a `map` over the crossed cells, or an `itertools.repeat` where
+one symbol loops). Every configuration it skips has the same instruction
+under single steps, and none is in h on a blank at a tape edge, so the
+acceptor contract answers NO there without a call, and a crossing skips no
 acceptor call; `applied`, the costs, the verdicts and the final string are
 those of single steps.
 
@@ -141,8 +132,8 @@ class Procedure:
 
     Construction rejects colliding keys with DeterminationError, and there
     is no other way to build one, so each key of the step table names a
-    single instruction. The step table and the two sweep tables (see
-    `evosim.tape.step_table`) are compiled here, once.
+    single instruction. The step table (see `evosim.tape.step_table`) is
+    compiled here, once.
     """
 
     def __init__(self, instructions):
@@ -150,8 +141,7 @@ class Procedure:
         collisions = check_determination(self.instructions)
         if collisions:
             raise DeterminationError(collisions)
-        self._steps, self._sweeps, self._blank_sweeps = step_table(
-            self.instructions)
+        self._steps = step_table(self.instructions)
 
     def __len__(self):
         return len(self.instructions)
@@ -207,6 +197,24 @@ def answer_word(verdict):
     return "budget-exceeded"
 
 
+def show_string(text):
+    """Render a tape string for transcripts: blanks as _, empty as ""."""
+    text = text.replace(BLANK, "_")
+    return text if text else '""'
+
+
+def cost_text(cost):
+    return (f"path {cost.path_length}, transitions {cost.transition_ticks}, "
+            f"acceptor-ticks {cost.acceptor_ticks}")
+
+
+def run_line(text, result):
+    """The full report of one run, as `run` prints it."""
+    return (f"run {show_string(text)} -> {result.verdict.value} "
+            f"({cost_text(result.cost)}) "
+            f"final {show_string(result.final_string)}")
+
+
 class CostMeter(NamedTuple):
     """Two-level cost of a run.
 
@@ -244,16 +252,16 @@ class RunResult(NamedTuple):
     def path(self):
         """Every configuration of the run in order, rebuilt by replaying
         `applied` from `start` one single step at a time, through a step
-        table of the applied instructions and no sweeps. Each step must take
-        the next applied instruction, which makes the replay exact. Costs
-        O(steps x tape); call it sparingly."""
-        steps = step_table(self.applied)[0]
+        table of the applied instructions and walks of one step each. Each
+        step must take the next applied instruction, which makes the replay
+        exact. Costs O(steps x tape); call it sparingly."""
+        steps = step_table(self.applied)
         cells = start_tape(self.text)
         state, pos = START_STATE, 0
         path = [tape_view(state, cells, pos)]
         taken = []
         for i, inst in enumerate(self.applied):
-            state, pos, _ = walk(steps, {}, {}, cells, pos, state, 1, taken)
+            state, pos, _ = walk(steps, cells, pos, state, 1, taken)
             if taken != [inst]:
                 raise ValueError(f"step {i} of the replay takes {taken}, "
                                  f"not the applied {inst}")
@@ -282,8 +290,7 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     if budget < 1:
         raise ValueError("budget must be at least 1")
     cells = start_tape(text)
-    steps, sweeps = procedure._steps, procedure._sweeps
-    blank_sweeps = procedure._blank_sweeps
+    steps = procedure._steps
     applied = []
     ticks_before = model.acceptor_ticks
     # The start state is not the halt state, so the start configuration
@@ -291,8 +298,8 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     state, pos, answer = START_STATE, 0, False
     while True:
         taken = len(applied)
-        state, pos, halted = walk(steps, sweeps, blank_sweeps, cells, pos,
-                                  state, budget - taken, applied)
+        state, pos, halted = walk(steps, cells, pos, state, budget - taken,
+                                  applied)
         # A walk that took steps ends on a new configuration, so ask about
         # it (NO without a call unless it is h on a blank at a tape edge).
         # One that took none ends on the configuration last asked about,

@@ -31,7 +31,8 @@ from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import ScenarioError
 from .experiments import SIBLING_LENGTH_LIMIT, run_traced, saturate, sibling_search
 from .procfile import load_procedure
-from .runner import DEFAULT_BUDGET, Verdict, answer_word, right_scanner, run
+from .runner import (DEFAULT_BUDGET, Verdict, answer_word, cost_text, right_scanner,
+                     run, run_line, show_string)
 from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -149,29 +150,11 @@ def parse_scenario(text):
     return Scenario(tuple(commands))
 
 
-def show_string(text):
-    """Render a tape string for transcripts: blanks as _, empty as ""."""
-    text = text.replace(BLANK, "_")
-    return text if text else '""'
-
-
 def show_config(config):
     left = config.left.replace(BLANK, "_")
     head = config.head.replace(BLANK, "_")
     right = config.right.replace(BLANK, "_")
     return f"({config.state}, {left}[{head}]{right})"
-
-
-def cost_text(cost):
-    return (f"path {cost.path_length}, transitions {cost.transition_ticks}, "
-            f"acceptor-ticks {cost.acceptor_ticks}")
-
-
-def run_line(text, result):
-    """The full report of one run, as `run` prints it."""
-    return (f"run {show_string(text)} -> {result.verdict.value} "
-            f"({cost_text(result.cost)}) "
-            f"final {show_string(result.final_string)}")
 
 
 def trace_line(trace):

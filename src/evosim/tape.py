@@ -16,12 +16,13 @@ instructions by `step_table` and keyed by cell code, and it is the one
 place that holds the two tape rules: a left move at the origin does not
 apply, and a right move off the last cell appends a blank. An acceptor is
 asked only where the halt state reads a blank at a tape edge (cell 0 or
-the last cell), so the walk stops for one only there. It crosses four
-kinds of run in one move each: right and left sweeps over non-blank cells,
-blank sweeps past the end of the tape, and walks of the halt state over
-blanks inside the tape. The pure engine `apply_instruction` takes one step
-of a configuration through the same walk, and `tape_view` turns a mutable
-tape back into a configuration.
+the last cell), so the walk stops for one only there. It has one rule for
+runs of steps, a macro step (Marxen and Buntrock, "Attacking the Busy
+Beaver 5", 1990): an instruction that writes back the symbol it reads and
+stays in its state, a *loop*, crosses the whole run of cells it loops on
+in one move. The pure engine `apply_instruction` takes one step of a
+configuration through the same walk, and `tape_view` turns a mutable tape
+back into a configuration.
 
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
@@ -97,40 +98,34 @@ def at_halting_edge(state, cells, pos):
 
 
 def step_table(instructions):
-    """Compile key-unique instructions into a step table and two sweep
-    tables, all keyed by cell code.
+    """Compile key-unique instructions into one step table, keyed by
+    (state, cell code).
 
-    The step table maps each (state, read) key to (write, moves_right,
-    target, instruction). The sweep table maps each *sweep state* to its
-    {read: instruction} for "0" and "1": a state whose 0- and
-    1-instructions both write back the symbol they read, move the same way
-    (right or left) and stay in the state, so that it crosses a run of
-    non-blank cells unchanged. The blank-sweep table maps each *blank-sweep
-    state* to its blank-instruction: a state other than the halt state that
-    reads a blank, writes a blank, moves right and stays, so that past the
-    last cell it fills the rest of a walk with blanks. The halt state is
-    left out there, because every blank configuration of it past the last
-    cell is at the tape edge, where an acceptor must be asked about it.
+    Each entry is (write, moves_right, target, instruction, run). `run` is
+    None unless the instruction is a *loop*: it writes back the symbol it
+    reads and stays in its state, so that the walk crosses the whole run of
+    such cells in one move. For a loop, `run` is (stoppers, getter,
+    single): the *stoppers* are the cell codes whose instruction in that
+    state is not a loop the same way (right or left), or that have none;
+    the getter maps each other code to its loop instruction; and `single`
+    is that instruction when only one code loops, else None.
     """
     steps = {(inst.state, CODE[inst.read]):
              (CODE[inst.write], inst.move == "R", inst.target, inst)
              for inst in instructions}
-    sweeps = {}
-    blank_sweeps = {}
+    table = {}
     for (state, read), (write, moves_right, target, inst) in steps.items():
-        if target != state or write != read:
-            continue
-        if not read:
-            if moves_right and state != HALT_STATE:
-                blank_sweeps[state] = inst
-        elif read == ZERO:
-            one = steps.get((state, ONE))
-            if one is not None and one[:3] == (ONE, moves_right, state):
-                sweeps[state] = {ZERO: inst, ONE: one[3]}
-    return steps, sweeps, blank_sweeps
+        run = None
+        if write == read and target == state:
+            loops = {code: steps[state, code][3] for code in (ZERO, ONE, 0)
+                     if steps.get((state, code), ())[:3] == (code, moves_right, state)}
+            stoppers = tuple(code for code in (ZERO, ONE, 0) if code not in loops)
+            run = (stoppers, loops.__getitem__, inst if len(loops) == 1 else None)
+        table[state, read] = (write, moves_right, target, inst, run)
+    return table
 
 
-def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
+def walk(steps, cells, pos, state, room, applied):
     """Step a mutable tape in place from `state` with the head on `pos`;
     return the new (state, pos, halted).
 
@@ -143,84 +138,68 @@ def walk(steps, sweeps, blank_sweeps, cells, pos, state, room, applied):
     ask an acceptor about it. The halt state on a blank inside the tape is
     not such a stop.
 
-    Runs of steps are crossed in one move, with the same applied
-    instructions as single steps (see `step_table` for the two tables):
-
-    - In a state of `sweeps`, on a non-blank cell, the walk crosses every
-      cell up to the nearest blank in the state's direction, or up to the
-      room, with one C-level search. A left sweep with no blank between
-      the head and the origin lands on cell 0; a left move does not apply
-      there, so the next step halts. On every crossed cell the instruction
-      writes back what it reads and stays in the state, so no
-      configuration in between is in the halt state on a blank.
-    - When a step appends a blank in a state of `blank_sweeps`, only
-      blanks lie ahead, so the walk takes the rest of the room in one go.
-    - When a step leaves the halt state on a blank inside the tape, and
-      its blank-instruction writes a blank and stays in it, the walk
-      crosses the blanks that way up to the next non-blank cell, the tape
-      edge or the end of the room. Every configuration in between is
-      inside the tape, so no acceptor is asked about it.
-
-    Blanks inside the tape in any other state are stepped one cell at a
-    time.
+    A loop (see `step_table`) crosses the run of cells it loops on in one
+    move, with the same applied instructions as single steps: up to the
+    nearest stopper that way, with one C-level search per stopper code, or
+    up to the room. A left crossing stops at the origin at the latest; a
+    left move does not apply there. A right crossing stops, at the latest,
+    at the end of the tape where a blank is a stopper, so that the usual
+    blank is appended, and at the last cell in the halt state, since the
+    halt state on a blank there is an acceptor question; a head already on
+    the last cell moves one past it. Any other state that loops on a blank
+    runs past the end, and the tape is extended with blanks. So every
+    configuration a crossing skips is one that single steps pass through
+    with the same instruction, and none is the halt state on a blank at a
+    tape edge.
     """
     while True:
-        cell = cells[pos]
-        entry = steps.get((state, cell))
+        entry = steps.get((state, cells[pos]))
+        if entry is None:
+            return state, pos, True
+        write, moves_right, target, inst, run = entry
         # A left move at the origin does not apply.
-        if entry is None or not (pos or entry[1]):
+        if not (pos or moves_right):
             return state, pos, True
         if not room:
             return state, pos, False
-        if cell and state in sweeps:
-            if entry[1]:
-                stop = cells.find(0, pos, pos + room)
-                if stop < 0:
-                    stop = min(pos + room, len(cells))
-                crossed = cells[pos:stop]
-            else:
-                stop = cells.rfind(0, max(pos - room, 0), pos)
-                if stop < 0:
-                    # No blank within reach: land on its farthest cell.
-                    stop = max(pos - room, 0)
-                crossed = cells[pos:stop:-1]
-            applied.extend(map(sweeps[state].__getitem__, crossed))
-            room -= len(crossed)
-            pos = stop
-        else:
-            cells[pos], moves_right, state, inst = entry
+        if run is None:
+            cells[pos] = write
             pos += 1 if moves_right else -1
+            state = target
             applied.append(inst)
             room -= 1
+        else:
+            stoppers, getter, single = run
+            if moves_right:
+                stop, end = pos + room, len(cells)
+                if 0 in stoppers:
+                    if stop > end:
+                        stop = end
+                elif state == HALT_STATE and stop >= end:
+                    stop = end - 1 if pos < end - 1 else end
+                for code in stoppers:
+                    found = cells.find(code, pos, stop)
+                    if found >= 0:
+                        stop = found
+                if stop > end:
+                    cells.extend(bytes(stop - end))
+                crossed = cells[pos:stop]
+            else:
+                stop = pos - room if pos > room else 0
+                for code in stoppers:
+                    found = cells.rfind(code, stop, pos)
+                    if found >= 0:
+                        stop = found
+                crossed = cells[pos:stop:-1]
+            applied.extend(map(getter, crossed) if single is None
+                           else repeat(single, len(crossed)))
+            room -= len(crossed)
+            pos = stop
         # A right move off the last cell appends a blank.
         if pos == len(cells):
             cells.append(0)
-            if state in blank_sweeps:
-                cells.extend(bytes(room))
-                applied.extend(repeat(blank_sweeps[state], room))
-                pos += room
-                room = 0
-        if state == HALT_STATE and not cells[pos]:
-            last = len(cells) - 1
-            entry = steps.get((state, 0)) if room and 0 < pos < last else None
-            if entry is not None and entry[2] == state and not entry[0]:
-                if entry[1]:
-                    stop = min(pos + room, last)
-                    for code in (ZERO, ONE):
-                        found = cells.find(code, pos, stop)
-                        if found >= 0:
-                            stop = found
-                else:
-                    stop = max(pos - room, 0)
-                    for code in (ZERO, ONE):
-                        found = cells.rfind(code, stop, pos)
-                        if found >= 0:
-                            stop = found
-                applied.extend(repeat(entry[3], abs(stop - pos)))
-                room -= abs(stop - pos)
-                pos = stop
-            if not cells[pos] and (not pos or pos == last):
-                return state, pos, False
+        if state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1):
+            return state, pos, False
 
 
 def step_config(steps, config):
@@ -234,8 +213,8 @@ def step_config(steps, config):
         raise InvalidSymbolError(f"symbol outside alphabet in {config!r}")
     cells = bytearray(tape.replace(BLANK, "\0"), "ascii")
     applied = []
-    state, pos, _ = walk(steps, {}, {}, cells, len(config.left), config.state,
-                         1, applied)
+    state, pos, _ = walk(steps, cells, len(config.left), config.state, 1,
+                         applied)
     if not applied:
         return None, None
     return applied[0], tape_view(state, cells, pos)
@@ -249,7 +228,7 @@ def apply_instruction(config, inst):
     InvalidSymbolError if the configuration holds a symbol outside the
     alphabet.
     """
-    return step_config(step_table([inst])[0], config)[1]
+    return step_config(step_table([inst]), config)[1]
 
 
 def halting_accept(config):

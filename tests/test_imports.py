@@ -1,6 +1,7 @@
 """What a process imports: `import evosim` loads none of its modules, the
 package still exports every name it did when it imported them all, and a
-one-shot `query --state` loads only the modules that query runs.
+one-shot `query --state` or `run --state` loads only the modules that it
+runs.
 
 The import checks run in a fresh interpreter, one child at a time, since
 this test process has long since imported everything.
@@ -62,16 +63,19 @@ def test_import_evosim_loads_no_submodule():
 
 
 def test_a_state_query_loads_only_the_modules_it_runs(tmp_path):
-    state = tmp_path / "world.pet"
-    state.write_text(encode_snapshot(EvolvingModel()), encoding="utf-8")
-    code = ("import sys\nfrom evosim.cli import main\n"
-            "assert main(['query', '101', '--model', 'e', '--state', sys.argv[1]]) == 0")
-    *out, loaded = _evosim_modules_after(code, str(state))
-    assert out == ["accept"]
-    assert "accept: s3" in state.read_text(encoding="utf-8")
-    assert json.loads(loaded) == ["evosim", "evosim.cli", "evosim.engine",
-                                  "evosim.errors", "evosim.runner",
-                                  "evosim.tape", "evosim.trie"]
+    # `run` prints a full report line, from the same modules as `query`.
+    for command, printed in (("query", "accept"), ("run", "run 101 -> accepted "
+                             "(path 5, transitions 4, acceptor-ticks 7) final 101")):
+        state = tmp_path / f"{command}.pet"
+        state.write_text(encode_snapshot(EvolvingModel()), encoding="utf-8")
+        code = ("import sys\nfrom evosim.cli import main\n"
+                "assert main([sys.argv[2], '101', '--model', 'e', '--state', sys.argv[1]]) == 0")
+        *out, loaded = _evosim_modules_after(code, str(state), command)
+        assert out == [printed]
+        assert "accept: s3" in state.read_text(encoding="utf-8")
+        assert json.loads(loaded) == ["evosim", "evosim.cli", "evosim.engine",
+                                      "evosim.errors", "evosim.runner",
+                                      "evosim.tape", "evosim.trie"]
 
 
 @pytest.mark.parametrize("module, name", [

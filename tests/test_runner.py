@@ -26,7 +26,7 @@ from evosim import (
     select_instruction,
     start_config,
 )
-from evosim.tape import ALPHABET, start_tape, tape_view
+from evosim.tape import ALPHABET, ONE, SYMBOL, ZERO, start_tape, tape_view, walk
 from oracle_tm import oracle_run
 
 V = StandardModel()
@@ -174,21 +174,40 @@ def test_only_the_acceptor_varies_between_models(name, text):
     assert evolving.cost.transition_ticks == standard.cost.transition_ticks
 
 
+def loop_keys(procedure):
+    """The (state, symbol) keys of a procedure's loop entries: those the walk
+    crosses a run of cells on in one move."""
+    return {(state, SYMBOL[code]) for (state, code), entry in procedure._steps.items()
+            if entry[4] is not None}
+
+
 def test_sweep_states_of_the_shipped_machines():
+    assert {name: loop_keys(procedure) for name, procedure in PROCEDURES.items()} == {
+        "right_scanner": {("h", "0"), ("h", "1")},
+        "palindrome": {("seek0", "0"), ("seek0", "1"), ("seek1", "0"),
+                       ("seek1", "1"), ("left", "0"), ("left", "1"), ("h", BLANK)},
+        "binary_increment": {("scan", "0"), ("scan", "1"),
+                             ("ret", "0"), ("ret", "1")}}
+    # Rewrites are stepped one cell at a time.
+    assert not any(state == "carry" for state, _ in loop_keys(PROCEDURES["binary_increment"]))
+    # The palindrome machine's final walk left in h loops on blanks alone,
+    # so it stops at the nearest 0 or 1, and fills its steps with the one
+    # instruction.
+    stoppers, _, single = PROCEDURES["palindrome"]._steps["h", 0][4]
+    assert stoppers == (ZERO, ONE)
+    assert single == Instruction("h", BLANK, "h", BLANK, "L")
+    # The runaway's q0 loops on blanks past the end of the tape. h moving
+    # right on blanks loops too, but its crossing stops at the last cell,
+    # where it is asked about, and from there takes one cell at a time.
     runaway = Procedure([Instruction("q0", BLANK, "q0", BLANK, "R")])
-    sweeps = {name: set(procedure._sweeps) for name, procedure in PROCEDURES.items()}
-    assert sweeps == {"right_scanner": {"h"},
-                      "palindrome": {"seek0", "seek1", "left"},
-                      "binary_increment": {"scan", "ret"}}
-    assert all(not procedure._blank_sweeps for procedure in PROCEDURES.values())
-    assert (runaway._sweeps, set(runaway._blank_sweeps)) == ({}, {"q0"})
-    # Rewrites are stepped one cell at a time. The halt state is in neither
-    # table: its blank walks inside the tape are crossed apart, either way,
-    # and past the last cell each of its blank steps is asked about.
-    assert "carry" not in sweeps["binary_increment"]
-    assert "h" not in sweeps["palindrome"]
+    assert loop_keys(runaway) == {("q0", BLANK)}
     h_right = Procedure([Instruction("h", BLANK, "h", BLANK, "R")])
-    assert (h_right._sweeps, h_right._blank_sweeps) == ({}, {})
+    assert loop_keys(h_right) == {("h", BLANK)}
+    cells, applied = bytearray(3), []
+    assert walk(h_right._steps, cells, 0, "h", 10, applied) == ("h", 2, False)
+    assert (len(applied), len(cells)) == (2, 3)
+    assert walk(h_right._steps, cells, 2, "h", 10, applied) == ("h", 3, False)
+    assert (len(applied), len(cells)) == (3, 4)
 
 
 STATES = ("q0", "a", "b", "h")
@@ -198,11 +217,12 @@ SYMBOLS = ("0", "1", BLANK)
 # mid-run), left moves at the origin and blank writes (interior blanks).
 # Most are laid over a shipped machine, over a scanner that blanks its
 # zeros, or over a scanner that rewinds to the origin, so that runs often
-# sweep (h in the scanner, seek0/seek1 and left in the palindrome machine,
-# scan/ret in the increment machine, a and b in the rewinder) and reach h
-# on a right-edge blank; some of those then leave it by a random
-# instruction keyed on (h, blank), and the random extras may break or make
-# a sweep.
+# cross runs of cells in a loop (an instruction that writes back what it
+# reads and stays in its state: h in the scanner, seek0/seek1, left and h
+# in the palindrome machine, scan/ret in the increment machine, a and b in
+# the rewinder) and reach h on a right-edge blank; some of those then leave
+# it by a random instruction keyed on (h, blank), and the random extras may
+# break a loop, make one, or make it loop on one symbol or on blanks.
 
 
 def table_of(procedure):
@@ -237,11 +257,35 @@ H_LEFT_TABLE = {("q0", BLANK): ("a", BLANK, "R"), ("a", "0"): ("a", BLANK, "R"),
                 ("h", BLANK): ("h", BLANK, "L")}
 RUNAWAY_TABLE = {("q0", BLANK): ("q0", BLANK, "R")}
 # Mark the origin with a 0 and blank the leading zeros, walk back over the
-# blanks to the mark, then cross them again in the blank-sweep state d up to
-# the first 1, where no instruction applies: the tape must not grow.
+# blanks to the mark, then cross them again in d, which loops on blanks, up
+# to the first 1, where no instruction applies: the tape must not grow.
 FILL_TABLE = {("q0", BLANK): ("a", "0", "R"), ("a", "0"): ("a", BLANK, "R"),
               ("a", "1"): ("c", "1", "L"), ("c", BLANK): ("c", BLANK, "L"),
               ("c", "0"): ("d", "0", "R"), ("d", BLANK): ("d", BLANK, "R")}
+# Loop on 0 alone, rightward: the crossing stops at the first 1.
+ZEROS_TABLE = {("q0", BLANK): ("a", BLANK, "R"), ("a", "0"): ("a", "0", "R"),
+               ("a", "1"): ("h", "1", "R"), ("h", "0"): ("h", "0", "R"),
+               ("h", "1"): ("h", "1", "R")}
+# Keep a leading 1 and the zeros, blank the other ones, then loop left in b
+# over zeros and blanks (not h, so never asked) to that 1, where b halts.
+ZERO_BLANK_LEFT_TABLE = {("q0", BLANK): ("c", BLANK, "R"), ("c", "1"): ("a", "1", "R"),
+                         ("a", "0"): ("a", "0", "R"), ("a", "1"): ("a", BLANK, "R"),
+                         ("a", BLANK): ("b", BLANK, "L"), ("b", "0"): ("b", "0", "L"),
+                         ("b", BLANK): ("b", BLANK, "L")}
+# Mark the origin with a 1 and blank the input, loop left over the blanks
+# in c to the mark, then loop right over them in d and on past the end.
+OFF_THE_END_TABLE = {("q0", BLANK): ("a", "1", "R"), ("a", "0"): ("a", BLANK, "R"),
+                     ("a", "1"): ("a", BLANK, "R"), ("a", BLANK): ("c", BLANK, "L"),
+                     ("c", BLANK): ("c", BLANK, "L"), ("c", "1"): ("d", "1", "R"),
+                     ("d", BLANK): ("d", BLANK, "R")}
+# Mark the origin with a 0, blank the zeros, loop left in b over ones and
+# blanks to the mark, then loop right in h over ones and blanks to the last
+# cell, where h is asked about, and past it, where every step is asked.
+H_ONES_BLANKS_TABLE = {("q0", BLANK): ("a", "0", "R"), ("a", "0"): ("a", BLANK, "R"),
+                       ("a", "1"): ("a", "1", "R"), ("a", BLANK): ("b", BLANK, "L"),
+                       ("b", "1"): ("b", "1", "L"), ("b", BLANK): ("b", BLANK, "L"),
+                       ("b", "0"): ("h", "0", "R"), ("h", "1"): ("h", "1", "R"),
+                       ("h", BLANK): ("h", BLANK, "R")}
 actions = st.tuples(st.sampled_from(STATES), st.sampled_from(SYMBOLS),
                     st.sampled_from(("L", "R")))
 
@@ -297,7 +341,9 @@ def test_views_share_the_symbols_of_the_alphabet():
     assert all(head is symbol for head, symbol in zip(heads, ALPHABET))
 
 
-@settings(max_examples=400, deadline=None)
+# 400 examples in tier-1; more under a larger profile, such as `deep`
+# (tests/conftest.py).
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(procedures, st.text(alphabet="01", max_size=24), budgets)
 # Sweeps that end on the right-edge blank exactly at the budget (the
 # scanner's h), one cell short of that blank, on the right-edge blank inside
@@ -306,10 +352,18 @@ def test_views_share_the_symbols_of_the_alphabet():
 # and every left sweep), and on a blank inside the tape in h. Left sweeps
 # cut by the budget (the rewinder's b, the palindrome machine's left), one
 # that lands on a non-blank origin, and one in h that stops on each blank.
-# The runaway's end-of-tape blank sweep, under budgets that leave it 0, 1
-# and 36 steps, and a blank-sweep state over blanks inside the tape. The
+# The runaway's blank loop past the end of the tape, under budgets that
+# leave it 0, 1 and 36 steps, and a blank loop over blanks inside the tape
+# that ends at a 1. The
 # palindrome machine's final blank walk of h, cut by the budget on a blank
-# inside the tape: not asked about, and out of budget.
+# inside the tape: not asked about, and out of budget. Loops cut by the
+# budget: on 0 alone, rightward; on 0 and blank, leftward; on blank in a
+# state other than h, inside the tape and on past its end; and h on 1 and
+# blank, rightward to the last cell and past it.
+@example(ZEROS_TABLE, "0000001", 4)
+@example(ZERO_BLANK_LEFT_TABLE, "1011001", 12)
+@example(OFF_THE_END_TABLE, "0110", 20)
+@example(H_ONES_BLANKS_TABLE, "1011", 18)
 @example(REWIND_TABLE, "0110110", 12)
 @example(REWIND_TABLE, "0110110", 40)
 @example(PALINDROME_TABLE, "0110", 8)

@@ -29,7 +29,7 @@ from evosim import (
     select_instruction,
     start_config,
 )
-from evosim.tape import step_table, tape_view, walk
+from evosim.tape import CODE, step_table, tape_view, walk
 from oracle_tm import oracle_run
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -194,12 +194,13 @@ def byte_tape(text):
 def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move):
     inst = Instruction("p", head, "q", write, move)
     expected = apply_instruction(Configuration("p", left, head, right), inst)
-    steps, sweeps, blank_sweeps = step_table([inst])
-    assert sweeps == blank_sweeps == {}
+    steps = step_table([inst])
+    # The instruction leaves p, so it is no loop: its entry has no run, and
+    # the walk takes it as a single step.
+    assert steps == {("p", CODE[head]): (CODE[write], move == "R", "q", inst, None)}
     cells = byte_tape(left + head + right)
     applied = []
-    state, pos, halted = walk(steps, sweeps, blank_sweeps, cells, len(left), "p", 1,
-                              applied)
+    state, pos, halted = walk(steps, cells, len(left), "p", 1, applied)
     # No instruction is keyed on q, so the walk ends halted either way.
     assert halted
     # The two tape rules, stated apart from the code that applies them.
