@@ -162,7 +162,9 @@ def walk(steps, cells, pos, state, room, applied):
             return state, pos, True
         if not room:
             return state, pos, False
-        if run is None:
+        # A crossing of one cell is a single step, and the replay of a path
+        # takes only those.
+        if run is None or room == 1:
             cells[pos] = write
             pos += 1 if moves_right else -1
             state = target
