@@ -13,14 +13,22 @@ freely shareable; forking by snapshot is the supported way to compare
 alternative histories. The snapshot format belongs to the trie
 (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`); `encode_snapshot`,
 `decode_snapshot` and `fork` apply it to a whole world.
+
+Only the trie grows with the number of runs. `invocation_log` is a ring of
+the last `LOG_LIMIT` consultations; a caller that needs every record of one
+run collects them itself, as `evosim.experiments.run_traced` does.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from .tape import BLANK, HALT_STATE, StandardModel
 from .trie import PartialDfa
+
+# The number of consultations `invocation_log` keeps: the most recent ones.
+LOG_LIMIT = 256
 
 
 class InvocationRecord(NamedTuple):
@@ -34,12 +42,12 @@ class InvocationRecord(NamedTuple):
 
 
 class EvolvingModel:
-    """Evolving model: the trie-backed acceptor, with every consultation
-    in `invocation_log`."""
+    """Evolving model: the trie-backed acceptor, with its last `LOG_LIMIT`
+    consultations in `invocation_log`, oldest first (a bounded deque)."""
 
     def __init__(self, trie=None):
         self.trie = trie if trie is not None else PartialDfa()
-        self.invocation_log = []
+        self.invocation_log = deque(maxlen=LOG_LIMIT)
         self.acceptor_ticks = 0
 
     def accept(self, config):
@@ -90,5 +98,5 @@ def decode_snapshot(text):
 
 
 def fork(model):
-    """An independent copy of the evolving world (fresh, empty logs)."""
+    """An independent copy of the evolving world (fresh, empty log)."""
     return decode_snapshot(encode_snapshot(model))

@@ -9,6 +9,8 @@ a live engine.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .engine import EvolvingModel, encode_snapshot
@@ -49,13 +51,66 @@ def _delta(before, after):
     return StructureDelta(*(a - b for b, a in zip(before, after)))
 
 
+# One byte per saturation run: the index of its verdict in `Verdict`.
+_VERDICT_CODE = {verdict: code for code, verdict in enumerate(Verdict)}
+_VERDICT_VALUE = tuple(verdict.value for verdict in Verdict)
+
+
+class Answers(Sequence):
+    """The answers of one saturation pass, read-only: entry i is the pair
+    (i-th string of `binary_strings(length)`, its verdict value), built on
+    access from one verdict code per run. Equal to a list or tuple of the
+    same pairs."""
+
+    __slots__ = ("_length", "_codes")
+
+    def __init__(self, length, codes):
+        self._length = length
+        self._codes = codes
+
+    def __len__(self):
+        return len(self._codes)
+
+    def __getitem__(self, index):
+        index = operator.index(index)
+        code = self._codes[index]
+        if index < 0:
+            index += len(self._codes)
+        # i as a binary numeral of `length` digits, zero-padded: the bits
+        # after a leading 1 placed just above them ("" when length is 0).
+        return bin(index | 1 << self._length)[3:], _VERDICT_VALUE[code]
+
+    def __iter__(self):
+        return zip(binary_strings(self._length),
+                   map(_VERDICT_VALUE.__getitem__, self._codes))
+
+    def __eq__(self, other):
+        if isinstance(other, (Answers, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class SaturationReport:
     probe_length: int
     precondition_ok: bool
     fed: int
-    feed_answers: tuple
-    probe_answers: tuple
+    feed_answers: Answers
+    probe_answers: Answers
+
+
+def _verdicts(model, procedure, length, budget):
+    """Run the procedure on every string of the given length, in
+    `binary_strings` order; their answers."""
+    codes = bytearray()
+    for text in binary_strings(length):
+        codes.append(_VERDICT_CODE[run(model, procedure, text, budget).verdict])
+    return Answers(length, codes)
 
 
 def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
@@ -66,23 +121,20 @@ def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
     n, recording every verdict. On a fresh engine the feeding pass grows a
     full trie of depth n+1, after which every probe stops one step below an
     accepting chain end and is rejected, permanently.
+
+    The report keeps one byte per run: its answers are `Answers` views, in
+    which a run's text is computed from its index.
     """
     procedure = procedure if procedure is not None else right_scanner()
     precondition_ok = model.trie.depth() <= probe_length
-    feed_answers = []
-    for text in binary_strings(probe_length + 1):
-        result = run(model, procedure, text, budget)
-        feed_answers.append((text, result.verdict.value))
-    probe_answers = []
-    for text in binary_strings(probe_length):
-        result = run(model, procedure, text, budget)
-        probe_answers.append((text, result.verdict.value))
+    feed_answers = _verdicts(model, procedure, probe_length + 1, budget)
+    probe_answers = _verdicts(model, procedure, probe_length, budget)
     return SaturationReport(
         probe_length=probe_length,
         precondition_ok=precondition_ok,
         fed=len(feed_answers),
-        feed_answers=tuple(feed_answers),
-        probe_answers=tuple(probe_answers),
+        feed_answers=feed_answers,
+        probe_answers=probe_answers,
     )
 
 
@@ -139,10 +191,20 @@ class TraceRecord:
 
 
 def run_traced(model, procedure, text, budget=DEFAULT_BUDGET):
-    """Run under the evolving model while capturing its trie consultations."""
-    mark = len(model.invocation_log)
-    result = run(model, procedure, text, budget)
-    records = model.invocation_log[mark:]
+    """Run under the evolving model while capturing its trie consultations.
+
+    The run's records go to a list of their own, swapped in for the
+    model's bounded `invocation_log` for the length of the run, so the
+    trace holds every consultation however many there are. The ring is then
+    restored and extended with them, as if the run had been untraced.
+    """
+    ring = model.invocation_log
+    records = model.invocation_log = []
+    try:
+        result = run(model, procedure, text, budget)
+    finally:
+        model.invocation_log = ring
+        ring.extend(records)
     configs = tuple(dict.fromkeys(r.config for r in records))
     fed = tuple(dict.fromkeys(r.text for r in records))
     trace = TraceRecord(

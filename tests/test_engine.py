@@ -1,5 +1,7 @@
 """Evolving model: acceptor dispatch, world snapshots."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from evosim import (
     BLANK,
     Configuration,
     EvolvingModel,
+    Instruction,
+    Procedure,
     SnapshotError,
     decode_snapshot,
     encode_snapshot,
@@ -15,6 +19,7 @@ from evosim import (
     right_scanner,
     run,
 )
+from evosim.engine import LOG_LIMIT
 
 FRESH_SNAPSHOT = """PET1 v1
 states: q0
@@ -55,13 +60,13 @@ def test_origin_halt_answers_yes_without_evolving():
     model = EvolvingModel()
     assert model.accept(Configuration("h", "", BLANK, "101")) is True
     assert model.acceptor_ticks == 0
-    assert model.invocation_log == []
+    assert not model.invocation_log
 
 
 def test_fully_blank_tape_takes_the_origin_pattern():
     model = EvolvingModel()
     assert model.accept(Configuration("h", "", BLANK, "")) is True
-    assert model.invocation_log == []
+    assert not model.invocation_log
 
 
 def test_other_configurations_answer_no():
@@ -74,7 +79,31 @@ def test_interior_blank_never_reaches_the_trie():
     model = EvolvingModel()
     config = Configuration("h", BLANK + "1" + BLANK + "1", BLANK, "")
     assert model.accept(config) is False
-    assert model.invocation_log == []
+    assert not model.invocation_log
+
+
+def test_log_memory_is_linear_in_the_budget_when_every_step_is_asked():
+    # An h that walks on over blanks past the last cell is at the right edge
+    # on every step, so "10", rejected after "101", is asked at every step
+    # and each question holds a full-tape configuration. A log that kept
+    # them all would be quadratic in the budget (about 13x from 1k to 4k).
+    walk_on = Procedure([*right_scanner(),
+                         Instruction("h", BLANK, "h", BLANK, "R")])
+
+    def peak(budget):
+        model = EvolvingModel()
+        run(model, walk_on, "101")
+        tracemalloc.start()
+        try:
+            result = run(model, walk_on, "10", budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.accepted
+        assert len(model.invocation_log) == min(budget - 2, LOG_LIMIT)
+        return peak
+
+    assert peak(4000) <= 6 * peak(1000)
 
 
 def test_fresh_snapshot_text_is_pinned():
@@ -222,7 +251,7 @@ def test_models_agree_outside_the_right_edge_pattern(config):
     if not evolving_pattern:
         model = EvolvingModel()
         assert model.accept(config) == halting_accept(config)
-        assert model.invocation_log == []
+        assert not model.invocation_log
 
 
 @settings(max_examples=150, deadline=None)

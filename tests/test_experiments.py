@@ -1,5 +1,7 @@
 """Saturation, sibling search, traced runs, the order demo."""
 
+import tracemalloc
+
 import pytest
 
 from evosim import (
@@ -12,6 +14,7 @@ from evosim import (
     Verdict,
     binary_strings,
     check_determination,
+    fork,
     order_demo,
     right_scanner,
     run,
@@ -19,6 +22,11 @@ from evosim import (
     saturate,
     sibling_search,
 )
+from evosim.engine import LOG_LIMIT
+
+# The right scanner with an `h` that walks on over blanks past the last
+# cell: asked at every step, so a rejected input is asked until the budget.
+WALK_ON = Procedure([*right_scanner(), Instruction("h", BLANK, "h", BLANK, "R")])
 
 
 def test_right_scanner_is_the_three_rule_sweep():
@@ -48,6 +56,57 @@ def test_saturate_length_one_by_hand():
     assert all(v == "accepted" for _, v in report.feed_answers)
     assert report.probe_answers == (
         ("0", "halted-rejected"), ("1", "halted-rejected"))
+
+
+@pytest.mark.parametrize("history", [(), ("101", "0", "11011", "")])
+def test_saturation_answers_are_the_runs_one_by_one(history):
+    scanner = right_scanner()
+    model = EvolvingModel()
+    for text in history:
+        run(model, scanner, text)
+    replay = fork(model)
+    report = saturate(model, 3)
+    expected = [[(text, run(replay, scanner, text).verdict.value)
+                 for text in binary_strings(length)] for length in (4, 3)]
+    assert report.feed_answers == expected[0]
+    assert report.probe_answers == expected[1]
+    assert list(report.feed_answers) == expected[0]
+    assert [report.probe_answers[i] for i in range(8)] == expected[1]
+
+
+def test_saturation_answers_are_read_only_sequences():
+    report = saturate(EvolvingModel(), 1)
+    answers = report.probe_answers
+    pairs = (("0", "halted-rejected"), ("1", "halted-rejected"))
+    assert len(answers) == 2
+    assert answers[-1] == ("1", "halted-rejected")
+    assert answers[-2] == answers[0] == ("0", "halted-rejected")
+    assert answers == pairs and pairs == answers
+    assert answers == list(pairs) and list(pairs) == answers
+    assert answers != pairs[:1] and pairs[:1] != answers
+    assert report.feed_answers != pairs
+    with pytest.raises(IndexError):
+        answers[2]
+    with pytest.raises(IndexError):
+        answers[-3]
+    with pytest.raises(TypeError):
+        answers[0] = ("0", "accepted")
+    assert saturate(EvolvingModel(), 0).probe_answers == (("", "halted-rejected"),)
+
+
+def test_a_saturation_that_grows_nothing_retains_next_to_nothing():
+    model = EvolvingModel()
+    saturate(model, 10)
+    tracemalloc.start()
+    try:
+        report = saturate(model, 10)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.fed == 2 ** 11 and len(report.probe_answers) == 2 ** 10
+    # One byte per run, and the ring's LOG_LIMIT records in place of older
+    # ones; a (text, verdict) pair per run would take over 1 MB.
+    assert retained <= 128 * 1024
 
 
 def test_probe_before_any_feeding_is_accepted():
@@ -112,6 +171,21 @@ def test_trace_never_outgrows_the_path():
     for text in ("0", "01", "011"):
         result, trace = run_traced(model, right_scanner(), text)
         assert len(trace.fed_strings) <= result.cost.path_length
+
+
+def test_a_traced_run_keeps_every_record_beyond_the_ring():
+    model = EvolvingModel()
+    run(model, WALK_ON, "101")
+    result, trace = run_traced(model, WALK_ON, "10", 600)
+    assert result.verdict is Verdict.BUDGET_EXCEEDED
+    # Asked at the right edge on each of the 598 steps after the scan of
+    # "10", on a tape one blank longer each time: all distinct.
+    assert len(trace.halting_configs) == 598
+    assert trace.fed_strings == ("10",)
+    assert len(model.invocation_log) == LOG_LIMIT
+    last = model.invocation_log[-1]
+    assert last.config == trace.halting_configs[-1] == result.path[-1]
+    assert last.text == "10" and not last.accepted
 
 
 def test_trie_traffic_stays_below_two_to_the_input_length():

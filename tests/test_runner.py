@@ -26,6 +26,7 @@ from evosim import (
     select_instruction,
     start_config,
 )
+from evosim.engine import LOG_LIMIT
 from evosim.tape import ALPHABET, ONE, SYMBOL, ZERO, start_tape, tape_view, walk
 from oracle_tm import oracle_run
 
@@ -393,6 +394,9 @@ def test_run_loop_agrees_with_the_replayed_path_and_the_oracle(table, text, budg
     assert world.asked == [c for c in halts if not c.left or not c.right]
     consulted = [c for c in halts
                  if c.left and not c.right and BLANK not in c.left.strip(BLANK)]
+    # The ring keeps the last LOG_LIMIT consultations; world.asked holds
+    # every question.
+    consulted = consulted[-LOG_LIMIT:]
     assert [r.config for r in world.invocation_log] == consulted
     assert [r.text for r in world.invocation_log] == [c.left.strip(BLANK) for c in consulted]
     assert result.final_string == extract_string(path[-1])
