@@ -89,8 +89,6 @@ class Answers(Sequence):
             return len(self) == len(other) and list(self) == list(other)
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self):
         return f"{type(self).__name__}({tuple(self)!r})"
 
