@@ -21,29 +21,24 @@ class DeterminationError(EvosimError):
         super().__init__(f"conflicting instructions for key(s): {keys}")
 
 
-class SnapshotError(EvosimError):
+class _LineError(EvosimError):
+    """A package error that may point at a line of the text it rejects:
+    `line_no`, 1-based, or None when no one line is at fault."""
+
+    def __init__(self, message, line_no=None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+class SnapshotError(_LineError):
     """A snapshot text is malformed or violates machine invariants."""
 
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
-
-class ProcedureSyntaxError(EvosimError):
+class ProcedureSyntaxError(_LineError):
     """A procedure file line does not match the instruction grammar."""
 
-    def __init__(self, message, line_no):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
 
-
-class ScenarioError(EvosimError):
+class ScenarioError(_LineError):
     """A scenario is malformed or misuses a command."""
-
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)

@@ -40,8 +40,9 @@ arrays by name, each with an O(1) `len`; they hold no copy.
 
 Snapshots: `snapshot()` writes the machine as canonical 7-bit text, the
 format of a `--state` world file, and `PartialDfa.from_snapshot(text)`
-reads it back, filling a new machine's arrays while it checks the trie
-shape. The format, like the layout it is read into, is known to this
+reads it back: it parses the text straight into a new machine's arrays,
+and `structure_problems`, the one check of the trie shape, then judges
+them. The format, like the layout it is read into, is known to this
 module only.
 
 Instances are single-writer: queries must be serialized, and no view,
@@ -55,7 +56,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .errors import InvalidSymbolError, SnapshotError
@@ -188,19 +189,20 @@ def int_array(fill, count):
 
 
 def _levels(kids0, kids1, root):
-    """The states reachable from `root`, one list per depth. A state reached
-    twice is expanded once, so malformed arrays cannot loop."""
+    """The states reachable from `root`, one list per depth, in no set order
+    within a level. A state reached twice is expanded once, so malformed
+    arrays cannot loop."""
     seen = bytearray(len(kids0))
     seen[root] = 1
     level = [root]
     while level:
         yield level
         below = []
-        for node in level:
-            for child in (kids0[node], kids1[node]):
-                if not seen[child]:
-                    seen[child] = 1
-                    below.append(child)
+        for child in chain(map(kids0.__getitem__, level),
+                           map(kids1.__getitem__, level)):
+            if not seen[child]:
+                seen[child] = 1
+                below.append(child)
         level = below
 
 
@@ -240,19 +242,21 @@ class PartialDfa:
 
     @classmethod
     def from_snapshot(cls, text):
-        """Rebuild a machine from snapshot text, in one pass.
+        """Rebuild a machine from snapshot text.
 
         Raises SnapshotError with a line number on malformed text, checked
-        line by line, and without one on structural violations: unknown
-        names, two transitions into one state or one into the start state,
-        unreachable states, a `maxaccept` that is not the depth of the
-        deepest accepting state, and a creation counter that would collide
-        with existing state names. `maxaccept` and `counter` are ASCII
-        decimal numerals. The transitions go straight into the new
-        machine's child arrays, and a state's depth is set from its
-        parent's as its transition is read; only a snapshot that lists a
-        child's transitions before its parent's, or has unreachable states,
-        needs a second pass (`structure_problems`).
+        line by line: the header and fields, a `trans:` line that is not
+        source, symbol and target, two transitions from one (state,
+        symbol), `maxaccept` and `counter` values that are not ASCII
+        decimal numerals, and content after `counter:`. Without
+        a line number it reports names that do not resolve (duplicates, an
+        unknown start, source, symbol or accepting state, a transition into
+        an unknown state or the start state), and then whatever
+        `structure_problems` finds in the filled arrays: the trie shape,
+        `maxaccept` against the deepest accepting state, and a creation
+        counter that would collide with existing state names. The
+        transitions go straight into the new machine's child arrays, in
+        whatever order the text lists them.
         """
         lines = text.splitlines()
         if not lines or lines[0] != SNAPSHOT_HEADER:
@@ -276,12 +280,6 @@ class PartialDfa:
         machine.kids0 = int_array(root, count)
         machine.kids1 = int_array(root, count)
         sides = dict(zip(TRIE_ALPHABET, (machine.kids0, machine.kids1)))
-        # Depths are set from the parent's as each transition is read, from
-        # `unset` at first. A child read before its parent, or cut off from
-        # the start state, stays negative: it can climb at most once per row.
-        unset = -2 * count - 1
-        depth = int_array(unset, count)
-        depth[root] = 0
         unslotted = set()
         get = index_of.get
         for index, line in enumerate(lines[4:], 4):
@@ -314,10 +312,6 @@ class PartialDfa:
                                 f"the start state or an unknown state")
                 continue
             kids[parent] = child
-            if depth[child] != unset:
-                problems.append(f"state {dst} has more than one incoming "
-                                f"transition")
-            depth[child] = depth[parent] + 1
         else:
             index = len(lines)
 
@@ -335,22 +329,13 @@ class PartialDfa:
                 problems.append(f"accepting state {name} unknown")
             else:
                 marks[state] = 1
-        if problems:
-            raise SnapshotError("; ".join(problems))
         fresh = (counter == count
                  and names == [TRIE_START, *[f"s{i}" for i in range(1, count)]])
         machine._named = [] if fresh else names
         machine._shift = counter - count
         machine.accepting_count = marks.count(1)
         machine.max_accepted_length = maxaccept
-        if min(depth) < 0:
-            problems = machine.structure_problems()
-        else:
-            deepest = max(compress(depth, marks), default=0)
-            if maxaccept != deepest:
-                problems.append(f"maxaccept {maxaccept} is not the deepest "
-                                f"accepting depth {deepest}")
-            problems += machine.name_problems()
+        problems = problems or machine.structure_problems()
         if problems:
             raise SnapshotError("; ".join(problems))
         return machine
@@ -519,30 +504,38 @@ class PartialDfa:
     def structure_problems(self):
         """Violations of the machine's structural invariants, if any.
 
-        Checks: every child slot holds a known state; every non-start state
-        has exactly one incoming transition and all states are reachable
-        from the start (trie shape); the longest accepted length is the
-        depth of the deepest accepting state (0 if none is reachable); the
+        Checks: every child slot holds a known state; the machine is a trie,
+        rooted at the start state; the longest accepted length is the depth
+        of the deepest accepting state (0 if none is reachable); the
         accepting counter matches the marks; names are distinct and fresh
         names never collide with the counter. One transition per
         (state, symbol), symbols in the alphabet and no transition into the
         start state hold by the layout of the arrays.
+
+        The trie shape is checked as a count and a walk. A slot that holds
+        the start state is empty, so every transition enters one of the
+        other count - 1 states. If there are exactly count - 1 transitions
+        and the walk from the start reaches every state, each of those
+        states has at least one incoming transition, so by pigeonhole
+        exactly one: every state but the start has one parent, and since
+        each is reached from the start, none lies on a cycle.
         """
         kids0, kids1, root, marks = self.kids0, self.kids1, self.root, self.marks
         count = len(marks)
         if not (len(kids0) == len(kids1) == count
-                and all(0 <= k < count for k in kids0)
-                and all(0 <= k < count for k in kids1)):
+                and min(kids0) >= 0 and min(kids1) >= 0
+                and max(kids0) < count and max(kids1) < count):
             return ["child slots reference unknown states"]
-        problems = self.name_problems()
-        targets = [k for k in (*kids0, *kids1) if k != root]
-        if len(set(targets)) != len(targets):
-            problems.append("a state has more than one incoming transition")
+        problems = []
+        edges = 2 * count - kids0.count(root) - kids1.count(root)
+        if edges != count - 1:
+            problems.append(f"{edges} transitions for {count} states, "
+                            f"where a trie has {count - 1}")
         reached = 0
         deepest_accepting = 0
         for depth, level in enumerate(_levels(kids0, kids1, root)):
             reached += len(level)
-            if any(marks[node] for node in level):
+            if any(map(marks.__getitem__, level)):
                 deepest_accepting = depth
         if reached != count:
             problems.append(f"{count - reached} unreachable states")
@@ -552,13 +545,8 @@ class PartialDfa:
         if self.accepting_count != marks.count(1):
             problems.append(f"accepting count {self.accepting_count} is not "
                             f"the number of accepting states")
-        return problems
-
-    def name_problems(self):
-        """Duplicate names, and names a fresh state would take again. Fresh
-        names lie below the counter, so only kept names are checked."""
+        # Fresh names lie below the counter, so only kept names can collide.
         named = self._named
-        problems = []
         if len(set(named)) != len(named):
             problems.append("duplicate state names")
         counter = self.creation_counter

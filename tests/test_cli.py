@@ -3,15 +3,18 @@
 import io
 import itertools
 import os
+import random
+import signal
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from evosim import (EvolvingModel, decode_snapshot, encode_snapshot,
-                    right_scanner, run)
+from evosim import (EvolvingModel, decode_snapshot, encode_snapshot, fork,
+                    right_scanner, run, saturate)
 from evosim import cli
 from evosim.cli import main
 
@@ -125,6 +128,72 @@ def test_parallel_state_queries_serialize_into_one_history(tmp_path):
     for text in sorted(strings, key=lambda t: created[chain_end(t)]):
         run(replay, right_scanner(), text)
     assert encode_snapshot(replay) == stored
+
+
+def test_a_writer_killed_at_any_moment_leaves_a_whole_world(tmp_path):
+    """SIGKILL one `query --state` child at a time, after a seeded random
+    delay, about 30 times. After each kill the file decodes and equals the
+    serial replay of the queries that exited 0, plus at most the killed
+    one; a leftover FILE.tmp is never read as the world, and the next call
+    succeeds (the kernel drops a killed holder's flock). A kill is not a
+    power cut: the fsync ordering that guards against one cannot be tested
+    without remounting the file system, so it is not tested here."""
+    rng = random.Random(15)
+    state = tmp_path / "world.pet"
+    temp = tmp_path / "world.pet.tmp"
+    replay = EvolvingModel()
+    saturate(replay, 8)  # 1,023 states, to decode, grow and write back
+    state.write_text(encode_snapshot(replay))
+    # Distinct 16-bit strings below a depth-9 trie: each grows the world.
+    queries = iter(rng.sample(range(1 << 16), 100))
+
+    def start():
+        text = format(next(queries), "016b")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "evosim.cli", "query", text,
+             "--model", "e", "--state", str(state)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        return text, proc
+
+    def completes(text, proc):
+        assert proc.communicate(timeout=60) == ("accept\n", "")
+        assert proc.returncode == 0
+        run(replay, right_scanner(), text)
+        assert state.read_text() == encode_snapshot(replay)
+        assert not temp.exists()
+
+    # Delays from half to all of the shortest life a child has had, so most
+    # kills land late, where the write-back is.
+    began = time.perf_counter()
+    completes(*start())
+    lifetime = time.perf_counter() - began
+    kills = children = 0
+    while kills < 30 and children < 60:
+        children += 1
+        text, proc = start()
+        began = time.perf_counter()
+        try:
+            proc.wait(timeout=rng.uniform(0.5, 1.05) * lifetime)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+        if proc.wait() == 0:
+            lifetime = min(lifetime, time.perf_counter() - began)
+            completes(text, proc)
+            continue
+        proc.communicate()
+        assert proc.returncode == -signal.SIGKILL
+        kills += 1
+        stored = state.read_text()
+        decode_snapshot(stored)
+        killed = fork(replay)
+        run(killed, right_scanner(), text)
+        assert stored in (encode_snapshot(replay), encode_snapshot(killed))
+        if stored == encode_snapshot(killed):
+            replay = killed
+        if temp.exists():  # killed between writing FILE.tmp and the rename
+            completes(*start())
+    assert kills == 30
+    completes(*start())
 
 
 def test_write_back_fails_whole_or_is_skipped_when_unchanged(tmp_path, capsys,

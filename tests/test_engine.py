@@ -152,13 +152,42 @@ def test_decode_rejects_duplicate_transition_keys():
     assert excinfo.value.line_no == 6
 
 
-def test_decode_rejects_non_trie_shapes():
-    text = (
-        "PET1 v1\nstates: q0 s1\nstart: q0\naccept:\n"
-        "trans: q0 1 s1\ntrans: s1 0 s1\nmaxaccept: 0\ncounter: 2\n"
-    )
-    with pytest.raises(SnapshotError):
+def world(states, accept, transitions, maxaccept):
+    """Snapshot text of a hand-written world rooted at q0."""
+    rows = "".join(f"trans: {t}\n" for t in transitions)
+    return (f"PET1 v1\nstates: {states}\nstart: q0\naccept: {accept}\n"
+            f"{rows}maxaccept: {maxaccept}\ncounter: {len(states.split())}\n")
+
+
+# A trie's grandchild listed first: a child's transition read before its
+# parent's.
+GRANDCHILD_FIRST = ("s2 0 s3", "q0 1 s1", "s1 0 s2")
+
+
+@pytest.mark.parametrize("text", [
+    world("q0 s1", "", ["q0 1 s1", "s1 0 s1"], 0),
+    # The transition count is a trie's; only the walk finds s2 unreached.
+    world("q0 s1 s2", "", ["q0 0 s1", "q0 1 s1"], 0),
+    world("q0 s1 s2", "", ["q0 0 s1", "s1 0 s2", "s2 0 s1"], 0),
+    world("q0 s1 s2", "", ["s1 0 s2", "s2 0 s1"], 0),
+    world("q0 s1 s2 s3", "s3", GRANDCHILD_FIRST, 2),  # s3 is at depth 3
+], ids=["self-loop", "two-parents-one-unreached", "reachable-cycle",
+        "unreachable-cycle", "grandchild-first-maxaccept-off"])
+def test_decode_rejects_non_trie_shapes(text):
+    with pytest.raises(SnapshotError) as excinfo:
         decode_snapshot(text)
+    assert excinfo.value.line_no is None
+
+
+def test_decode_takes_a_grandchild_listed_first():
+    model = decode_snapshot(world("q0 s1 s2 s3", "s3", GRANDCHILD_FIRST, 3))
+    text = encode_snapshot(model)
+    assert text == world("q0 s1 s2 s3", "s3", sorted(GRANDCHILD_FIRST), 3)
+    again = decode_snapshot(text)
+    queries = ["10", "100", "101", "1", "0", "", "1000"]
+    answers = [model.accept(right_edge(q)) for q in queries]
+    assert [again.accept(right_edge(q)) for q in queries] == answers
+    assert answers[:2] == [False, True]  # s3, at depth 3, is one hop away
 
 
 def test_decode_rejects_counter_collisions():

@@ -100,7 +100,7 @@ def mutate(text, edit_list):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(offsets, edits)
 def test_only_package_errors_escape_the_parsers(name, which, edit_list):
     parser, texts = CORPUS[name]
