@@ -4,6 +4,13 @@ Everything here is reproducible: candidate orders are fixed (lexicographic),
 engines are owned exclusively by the experiment that mutates them, and
 control/treatment comparisons fork the world by snapshot instead of sharing
 a live engine.
+
+`saturate` and `sibling_search` make one run per string of a length and
+read only their verdicts, so they call the run loop itself,
+`evosim.runner._drive`, in place of `run`: the same acceptor calls in the
+same order, without the report that `run` builds around it (`RunResult`,
+`CostMeter`, the tuple of applied instructions and the final string).
+Everything else here calls `run`.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 from .engine import EvolvingModel, encode_snapshot
 # right_scanner lives beside Procedure, so that the CLI builds its default
 # procedure without this module; it is re-exported here, unchanged.
-from .runner import DEFAULT_BUDGET, Verdict, answer_word, right_scanner, run
+from .runner import (DEFAULT_BUDGET, Verdict, _drive, answer_word, right_scanner,
+                     run)
 
 
 def binary_strings(length):
@@ -59,14 +67,20 @@ _VERDICT_VALUE = tuple(verdict.value for verdict in Verdict)
 class Answers(Sequence):
     """The answers of one saturation pass, read-only: entry i is the pair
     (i-th string of `binary_strings(length)`, its verdict value), built on
-    access from one verdict code per run. Equal to a list or tuple of the
-    same pairs."""
+    access from one verdict code per run (`codes`). Equal to a list or
+    tuple of the same pairs."""
 
     __slots__ = ("_length", "_codes")
 
     def __init__(self, length, codes):
         self._length = length
         self._codes = codes
+
+    @property
+    def codes(self):
+        """The verdict codes as `bytes`, one per run in `binary_strings`
+        order: the index of the run's verdict in `Verdict`."""
+        return self._codes
 
     def __len__(self):
         return len(self._codes)
@@ -105,10 +119,9 @@ class SaturationReport:
 def _verdicts(model, procedure, length, budget):
     """Run the procedure on every string of the given length, in
     `binary_strings` order; their answers."""
-    codes = bytearray()
-    for text in binary_strings(length):
-        codes.append(_VERDICT_CODE[run(model, procedure, text, budget).verdict])
-    return Answers(length, codes)
+    return Answers(length, bytes(
+        _VERDICT_CODE[_drive(model, procedure, text, budget)[0]]
+        for text in binary_strings(length)))
 
 
 def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
@@ -164,8 +177,7 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
     used = 0
     for candidate in binary_strings(len(text)):
         used += 1
-        result = run(model, procedure, candidate, budget)
-        if result.verdict is Verdict.ACCEPTED:
+        if _drive(model, procedure, candidate, budget)[0] is Verdict.ACCEPTED:
             return SiblingSearchResult(True, used, candidate,
                                        _delta(before, _counts(model)))
     return SiblingSearchResult(False, used, None,

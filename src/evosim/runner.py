@@ -44,6 +44,14 @@ acceptor contract answers NO there without a call, and a crossing skips no
 acceptor call; `applied`, the costs, the verdicts and the final string are
 those of single steps.
 
+One loop, two readers: the loop is the private `_drive`, which returns the
+verdict, the final tape and the applied instructions, and `run` wraps it
+in a `RunResult` with its `CostMeter` and final string. The experiments
+that read only verdicts, `saturate` and `sibling_search` in
+`evosim.experiments`, call `_drive` itself, because they make tens of
+thousands of runs and would throw each report away; everything else calls
+`run`. Both go through the same acceptor calls in the same order.
+
 Value types: a type built on every run is a `typing.NamedTuple`, and a
 type built once per procedure, experiment or scenario is a frozen
 dataclass. A named tuple builds in about half the time (`Configuration`,
@@ -276,23 +284,17 @@ def select_instruction(procedure, config):
     return step_config(procedure._steps, config)[0]
 
 
-def run(model, procedure, text, budget=DEFAULT_BUDGET):
-    """Execute `procedure` on `text` under `model`.
-
-    The accepting engine is consulted on every configuration in the halt
-    state with the head on a blank at a tape edge, in order of generation
-    (its side effects on an evolving model persist); every other
-    configuration answers NO without a call (see the module docstring).
-    Only the answer on the final configuration decides the verdict.
-    `budget` bounds transition steps, not acceptor work; exhausting it
-    yields the BUDGET_EXCEEDED verdict rather than an error.
-    """
+def _drive(model, procedure, text, budget):
+    """The run loop of `run`, without its report: (verdict, cells, applied),
+    where `cells` is the final tape (a `bytearray` of cell codes) and
+    `applied` the list of applied instructions. `run` wraps it, and
+    `saturate` and `sibling_search` call it for the verdict alone (see the
+    module docstring)."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     cells = start_tape(text)
     steps = procedure._steps
     applied = []
-    ticks_before = model.acceptor_ticks
     # The start state is not the halt state, so the start configuration
     # answers NO.
     state, pos, answer = START_STATE, 0, False
@@ -308,11 +310,29 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
             answer = (at_halting_edge(state, cells, pos)
                       and model.accept(tape_view(state, cells, pos)))
         if halted:
-            verdict = Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED
-            break
+            return (Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED,
+                    cells, applied)
         if len(applied) == taken:
-            verdict = Verdict.BUDGET_EXCEEDED
-            break
+            return Verdict.BUDGET_EXCEEDED, cells, applied
+
+
+def run(model, procedure, text, budget=DEFAULT_BUDGET):
+    """Execute `procedure` on `text` under `model`.
+
+    The accepting engine is consulted on every configuration in the halt
+    state with the head on a blank at a tape edge, in order of generation
+    (its side effects on an evolving model persist); every other
+    configuration answers NO without a call (see the module docstring).
+    Only the answer on the final configuration decides the verdict.
+    `budget` bounds transition steps, not acceptor work; exhausting it
+    yields the BUDGET_EXCEEDED verdict rather than an error.
+
+    The loop itself is `_drive`; `run` reads the acceptor's tick counter
+    around it and builds the report: the costs, the applied instructions
+    as a tuple and the final string.
+    """
+    ticks_before = model.acceptor_ticks
+    verdict, cells, applied = _drive(model, procedure, text, budget)
     cost = CostMeter(
         path_length=len(applied) + 1,
         transition_ticks=len(applied),

@@ -29,7 +29,8 @@ from pathlib import Path
 
 from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
 from .errors import ScenarioError
-from .experiments import SIBLING_LENGTH_LIMIT, run_traced, saturate, sibling_search
+from .experiments import (SIBLING_LENGTH_LIMIT, binary_strings, run_traced, saturate,
+                          sibling_search)
 from .procfile import load_procedure
 from .runner import (DEFAULT_BUDGET, Verdict, answer_word, cost_text, right_scanner,
                      run, run_line, show_string)
@@ -37,6 +38,9 @@ from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
 _CHECKABLE = {"query", "run", "brute"}
+# The answer word of each verdict code of `Answers.codes`.
+_CODE_WORD = tuple(map(answer_word, Verdict))
+_ACCEPTED_CODE = tuple(Verdict).index(Verdict.ACCEPTED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,12 +235,13 @@ class ScenarioRunner:
             return [f"expect {arg} -> FAIL (got {self.last_answer})"]
         if kind == "saturate":
             self._require_evolving(command)
-            report = saturate(self.model, int(arg), self.procedure, self.budget)
-            accepted = sum(1 for _, v in report.feed_answers if v == "accepted")
+            length = int(arg)
+            report = saturate(self.model, length, self.procedure, self.budget)
+            accepted = report.feed_answers.codes.count(_ACCEPTED_CODE)
             lines = [f"saturate {arg} -> fed {report.fed} "
-                     f"length-{int(arg) + 1} strings ({accepted} accepted)"]
-            for text, verdict in report.probe_answers:
-                lines.append(f"  probe {text} -> {answer_word(Verdict(verdict))}")
+                     f"length-{length + 1} strings ({accepted} accepted)"]
+            lines += [f"  probe {text} -> {_CODE_WORD[code]}" for text, code
+                      in zip(binary_strings(length), report.probe_answers.codes)]
             return lines
         if kind == "brute":
             self._require_evolving(command)

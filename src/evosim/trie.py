@@ -30,7 +30,8 @@ lists the start state elsewhere) is empty, since the start state is never
 a child. About 17 bytes per state, against some 190 for name strings in a
 dict keyed by (name, symbol) tuples. State names are not stored: fresh
 states are named `s<counter>`, computed from their index, and only a
-decoded snapshot whose names follow another rule keeps its list of names.
+decoded snapshot whose names follow another rule keeps its list of names,
+with a dict from name to index for O(1) lookups by name.
 The counters `state_count`, `transition_count` (a trie has one transition
 per state but the start) and `accepting_count` are O(1).
 
@@ -236,6 +237,7 @@ class PartialDfa:
         self.marks = bytearray(1)
         self.root = 0
         self._named = []   # names of the first states, when not fresh names
+        self._index_of = {}  # name -> index of each name in `_named`
         self._shift = 0    # creation_counter minus state_count
         self.accepting_count = 0
         self.max_accepted_length = 0
@@ -332,6 +334,7 @@ class PartialDfa:
         fresh = (counter == count
                  and names == [TRIE_START, *[f"s{i}" for i in range(1, count)]])
         machine._named = [] if fresh else names
+        machine._index_of = {} if fresh else index_of
         machine._shift = counter - count
         machine.accepting_count = marks.count(1)
         machine.max_accepted_length = maxaccept
@@ -390,9 +393,10 @@ class PartialDfa:
 
     def index(self, name):
         """The creation index of the state named `name`, or None."""
+        index = self._index_of.get(name)
+        if index is not None:
+            return index
         named = self._named
-        if name in named:
-            return named.index(name)
         if name == TRIE_START and not named:
             return 0
         if name[:1] == "s" and name[1:].isdecimal():

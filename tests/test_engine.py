@@ -152,6 +152,17 @@ def test_decode_rejects_duplicate_transition_keys():
     assert excinfo.value.line_no == 6
 
 
+@pytest.mark.parametrize("key", ["zz 0", "q0 2"], ids=["unknown-source", "foreign-symbol"])
+def test_decode_reports_a_repeated_unslotted_key_at_its_second_line(key):
+    text = (
+        "PET1 v1\nstates: q0 s1\nstart: q0\naccept: s1\ntrans: q0 1 s1\n"
+        f"trans: {key} s1\ntrans: {key} s1\nmaxaccept: 1\ncounter: 2\n"
+    )
+    with pytest.raises(SnapshotError) as excinfo:
+        decode_snapshot(text)
+    assert excinfo.value.line_no == 7
+
+
 def world(states, accept, transitions, maxaccept):
     """Snapshot text of a hand-written world rooted at q0."""
     rows = "".join(f"trans: {t}\n" for t in transitions)

@@ -14,6 +14,7 @@ from evosim import (
     Verdict,
     binary_strings,
     check_determination,
+    encode_snapshot,
     fork,
     order_demo,
     right_scanner,
@@ -72,6 +73,39 @@ def test_saturation_answers_are_the_runs_one_by_one(history):
     assert report.probe_answers == expected[1]
     assert list(report.feed_answers) == expected[0]
     assert [report.probe_answers[i] for i in range(8)] == expected[1]
+
+
+@pytest.mark.parametrize("procedure", [right_scanner(), WALK_ON], ids=["scanner", "walk-on"])
+@pytest.mark.parametrize("history", [(), ("101", "0", "11011", "")])
+def test_saturate_and_sibling_search_match_a_loop_over_run(procedure, history):
+    base = EvolvingModel()
+    for text in history:
+        run(base, right_scanner(), text)
+    world, reference = fork(base), fork(base)
+    budget = 60
+
+    report = saturate(world, 3, procedure, budget)
+    for length, answers in ((4, report.feed_answers), (3, report.probe_answers)):
+        verdicts = [run(reference, procedure, text, budget).verdict
+                    for text in binary_strings(length)]
+        assert answers == [(text, verdict.value) for text, verdict
+                           in zip(binary_strings(length), verdicts)]
+        assert answers.codes == bytes(map(list(Verdict).index, verdicts))
+
+    for text in ("10", "101", "0110"):
+        result = sibling_search(world, text, procedure, budget)
+        used, witness = 0, None
+        for candidate in binary_strings(len(text)):
+            used += 1
+            if run(reference, procedure, candidate, budget).accepted:
+                witness = candidate
+                break
+        assert (result.found, result.queries_used, result.witness) == (
+            witness is not None, used, witness)
+
+    assert encode_snapshot(world) == encode_snapshot(reference)
+    assert world.acceptor_ticks == reference.acceptor_ticks
+    assert list(world.invocation_log) == list(reference.invocation_log)
 
 
 def test_saturation_answers_are_read_only_sequences():

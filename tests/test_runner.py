@@ -26,8 +26,9 @@ from evosim import (
     select_instruction,
     start_config,
 )
-from evosim.engine import LOG_LIMIT
-from evosim.tape import ALPHABET, ONE, SYMBOL, ZERO, start_tape, tape_view, walk
+from evosim.engine import LOG_LIMIT, encode_snapshot, fork
+from evosim.runner import _drive
+from evosim.tape import ALPHABET, ONE, SYMBOL, ZERO, start_tape, tape_string, tape_view, walk
 from oracle_tm import oracle_run
 
 V = StandardModel()
@@ -409,3 +410,36 @@ def test_run_loop_agrees_with_the_replayed_path_and_the_oracle(table, text, budg
     verdict, steps, final = oracle_run(table, text, budget)
     assert (standard.verdict.value, standard.cost.transition_ticks,
             standard.final_string) == (verdict, steps, final)
+
+
+# A world grown by a few scanner queries, forked for each example: "10" and
+# "1101" are rejected in it, one step below an accepting chain end.
+GROWN = EvolvingModel()
+for _text in ("101", "0", "11011", "", "0110", "111"):
+    run(GROWN, SCANNER, _text)
+
+
+# 400 examples in tier-1; more under a larger profile, such as `deep`
+# (tests/conftest.py).
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(procedures, st.text(alphabet="01", max_size=24), budgets)
+@example(SCANNER_TABLE, "10", 40)
+@example(H_ONES_BLANKS_TABLE, "1011", 18)
+@example(PALINDROME_TABLE, "0110", 18)
+@example(RUNAWAY_TABLE, "", 37)
+def test_the_run_driver_agrees_with_run(table, text, budget):
+    procedure = Procedure(Instruction(s, r, t, w, m)
+                          for (s, r), (t, w, m) in table.items())
+    for make in (SpyModel, lambda: fork(GROWN)):
+        driven, reported = make(), make()
+        verdict, cells, applied = _drive(driven, procedure, text, budget)
+        result = run(reported, procedure, text, budget)
+        assert verdict is result.verdict
+        assert tuple(applied) == result.applied
+        assert tape_string(cells) == result.final_string
+        # Both worlds start at 0 ticks, so the counters are the deltas.
+        assert driven.acceptor_ticks == reported.acceptor_ticks == result.cost.acceptor_ticks
+        assert list(driven.invocation_log) == list(reported.invocation_log)
+        assert encode_snapshot(driven) == encode_snapshot(reported)
+        if isinstance(driven, SpyModel):
+            assert driven.asked == reported.asked

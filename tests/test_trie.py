@@ -134,10 +134,45 @@ def test_views_and_counters_agree():
     assert m.creation_counter == 9
 
 
+def test_a_symbol_outside_the_alphabet_has_no_transition():
+    m = PartialDfa()
+    m.query("0")
+    m.query("1")
+    assert ("q0", "0") in m.transitions and ("q0", "1") in m.transitions
+    with pytest.raises(KeyError):
+        m.transitions[("q0", "2")]
+    assert ("q0", "2") not in m.transitions
+
+
+def test_a_fresh_machine_resolves_its_first_grown_state():
+    m = PartialDfa()
+    m.query("1")
+    assert m.index("s1") == 1
+    assert (m.index("q0"), m.index("s2"), m.index("s0")) == (0, None, None)
+
+
+def test_kept_names_resolve_to_their_creation_index():
+    # A saturated world with its counter raised by one keeps its names.
+    m = PartialDfa()
+    for text in binary_strings(4):
+        m.query(text)
+    counter = m.creation_counter
+    kept = PartialDfa.from_snapshot(
+        m.snapshot().replace(f"counter: {counter}", f"counter: {counter + 1}"))
+    names = list(kept.states)
+    assert [kept.index(name) for name in names] == list(range(len(names)))
+    for name in ("s0", f"s{counter}", f"s{counter + 1}", "s01", "n1", "S1", "", "q1"):
+        assert kept.index(name) is None, name
+    kept.query("00000")  # grows s<counter + 1> below 0000
+    assert kept.index(f"s{counter + 1}") == len(names)
+    assert kept.index(f"s{counter}") is None
+    assert f"s{counter + 1}" in kept.accepting and "q1" not in kept.accepting
+
+
 # The trie's layout and the snapshot format read into it: only trie.py may
 # name these.
-LAYOUT_NAMES = {"kids0", "kids1", "marks", "_named", "_shift", "from_arrays",
-                "int_array", "TRIE_ALPHABET"}
+LAYOUT_NAMES = {"kids0", "kids1", "marks", "_named", "_index_of", "_shift",
+                "from_arrays", "int_array", "TRIE_ALPHABET"}
 
 
 def test_only_the_trie_module_touches_its_layout():
