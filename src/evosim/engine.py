@@ -8,11 +8,13 @@ to an embedded growing trie (`evosim.trie.PartialDfa`); the trie's answer,
 and its structural growth, become part of the world. Everything else is NO.
 
 An EvolvingModel is single-writer mutable world state: a run or query needs
-exclusive access for its full duration. Snapshots are immutable text,
-freely shareable; forking by snapshot is the supported way to compare
-alternative histories. The snapshot format belongs to the trie
-(`PartialDfa.snapshot` and `PartialDfa.from_snapshot`); `encode_snapshot`,
-`decode_snapshot` and `fork` apply it to a whole world.
+exclusive access for its full duration. `fork` is the supported way to
+compare alternative histories: it copies the trie's arrays
+(`PartialDfa.copy`), and the world it returns equals the one that decoding
+the world's snapshot gives, without the text. Snapshots are immutable text
+for files (a `--state` world, `evosim snapshot --out`); their format
+belongs to the trie (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`),
+and `encode_snapshot` and `decode_snapshot` apply it to a whole world.
 
 Only the trie grows with the number of runs. `invocation_log` is a ring of
 the last `LOG_LIMIT` consultations; a caller that needs every record of one
@@ -98,5 +100,8 @@ def decode_snapshot(text):
 
 
 def fork(model):
-    """An independent copy of the evolving world (fresh, empty log)."""
-    return decode_snapshot(encode_snapshot(model))
+    """An independent copy of the evolving world (fresh, empty log), equal
+    to `decode_snapshot(encode_snapshot(model))`: the trie's arrays are
+    copied, not printed and parsed back, so neither world's growth reaches
+    the other."""
+    return EvolvingModel(model.trie.copy())

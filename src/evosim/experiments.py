@@ -2,8 +2,9 @@
 
 Everything here is reproducible: candidate orders are fixed (lexicographic),
 engines are owned exclusively by the experiment that mutates them, and
-control/treatment comparisons fork the world by snapshot instead of sharing
-a live engine.
+control/treatment comparisons fork the world (`engine.fork`, a copy of the
+trie's arrays equal to decoding its snapshot) instead of sharing a live
+engine.
 
 `saturate` and `sibling_search` make one run per string of a length and
 read only their verdicts, so they call the run loop itself,

@@ -15,22 +15,27 @@ Grammar (one command per line; # comments and blank lines ignored):
     trace on|off
 
 `expect` checks the answer of the immediately preceding query/run/brute.
-Snapshot names live in memory for the duration of the scenario; loading a
-name that was not saved earlier is rejected at parse time. Expectation
-failures mark the scenario failed but execution continues; transcripts are
-byte-stable across runs.
+`snapshot save` keeps a fork of the live world under a name, for the
+duration of the scenario (`engine.fork`: a copy of the trie's arrays, equal
+to decoding the world's snapshot text, which is for files only);
+`snapshot load` makes a fork of the kept world the live one, so a name can
+be loaded any number of times, and growth on either side never reaches
+the other. Loading a name that was not saved earlier is rejected at parse
+time. Expectation failures mark the scenario failed but execution
+continues; transcripts are byte-stable across runs.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
+from .engine import EvolvingModel, fork, make_model
 from .errors import ScenarioError
-from .experiments import (SIBLING_LENGTH_LIMIT, binary_strings, run_traced, saturate,
-                          sibling_search)
+from .experiments import SIBLING_LENGTH_LIMIT, run_traced, saturate, sibling_search
 from .procfile import load_procedure
 from .runner import (DEFAULT_BUDGET, Verdict, answer_word, cost_text, right_scanner,
                      run, run_line, show_string)
@@ -170,6 +175,51 @@ def trace_line(trace):
             f"same-length [{same}], longer-by-two [{longer}]")
 
 
+class SaturationLines(Sequence):
+    """The transcript lines of one `saturate`, read-only: the header line,
+    then one `  probe <text> -> <answer>` line per probe run, rendered on
+    access from the probe answers (`experiments.Answers`), so that the 2^n
+    lines are never held at once. Equal to a list or tuple of the same
+    lines."""
+
+    __slots__ = ("_header", "_probes")
+
+    def __init__(self, header, probes):
+        self._header = header
+        self._probes = probes
+
+    def __len__(self):
+        return len(self._probes) + 1
+
+    def __getitem__(self, index):
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if index == 0:
+            return self._header
+        if index < 0:
+            raise IndexError("line index out of range")
+        text, _ = self._probes[index - 1]
+        return _probe_line(text, self._probes.codes[index - 1])
+
+    def __iter__(self):
+        yield self._header
+        for (text, _), code in zip(self._probes, self._probes.codes):
+            yield _probe_line(text, code)
+
+    def __eq__(self, other):
+        if isinstance(other, (SaturationLines, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+def _probe_line(text, code):
+    return f"  probe {text} -> {_CODE_WORD[code]}"
+
+
 class ScenarioRunner:
     """Executes scenario commands against one live world.
 
@@ -195,7 +245,9 @@ class ScenarioRunner:
                 command.line_no)
 
     def execute(self, command):
-        """Run one command; returns its transcript lines."""
+        """Run one command; returns its transcript lines: a list, or for
+        `saturate` a `SaturationLines` sequence that renders them on
+        access."""
         kind, arg = command.kind, command.arg
         # `expect` checks the answer of the command just before it, so every
         # other command clears it first and only query, run and brute set it.
@@ -238,11 +290,10 @@ class ScenarioRunner:
             length = int(arg)
             report = saturate(self.model, length, self.procedure, self.budget)
             accepted = report.feed_answers.codes.count(_ACCEPTED_CODE)
-            lines = [f"saturate {arg} -> fed {report.fed} "
-                     f"length-{length + 1} strings ({accepted} accepted)"]
-            lines += [f"  probe {text} -> {_CODE_WORD[code]}" for text, code
-                      in zip(binary_strings(length), report.probe_answers.codes)]
-            return lines
+            return SaturationLines(f"saturate {arg} -> fed {report.fed} "
+                                   f"length-{length + 1} strings "
+                                   f"({accepted} accepted)",
+                                   report.probe_answers)
         if kind == "brute":
             self._require_evolving(command)
             result = sibling_search(self.model, arg, self.procedure, self.budget)
@@ -256,13 +307,13 @@ class ScenarioRunner:
                     f"after {result.queries_used} queries ({result.delta})"]
         if kind == "snapshot-save":
             self._require_evolving(command)
-            self.snapshots[arg] = encode_snapshot(self.model)
+            self.snapshots[arg] = fork(self.model)
             return [f"snapshot save {arg} -> {len(self.model.trie.states)} states"]
         if kind == "snapshot-load":
             self._require_evolving(command)
             if arg not in self.snapshots:
                 raise ScenarioError(f"unknown snapshot {arg!r}", command.line_no)
-            self.model = decode_snapshot(self.snapshots[arg])
+            self.model = fork(self.snapshots[arg])
             return [f"snapshot load {arg} -> {len(self.model.trie.states)} states"]
         if kind == "stats":
             self._require_evolving(command)

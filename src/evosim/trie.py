@@ -44,12 +44,15 @@ format of a `--state` world file, and `PartialDfa.from_snapshot(text)`
 reads it back: it parses the text straight into a new machine's arrays,
 and `structure_problems`, the one check of the trie shape, then judges
 them. The format, like the layout it is read into, is known to this
-module only.
+module only. The text is for files: `copy()` makes an independent machine
+equal to the one its snapshot decodes to by copying the arrays.
 
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
-quiescent instance is safe. The arrays are written only by `query` (and
-filled once by `from_snapshot`); everything else only reads them.
+quiescent instance is safe. The arrays are written only by `query`, which
+keeps the trie shape, and filled once by `from_snapshot`, which checks it,
+or by `copy`, from arrays of one of those two; everything else only reads
+them. So a copy needs no check of its own.
 """
 
 from __future__ import annotations
@@ -342,6 +345,24 @@ class PartialDfa:
         if problems:
             raise SnapshotError("; ".join(problems))
         return machine
+
+    def copy(self):
+        """An independent machine equal to `from_snapshot(self.snapshot())`,
+        made without the text: the arrays are copied by slice and the
+        counters by value, and the kept names, which nothing writes after
+        `from_snapshot` fills them, are shared. It is not checked again
+        (the module docstring says why)."""
+        twin = PartialDfa.__new__(PartialDfa)
+        twin.kids0 = self.kids0[:]
+        twin.kids1 = self.kids1[:]
+        twin.marks = self.marks[:]
+        twin.root = self.root
+        twin._named = self._named
+        twin._index_of = self._index_of
+        twin._shift = self._shift
+        twin.accepting_count = self.accepting_count
+        twin.max_accepted_length = self.max_accepted_length
+        return twin
 
     def snapshot(self):
         """Canonical text for the machine.

@@ -20,6 +20,7 @@ from evosim import (
     run,
 )
 from evosim.engine import LOG_LIMIT
+from test_decoder_record import OUT_OF_ORDER, OWN_NAMES
 
 FRESH_SNAPSHOT = """PET1 v1
 states: q0
@@ -270,6 +271,41 @@ def test_fork_is_independent():
     copy.accept(right_edge("0"))
     assert len(model.trie.states) == 4
     assert len(copy.trie.states) == 5
+
+
+def views(model):
+    trie = model.trie
+    return (list(trie.states), dict(trie.transitions), set(trie.accepting),
+            trie.start, trie.creation_counter, trie.stats())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, OUT_OF_ORDER, OWN_NAMES]), histories, histories)
+def test_a_fork_is_the_decoded_snapshot_and_shares_nothing(start, history,
+                                                          continuation):
+    # Fresh worlds, and decoded ones with a child listed before its parent,
+    # kept names, a raised counter and a start state not listed first.
+    model = EvolvingModel() if start is None else decode_snapshot(start)
+    for text in history:
+        model.trie.query(text)
+    text = encode_snapshot(model)
+    copy = fork(model)
+    assert encode_snapshot(copy) == text
+    assert copy.trie.structure_problems() == []
+
+    decoded = decode_snapshot(text)
+    for query in continuation:
+        assert copy.trie.query(query) == decoded.trie.query(query)
+        assert views(copy) == views(decoded)
+    assert encode_snapshot(copy) == encode_snapshot(decoded)
+    assert encode_snapshot(model) == text  # the fork's growth stays its own
+
+    grown = encode_snapshot(copy)
+    for query in continuation:
+        model.trie.query(query)
+    for query in history:
+        model.trie.query(query + "1")
+    assert encode_snapshot(copy) == grown  # and the world's stays its own
 
 
 configs = st.builds(

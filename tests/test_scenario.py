@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from evosim import ScenarioError
-from evosim.scenario import execute_scenario, parse_scenario
+from evosim import ScenarioError, binary_strings, encode_snapshot, make_model
+from evosim.scenario import Command, ScenarioRunner, execute_scenario, parse_scenario
+from test_engine import AFTER_101
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -184,6 +185,44 @@ def test_snapshot_fork_restores_the_earlier_world():
     assert passed
     assert transcript.count("-> 4 states") == 2
     assert "stats -> maxaccept 3, depth 3, states 4, accepting 1" in transcript
+
+
+def test_a_saved_world_loads_again_after_the_live_world_grows():
+    text = (
+        "model e\n"
+        "query 101\n"
+        "snapshot save a\n"
+        "query 0\n"
+        "snapshot load a\n"
+        "query 0110\n"
+        "saturate 2\n"
+        "snapshot load a\n"
+        "query 10\n"
+        "expect reject\n"
+    )
+    runner = ScenarioRunner()
+    lines = [line for command in parse_scenario(text).commands
+             for line in runner.execute(command)]
+    assert lines[2] == "snapshot save a -> 4 states"
+    assert lines.count("snapshot load a -> 4 states") == 2
+    assert runner.passed
+    # Growth after `save`, before and after a load, never reached the copy.
+    assert encode_snapshot(runner.snapshots["a"]) == AFTER_101
+
+
+def test_saturate_lines_equal_the_list_they_render():
+    runner = ScenarioRunner(make_model("e"))
+    lines = runner.execute(Command(1, "saturate", "3"))
+    expected = (["saturate 3 -> fed 16 length-4 strings (16 accepted)"]
+                + [f"  probe {text} -> reject" for text in binary_strings(3)])
+    assert lines == expected and expected == lines
+    assert lines == tuple(expected) and list(lines) == expected
+    assert len(lines) == 9 and lines[0] == expected[0]
+    assert [lines[i] for i in range(-9, 9)] == expected + expected
+    for index in (9, -10):
+        with pytest.raises(IndexError):
+            lines[index]
+    assert lines != expected[:-1] and lines != expected[:-1] + ["x"]
 
 
 def test_brute_reports_a_search_that_finds_nothing():
