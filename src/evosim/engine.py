@@ -6,6 +6,9 @@ tape origin; on a halt-state head parked on a blank at the right edge it
 strips the end blanks off the tape content and hands the resulting string
 to an embedded growing trie (`evosim.trie.PartialDfa`); the trie's answer,
 and its structural growth, become part of the world. Everything else is NO.
+The acceptor reads the trie's lean reader, `PartialDfa.answer`, which
+gives only the answer and its ticks; `PartialDfa.query` grows the trie the
+same way and also reports what it added, for callers that read that.
 
 An EvolvingModel is single-writer mutable world state: a run or query needs
 exclusive access for its full duration. `fork` is the supported way to
@@ -70,12 +73,10 @@ class EvolvingModel:
         text = config.left.strip(BLANK)
         if BLANK in text:
             return False
-        outcome = self.trie.query(text)
-        self.acceptor_ticks += outcome.ticks
-        self.invocation_log.append(
-            InvocationRecord(config, text, outcome.accepted, outcome.ticks)
-        )
-        return outcome.accepted
+        accepted, ticks = self.trie.answer(text)
+        self.acceptor_ticks += ticks
+        self.invocation_log.append(InvocationRecord(config, text, accepted, ticks))
+        return accepted
 
 
 def make_model(kind):

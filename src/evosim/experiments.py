@@ -69,7 +69,7 @@ class Answers(Sequence):
     """The answers of one saturation pass, read-only: entry i is the pair
     (i-th string of `binary_strings(length)`, its verdict value), built on
     access from one verdict code per run (`codes`). Equal to a list or
-    tuple of the same pairs."""
+    tuple of the same pairs; a slice is a list of its entries."""
 
     __slots__ = ("_length", "_codes")
 
@@ -87,6 +87,8 @@ class Answers(Sequence):
         return len(self._codes)
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
         index = operator.index(index)
         code = self._codes[index]
         if index < 0:

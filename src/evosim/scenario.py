@@ -180,7 +180,7 @@ class SaturationLines(Sequence):
     then one `  probe <text> -> <answer>` line per probe run, rendered on
     access from the probe answers (`experiments.Answers`), so that the 2^n
     lines are never held at once. Equal to a list or tuple of the same
-    lines."""
+    lines; a slice is a list of its lines."""
 
     __slots__ = ("_header", "_probes")
 
@@ -192,6 +192,8 @@ class SaturationLines(Sequence):
         return len(self._probes) + 1
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
         index = operator.index(index)
         if index < 0:
             index += len(self)

@@ -91,12 +91,6 @@ def tape_string(cells):
     return cells.strip(b"\0").decode("latin-1").replace("\0", BLANK)
 
 
-def at_halting_edge(state, cells, pos):
-    """Whether a mutable tape is in the halt state with the head on a blank
-    at a tape edge: the only configurations an acceptor is asked about."""
-    return state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1)
-
-
 def step_table(instructions):
     """Compile key-unique instructions into one step table, keyed by
     (state, cell code).
@@ -127,16 +121,20 @@ def step_table(instructions):
 
 def walk(steps, cells, pos, state, room, applied):
     """Step a mutable tape in place from `state` with the head on `pos`;
-    return the new (state, pos, halted).
+    return the new (state, pos, halted, asking).
 
     `cells` is the whole allocated tape, cell 0 being the origin. Each
     applied instruction is appended to `applied`. The walk takes at most
-    `room` steps and stops at the first configuration where no instruction
-    of `steps` applies (halted is True), where the room is used up, or
-    that a step reaches in the halt state on a blank at a tape edge, cell
-    0 or the last cell (both with halted False), so that the caller can
-    ask an acceptor about it. The halt state on a blank inside the tape is
-    not such a stop.
+    `room` steps. It stops at the first configuration that a step reaches
+    in the halt state on a blank at a tape edge, cell 0 or the last cell,
+    so that the caller can ask an acceptor about it (asking is True); where
+    no instruction of `steps` applies; or where the room is used up. The
+    halt state on a blank inside the tape is not a stop. `halted` says
+    whether no instruction applies where the walk stopped, by the rule at
+    the top of its loop: none is keyed on the state and the cell, or it
+    moves left at the origin. So after an edge question the caller knows
+    without a second walk whether the run ends there, and asking and halted
+    both False mean that the room ran out.
 
     A loop (see `step_table`) crosses the run of cells it loops on in one
     move, with the same applied instructions as single steps: up to the
@@ -152,16 +150,17 @@ def walk(steps, cells, pos, state, room, applied):
     with the same instruction, and none is the halt state on a blank at a
     tape edge.
     """
+    asking = False
     while True:
         entry = steps.get((state, cells[pos]))
         if entry is None:
-            return state, pos, True
+            return state, pos, True, asking
         write, moves_right, target, inst, run = entry
         # A left move at the origin does not apply.
         if not (pos or moves_right):
-            return state, pos, True
-        if not room:
-            return state, pos, False
+            return state, pos, True, asking
+        if asking or not room:
+            return state, pos, False, asking
         # A crossing of one cell is a single step, and the replay of a path
         # takes only those.
         if run is None or room == 1:
@@ -200,8 +199,7 @@ def walk(steps, cells, pos, state, room, applied):
         # A right move off the last cell appends a blank.
         if pos == len(cells):
             cells.append(0)
-        if state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1):
-            return state, pos, False
+        asking = state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1)
 
 
 def step_config(steps, config):
@@ -215,8 +213,8 @@ def step_config(steps, config):
         raise InvalidSymbolError(f"symbol outside alphabet in {config!r}")
     cells = bytearray(tape.replace(BLANK, "\0"), "ascii")
     applied = []
-    state, pos, _ = walk(steps, cells, len(config.left), config.state, 1,
-                         applied)
+    state, pos, _, _ = walk(steps, cells, len(config.left), config.state, 1,
+                            applied)
     if not applied:
         return None, None
     return applied[0], tape_view(state, cells, pos)

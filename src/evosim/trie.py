@@ -15,6 +15,11 @@ structure or grows it:
     unread suffix is appended, its last state is marked accepting, and the
     string is accepted.
 
+Two readers take that one walk and growth (the private `_settle`): `query`
+reports what it answered and added as a `QueryOutcome`, case, state names
+and transitions included, and `answer` gives only (accepted, ticks). The
+evolving model's acceptor reads `answer`, on every consultation.
+
 These rules only ever add structure, which is what makes every answer
 permanent: once a string has been accepted or rejected, every future query
 of it repeats the answer. The *order* of first-time queries, on the other
@@ -49,10 +54,11 @@ equal to the one its snapshot decodes to by copying the arrays.
 
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
-quiescent instance is safe. The arrays are written only by `query`, which
-keeps the trie shape, and filled once by `from_snapshot`, which checks it,
-or by `copy`, from arrays of one of those two; everything else only reads
-them. So a copy needs no check of its own.
+quiescent instance is safe. The arrays are written only by a query
+(`query` or `answer`, through `_settle`), which keeps the trie shape, and
+filled once by `from_snapshot`, which checks it, or by `copy`, from
+arrays of one of those two; everything else only reads them. So a copy
+needs no check of its own.
 """
 
 from __future__ import annotations
@@ -75,6 +81,11 @@ class QueryCase(enum.Enum):
     NEAR_ACCEPTING = "near-accepting"      # full read, acceptance one hop away
     MARKED_ACCEPTING = "marked-accepting"  # full read onto a promoted dead end
     GREW_CHAIN = "grew-chain"              # stuck; suffix chain appended
+
+
+# The cases as module globals: a global read is several times cheaper than
+# an enum member read through its class, and a query makes one or more.
+AT_ACCEPTING, NEAR_ACCEPTING, MARKED_ACCEPTING, GREW_CHAIN = QueryCase
 
 
 class QueryOutcome(NamedTuple):
@@ -450,7 +461,38 @@ class PartialDfa:
         return list(compress(self.names(), self.marks))
 
     def query(self, text):
-        """Answer a membership query, growing the machine as needed."""
+        """Answer a membership query, growing the machine as needed; the
+        report of what it answered and added, as a `QueryOutcome`."""
+        accepted, ticks, case, node, read = self._settle(text)
+        if case is GREW_CHAIN:
+            new_states = []
+            new_transitions = []
+            source = self.name(node)
+            # The chain is the last states created, in the order of the
+            # unread symbols.
+            number = len(self.marks) + self._shift - len(text) + read
+            for symbol in text[read:]:
+                name = f"s{number}"
+                new_states.append(name)
+                new_transitions.append((source, symbol, name))
+                source = name
+                number += 1
+            return QueryOutcome(True, case, tuple(new_states),
+                                tuple(new_transitions), (source,), ticks)
+        if case is MARKED_ACCEPTING:
+            return QueryOutcome(True, case, (), (), (self.name(node),), ticks)
+        return QueryOutcome(accepted, case, (), (), (), ticks)
+
+    def answer(self, text):
+        """Answer a membership query, growing the machine as needed, as
+        `query` does; only (accepted, ticks), with no report."""
+        return self._settle(text)[:2]
+
+    def _settle(self, text):
+        """The walk and growth of one query, for `query` and `answer`:
+        (accepted, ticks, case, node, read), where `node` is the state the
+        walk ended on before any growth and `read` the number of symbols it
+        read. A grown chain is the last len(text) - read states."""
         if text.strip("01"):
             bad = sorted(set(text) - set(TRIE_ALPHABET))
             raise InvalidSymbolError(f"query contains {bad!r}; allowed: 0, 1")
@@ -469,38 +511,27 @@ class PartialDfa:
         marks = self.marks
         if read == len(text):
             if marks[node]:
-                return QueryOutcome(True, QueryCase.AT_ACCEPTING,
-                                    (), (), (), read)
+                return True, read, AT_ACCEPTING, node, read
             zero = kids0[node]
             one = kids1[node]
             if (zero != root and marks[zero]) or (one != root and marks[one]):
-                return QueryOutcome(False, QueryCase.NEAR_ACCEPTING,
-                                    (), (), (), read)
+                return False, read, NEAR_ACCEPTING, node, read
             self._mark(node, read)
-            return QueryOutcome(True, QueryCase.MARKED_ACCEPTING,
-                                (), (), (self.name(node),), read + 1)
+            return True, read + 1, MARKED_ACCEPTING, node, read
 
-        new_states = []
-        new_transitions = []
-        source = self.name(node)
+        stuck = node
         fresh = len(marks)
-        shift = self._shift
         for symbol in text[read:]:
             (kids1 if symbol == "1" else kids0)[node] = fresh
             kids0.append(root)
             kids1.append(root)
             marks.append(0)
-            name = f"s{fresh + shift}"
-            new_states.append(name)
-            new_transitions.append((source, symbol, name))
             node = fresh
-            source = name
             fresh += 1
         self._mark(node, len(text))
-        ticks = read + 2 * len(new_states) + 1
-        return QueryOutcome(True, QueryCase.GREW_CHAIN,
-                            tuple(new_states), tuple(new_transitions),
-                            (source,), ticks)
+        # One tick per symbol read, two per state added (the state and its
+        # transition) and one for the mark.
+        return True, 2 * len(text) - read + 1, GREW_CHAIN, stuck, read
 
     def _mark(self, node, length):
         """Mark `node`, where a query of `length` symbols ends, accepting."""

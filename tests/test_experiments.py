@@ -75,6 +75,15 @@ def test_saturation_answers_are_the_runs_one_by_one(history):
     assert [report.probe_answers[i] for i in range(8)] == expected[1]
 
 
+def test_a_slice_of_the_answers_is_a_list_of_its_entries():
+    report = saturate(EvolvingModel(), 3)
+    answers = list(report.probe_answers)
+    for part in (slice(1, 3), slice(None), slice(-3, None), slice(None, None, -2),
+                 slice(6, 2), slice(2, 100, 3)):
+        assert report.probe_answers[part] == answers[part]
+    assert report.feed_answers[:2] == [("0000", "accepted"), ("0001", "accepted")]
+
+
 @pytest.mark.parametrize("procedure", [right_scanner(), WALK_ON], ids=["scanner", "walk-on"])
 @pytest.mark.parametrize("history", [(), ("101", "0", "11011", "")])
 def test_saturate_and_sibling_search_match_a_loop_over_run(procedure, history):

@@ -206,9 +206,9 @@ def test_sweep_states_of_the_shipped_machines():
     h_right = Procedure([Instruction("h", BLANK, "h", BLANK, "R")])
     assert loop_keys(h_right) == {("h", BLANK)}
     cells, applied = bytearray(3), []
-    assert walk(h_right._steps, cells, 0, "h", 10, applied) == ("h", 2, False)
+    assert walk(h_right._steps, cells, 0, "h", 10, applied) == ("h", 2, False, True)
     assert (len(applied), len(cells)) == (2, 3)
-    assert walk(h_right._steps, cells, 2, "h", 10, applied) == ("h", 3, False)
+    assert walk(h_right._steps, cells, 2, "h", 10, applied) == ("h", 3, False, True)
     assert (len(applied), len(cells)) == (3, 4)
 
 
@@ -333,6 +333,36 @@ def test_long_accepted_runs_ask_the_acceptor_once():
         world = SpyModel()
         assert run(world, PROCEDURES[name], text, 100_000).accepted
         assert len(world.asked) == 1, name
+
+
+# The scanner, and two machines that go on from an edge question: one whose
+# h walks on right over blanks, and one whose h, back at the origin, has
+# only a left move there, which does not apply.
+WALK_ON = Procedure([*SCANNER, Instruction("h", BLANK, "h", BLANK, "R")])
+LEFT_AT_ORIGIN = Procedure([Instruction("q0", BLANK, "h", BLANK, "R"),
+                            Instruction("h", "0", "h", "0", "L"),
+                            Instruction("h", BLANK, "q1", BLANK, "L")])
+
+
+@pytest.mark.parametrize("procedure, text, budget, expected", [
+    (SCANNER, "101", 4, (Verdict.ACCEPTED, 4, 1)),
+    (SCANNER, "101", 3, (Verdict.BUDGET_EXCEEDED, 3, 0)),
+    (WALK_ON, "101", 4, (Verdict.BUDGET_EXCEEDED, 4, 1)),
+    (WALK_ON, "101", 5, (Verdict.BUDGET_EXCEEDED, 5, 2)),
+    (LEFT_AT_ORIGIN, "0", 2, (Verdict.ACCEPTED, 2, 1)),
+    (LEFT_AT_ORIGIN, "0", 1, (Verdict.BUDGET_EXCEEDED, 1, 0)),
+])
+def test_the_budget_ends_a_run_only_where_an_instruction_applies(
+        procedure, text, budget, expected):
+    # (verdict, applied steps, questions asked): a run whose budget is used
+    # up on an edge question is still asked there, and it ends with the
+    # answer when no instruction applies there, out of budget otherwise.
+    world = SpyModel()
+    result = run(world, procedure, text, budget)
+    assert (result.verdict, len(result.applied), len(world.asked)) == expected
+    world = SpyModel()
+    verdict, _, applied = _drive(world, procedure, text, budget)
+    assert (verdict, len(applied), len(world.asked)) == expected
 
 
 def test_views_share_the_symbols_of_the_alphabet():

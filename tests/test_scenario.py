@@ -225,6 +225,14 @@ def test_saturate_lines_equal_the_list_they_render():
     assert lines != expected[:-1] and lines != expected[:-1] + ["x"]
 
 
+def test_a_slice_of_the_saturate_lines_is_a_list_of_its_lines():
+    lines = ScenarioRunner(make_model("e")).execute(Command(1, "saturate", "3"))
+    expected = list(lines)
+    for part in (slice(1, 3), slice(None), slice(-3, None), slice(None, None, -2),
+                 slice(6, 2), slice(0, 100, 4)):
+        assert lines[part] == expected[part]
+
+
 def test_brute_reports_a_search_that_finds_nothing():
     # After `saturate 2` every length-3 string is accepted, so each length-2
     # string is rejected one step above acceptance and the trie does not grow.

@@ -16,6 +16,7 @@ from evosim import (
     binary_strings,
 )
 from ledger import QueryLedger, replay_check
+from test_decoder_record import OUT_OF_ORDER, OWN_NAMES
 
 queries = st.lists(st.text(alphabet="01", max_size=10), max_size=60)
 
@@ -296,3 +297,27 @@ def test_any_ledger_from_real_queries_replays_clean(texts):
     for text in texts:
         ledger.record(text, m.query(text).accepted)
     assert replay_check(PartialDfa, ledger) is None
+
+
+# 200 examples in tier-1; more under a larger profile, such as `deep`
+# (tests/conftest.py).
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.sampled_from([None, OUT_OF_ORDER, OWN_NAMES]),
+       st.lists(st.text(alphabet="01", max_size=12), max_size=30))
+def test_the_lean_reader_agrees_with_query(start, texts):
+    # Fresh worlds, and decoded ones with a child listed before its parent,
+    # kept names, a raised counter and a start state not listed first.
+    world = PartialDfa() if start is None else PartialDfa.from_snapshot(start)
+    lean, reported = world.copy(), world.copy()
+    for text in texts:
+        outcome = reported.query(text)
+        assert lean.answer(text) == (outcome.accepted, outcome.ticks)
+        assert lean.snapshot() == reported.snapshot()
+        assert lean.structure_problems() == []
+
+
+def test_the_lean_reader_rejects_symbols_outside_the_alphabet():
+    machine = PartialDfa()
+    with pytest.raises(InvalidSymbolError):
+        machine.answer("10x")
+    assert machine.state_count == 1
