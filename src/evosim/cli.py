@@ -105,8 +105,6 @@ def _open_world(args):
     if args.state:
         loaded = Path(args.state).read_text(encoding="utf-8")
         model = decode_snapshot(loaded)
-        if args.model == "v":
-            raise EvosimError("--state carries an evolving world; use --model e")
     else:
         model = make_model(args.model)
     if args.proc:
@@ -259,6 +257,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # A usage error, found before the --state file or its lock is opened.
+        if args.state and args.model == "v":
+            raise EvosimError("--state carries an evolving world; use --model e")
         with _state_lock(args.state):
             world, loaded = _open_world(args)
             status = _COMMANDS[args.command](world, args)

@@ -12,6 +12,11 @@ read only their verdicts, so they call the run loop itself,
 same order, without the report that `run` builds around it (`RunResult`,
 `CostMeter`, the tuple of applied instructions and the final string).
 Everything else here calls `run`.
+
+A saturation pass keeps one verdict code per run, and `Answers` is the one
+read-only view over such codes: it renders each entry on access, as a
+(text, verdict value) pair in a `SaturationReport`, and as a transcript
+line for a scenario's `saturate` (`evosim.scenario`).
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 from .engine import EvolvingModel, encode_snapshot
 # right_scanner lives beside Procedure, so that the CLI builds its default
 # procedure without this module; it is re-exported here, unchanged.
-from .runner import (DEFAULT_BUDGET, Verdict, _drive, answer_word, right_scanner,
-                     run)
+from .runner import (ACCEPTED, DEFAULT_BUDGET, Verdict, _drive, answer_word,
+                     right_scanner, run)
 
 
 def binary_strings(length):
@@ -65,17 +70,25 @@ _VERDICT_CODE = {verdict: code for code, verdict in enumerate(Verdict)}
 _VERDICT_VALUE = tuple(verdict.value for verdict in Verdict)
 
 
+def _pair(text, code):
+    return text, _VERDICT_VALUE[code]
+
+
 class Answers(Sequence):
-    """The answers of one saturation pass, read-only: entry i is the pair
-    (i-th string of `binary_strings(length)`, its verdict value), built on
-    access from one verdict code per run (`codes`). Equal to a list or
-    tuple of the same pairs; a slice is a list of its entries."""
+    """The answers of one saturation pass, read-only and rendered on access
+    from one verdict code per run (`codes`): the fixed entries of `head`,
+    then `render(text, code)` for the i-th string of
+    `binary_strings(length)` and its code, by default the pair (text,
+    verdict value). Equal to a list or tuple of the same entries; a slice
+    is a list of its entries."""
 
-    __slots__ = ("_length", "_codes")
+    __slots__ = ("_length", "_codes", "_render", "_head")
 
-    def __init__(self, length, codes):
+    def __init__(self, length, codes, render=_pair, head=()):
         self._length = length
         self._codes = codes
+        self._render = render
+        self._head = head
 
     @property
     def codes(self):
@@ -84,22 +97,25 @@ class Answers(Sequence):
         return self._codes
 
     def __len__(self):
-        return len(self._codes)
+        return len(self._head) + len(self._codes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = operator.index(index)
-        code = self._codes[index]
+        # The index into the codes: a negative one counts from their end.
+        # Below 0 is a head entry, read from the head's end, or out of range.
+        index = index + len(self._codes) if index < 0 else index - len(self._head)
         if index < 0:
-            index += len(self._codes)
+            return self._head[index]
+        code = self._codes[index]
         # i as a binary numeral of `length` digits, zero-padded: the bits
         # after a leading 1 placed just above them ("" when length is 0).
-        return bin(index | 1 << self._length)[3:], _VERDICT_VALUE[code]
+        return self._render(bin(index | 1 << self._length)[3:], code)
 
     def __iter__(self):
-        return zip(binary_strings(self._length),
-                   map(_VERDICT_VALUE.__getitem__, self._codes))
+        return itertools.chain(self._head, map(
+            self._render, binary_strings(self._length), self._codes))
 
     def __eq__(self, other):
         if isinstance(other, (Answers, list, tuple)):
@@ -107,7 +123,7 @@ class Answers(Sequence):
         return NotImplemented
 
     def __repr__(self):
-        return f"{type(self).__name__}({tuple(self)!r})"
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +196,7 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
     used = 0
     for candidate in binary_strings(len(text)):
         used += 1
-        if _drive(model, procedure, candidate, budget)[0] is Verdict.ACCEPTED:
+        if _drive(model, procedure, candidate, budget)[0] is ACCEPTED:
             return SiblingSearchResult(True, used, candidate,
                                        _delta(before, _counts(model)))
     return SiblingSearchResult(False, used, None,

@@ -198,12 +198,17 @@ class Verdict(enum.Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
+# The verdicts as module globals: a global read is several times cheaper
+# than an enum member read through its class, and every run makes one.
+ACCEPTED, HALTED_REJECTED, BUDGET_EXCEEDED = Verdict
+
+
 def answer_word(verdict):
     """The membership answer a verdict gives: accept, reject or
     budget-exceeded."""
-    if verdict is Verdict.ACCEPTED:
+    if verdict is ACCEPTED:
         return "accept"
-    if verdict is Verdict.HALTED_REJECTED:
+    if verdict is HALTED_REJECTED:
         return "reject"
     return "budget-exceeded"
 
@@ -252,7 +257,7 @@ class RunResult(NamedTuple):
 
     @property
     def accepted(self):
-        return self.verdict is Verdict.ACCEPTED
+        return self.verdict is ACCEPTED
 
     @property
     def start(self):
@@ -262,22 +267,20 @@ class RunResult(NamedTuple):
     @property
     def path(self):
         """Every configuration of the run in order, rebuilt by replaying
-        `applied` from `start` one single step at a time, through a step
-        table of the applied instructions and walks of one step each. Each
-        step must take the next applied instruction, which makes the replay
-        exact. Costs O(steps x tape); call it sparingly."""
+        `applied` from `start` one single step at a time through
+        `evosim.tape.step_config`, over a step table of the applied
+        instructions. Each step must take the next applied instruction,
+        which makes the replay exact. Costs O(steps x tape); call it
+        sparingly."""
         steps = step_table(self.applied)
-        cells = start_tape(self.text)
-        state, pos = START_STATE, 0
-        path = [tape_view(state, cells, pos)]
-        taken = []
+        config = self.start
+        path = [config]
         for i, inst in enumerate(self.applied):
-            state, pos, _, _ = walk(steps, cells, pos, state, 1, taken)
-            if taken != [inst]:
+            taken, config = step_config(steps, config)
+            if taken != inst:
                 raise ValueError(f"step {i} of the replay takes {taken}, "
                                  f"not the applied {inst}")
-            taken.clear()
-            path.append(tape_view(state, cells, pos))
+            path.append(config)
         return tuple(path)
 
 
@@ -306,14 +309,12 @@ def _drive(model, procedure, text, budget):
         # start configuration (the start state is not the halt state), or
         # one that is not h on a blank at a tape edge.
         if not asking:
-            return (Verdict.HALTED_REJECTED if halted else Verdict.BUDGET_EXCEEDED,
-                    cells, applied)
+            return HALTED_REJECTED if halted else BUDGET_EXCEEDED, cells, applied
         answer = model.accept(tape_view(state, cells, pos))
         if halted:
-            return (Verdict.ACCEPTED if answer else Verdict.HALTED_REJECTED,
-                    cells, applied)
+            return ACCEPTED if answer else HALTED_REJECTED, cells, applied
         if len(applied) == budget:
-            return Verdict.BUDGET_EXCEEDED, cells, applied
+            return BUDGET_EXCEEDED, cells, applied
 
 
 def run(model, procedure, text, budget=DEFAULT_BUDGET):

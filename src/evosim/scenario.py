@@ -27,15 +27,14 @@ continues; transcripts are byte-stable across runs.
 
 from __future__ import annotations
 
-import operator
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import EvolvingModel, fork, make_model
 from .errors import ScenarioError
-from .experiments import SIBLING_LENGTH_LIMIT, run_traced, saturate, sibling_search
+from .experiments import (SIBLING_LENGTH_LIMIT, Answers, run_traced, saturate,
+                          sibling_search)
 from .procfile import load_procedure
 from .runner import (DEFAULT_BUDGET, Verdict, answer_word, cost_text, right_scanner,
                      run, run_line, show_string)
@@ -175,50 +174,8 @@ def trace_line(trace):
             f"same-length [{same}], longer-by-two [{longer}]")
 
 
-class SaturationLines(Sequence):
-    """The transcript lines of one `saturate`, read-only: the header line,
-    then one `  probe <text> -> <answer>` line per probe run, rendered on
-    access from the probe answers (`experiments.Answers`), so that the 2^n
-    lines are never held at once. Equal to a list or tuple of the same
-    lines; a slice is a list of its lines."""
-
-    __slots__ = ("_header", "_probes")
-
-    def __init__(self, header, probes):
-        self._header = header
-        self._probes = probes
-
-    def __len__(self):
-        return len(self._probes) + 1
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if index == 0:
-            return self._header
-        if index < 0:
-            raise IndexError("line index out of range")
-        text, _ = self._probes[index - 1]
-        return _probe_line(text, self._probes.codes[index - 1])
-
-    def __iter__(self):
-        yield self._header
-        for (text, _), code in zip(self._probes, self._probes.codes):
-            yield _probe_line(text, code)
-
-    def __eq__(self, other):
-        if isinstance(other, (SaturationLines, list, tuple)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{type(self).__name__}({list(self)!r})"
-
-
 def _probe_line(text, code):
+    """The transcript line of one probe run of `saturate`."""
     return f"  probe {text} -> {_CODE_WORD[code]}"
 
 
@@ -248,8 +205,10 @@ class ScenarioRunner:
 
     def execute(self, command):
         """Run one command; returns its transcript lines: a list, or for
-        `saturate` a `SaturationLines` sequence that renders them on
-        access."""
+        `saturate` an `experiments.Answers` view that renders them on
+        access, the header line and then one `  probe <text> -> <answer>`
+        line per probe run, so that the 2^n lines are never held at
+        once."""
         kind, arg = command.kind, command.arg
         # `expect` checks the answer of the command just before it, so every
         # other command clears it first and only query, run and brute set it.
@@ -292,10 +251,10 @@ class ScenarioRunner:
             length = int(arg)
             report = saturate(self.model, length, self.procedure, self.budget)
             accepted = report.feed_answers.codes.count(_ACCEPTED_CODE)
-            return SaturationLines(f"saturate {arg} -> fed {report.fed} "
-                                   f"length-{length + 1} strings "
-                                   f"({accepted} accepted)",
-                                   report.probe_answers)
+            header = (f"saturate {arg} -> fed {report.fed} "
+                      f"length-{length + 1} strings ({accepted} accepted)")
+            return Answers(length, report.probe_answers.codes, _probe_line,
+                           (header,))
         if kind == "brute":
             self._require_evolving(command)
             result = sibling_search(self.model, arg, self.procedure, self.budget)

@@ -33,10 +33,12 @@ and on 1, and the `bytearray` `marks[i]` is 1 when it accepts. A child slot
 that holds the start state's index (`root`, 0 unless a decoded snapshot
 lists the start state elsewhere) is empty, since the start state is never
 a child. About 17 bytes per state, against some 190 for name strings in a
-dict keyed by (name, symbol) tuples. State names are not stored: fresh
-states are named `s<counter>`, computed from their index, and only a
-decoded snapshot whose names follow another rule keeps its list of names,
-with a dict from name to index for O(1) lookups by name.
+dict keyed by (name, symbol) tuples. Names are mostly not stored: a
+machine keeps the names of its first states, as a list with a dict from
+name to index for O(1) lookups by name, and names the rest `s<counter>`,
+computed from their index. With fresh names the start state `q0` is the
+one kept name, in a list and dict that all such machines share; only a
+decoded snapshot whose names follow another rule keeps its own.
 The counters `state_count`, `transition_count` (a trie has one transition
 per state but the start) and `accepting_count` are O(1).
 
@@ -74,6 +76,11 @@ from .errors import InvalidSymbolError, SnapshotError
 TRIE_ALPHABET = ("0", "1")
 TRIE_START = "q0"
 SNAPSHOT_HEADER = "PET1 v1"
+
+# The kept names of a machine with fresh names: the start state's alone,
+# the first name. Every such machine shares them; nothing writes them.
+_FRESH_NAMED = [TRIE_START]
+_FRESH_INDEX_OF = {TRIE_START: 0}
 
 
 class QueryCase(enum.Enum):
@@ -250,8 +257,8 @@ class PartialDfa:
         self.kids1 = int_array(0, 1)
         self.marks = bytearray(1)
         self.root = 0
-        self._named = []   # names of the first states, when not fresh names
-        self._index_of = {}  # name -> index of each name in `_named`
+        self._named = _FRESH_NAMED  # names of the first states, kept
+        self._index_of = _FRESH_INDEX_OF  # name -> index in `_named`
         self._shift = 0    # creation_counter minus state_count
         self.accepting_count = 0
         self.max_accepted_length = 0
@@ -347,8 +354,8 @@ class PartialDfa:
                 marks[state] = 1
         fresh = (counter == count
                  and names == [TRIE_START, *[f"s{i}" for i in range(1, count)]])
-        machine._named = [] if fresh else names
-        machine._index_of = {} if fresh else index_of
+        machine._named = _FRESH_NAMED if fresh else names
+        machine._index_of = _FRESH_INDEX_OF if fresh else index_of
         machine._shift = counter - count
         machine.accepting_count = marks.count(1)
         machine.max_accepted_length = maxaccept
@@ -413,28 +420,24 @@ class PartialDfa:
         """The name of the state created `index`-th (0 is the first)."""
         if index < len(self._named):
             return self._named[index]
-        return f"s{index + self._shift}" if index else TRIE_START
+        return f"s{index + self._shift}"
 
     def names(self):
         """Every state name, in creation order, as a new list."""
         named = self._named
-        first = len(named) or 1
         shift = self._shift
-        return ((named or [TRIE_START])
-                + [f"s{i}" for i in range(first + shift, len(self.marks) + shift)])
+        return named + [f"s{i}" for i in range(len(named) + shift,
+                                               len(self.marks) + shift)]
 
     def index(self, name):
         """The creation index of the state named `name`, or None."""
         index = self._index_of.get(name)
         if index is not None:
             return index
-        named = self._named
-        if name == TRIE_START and not named:
-            return 0
         if name[:1] == "s" and name[1:].isdecimal():
             index = int(name[1:]) - self._shift
-            fresh = range(len(named) or 1, len(self.marks))
-            if index in fresh and self.name(index) == name:
+            if (len(self._named) <= index < len(self.marks)
+                    and self.name(index) == name):
                 return index
         return None
 

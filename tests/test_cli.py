@@ -95,6 +95,14 @@ def test_state_with_stateless_model_is_a_usage_error(tmp_path, capsys):
     assert main(["query", "1", "--state", str(state)]) == 2
 
 
+def test_state_with_the_stateless_model_is_rejected_before_any_io(tmp_path, capsys):
+    missing = tmp_path / "no-such-world.pet"
+    assert main(["query", "1", "--model", "v", "--state", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == "evosim: error: --state carries an evolving world; use --model e\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parallel_state_queries_serialize_into_one_history(tmp_path):
     # 000..111 is prefix-free, so every query grows the trie: a lost update
     # or a torn read shows as a missing string or an exit 2.

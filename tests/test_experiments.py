@@ -3,6 +3,8 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evosim import (
     BLANK,
@@ -24,6 +26,7 @@ from evosim import (
     sibling_search,
 )
 from evosim.engine import LOG_LIMIT
+from evosim.experiments import Answers
 
 # The right scanner with an `h` that walks on over blanks past the last
 # cell: asked at every step, so a rejected input is asked until the budget.
@@ -135,6 +138,40 @@ def test_saturation_answers_are_read_only_sequences():
     with pytest.raises(TypeError):
         answers[0] = ("0", "accepted")
     assert saturate(EvolvingModel(), 0).probe_answers == (("", "halted-rejected"),)
+
+
+@st.composite
+def answer_views(draw):
+    """An `Answers` view of random codes, with the default renderer or a
+    line renderer and a head of 0 or 1 entries, and the list it renders."""
+    length = draw(st.integers(0, 6))
+    codes = bytes(draw(st.lists(st.integers(0, len(Verdict) - 1),
+                                min_size=2 ** length, max_size=2 ** length)))
+    head = tuple(draw(st.lists(st.text(max_size=3), max_size=1)))
+    verdicts = list(Verdict)
+    texts = binary_strings(length)
+    if draw(st.booleans()):
+        view = Answers(length, codes, head=head)
+        rendered = [(text, verdicts[code].value) for text, code in zip(texts, codes)]
+    else:
+        view = Answers(length, codes, lambda text, code: f"{text}:{code}", head)
+        rendered = [f"{text}:{code}" for text, code in zip(texts, codes)]
+    return view, [*head, *rendered]
+
+
+@given(answer_views(), st.lists(st.slices(2 ** 6 + 1), max_size=8))
+def test_an_answers_view_reads_as_the_list_it_renders(drawn, slices):
+    view, expected = drawn
+    size = len(expected)
+    assert len(view) == size
+    assert list(view) == expected and view == expected and view == tuple(expected)
+    assert [view[i] for i in range(-size, size)] == expected + expected
+    for part in (slice(None), slice(1, 3), slice(-3, None), slice(None, None, -2),
+                 *slices):
+        assert view[part] == expected[part]
+    for index in (size, -size - 1):
+        with pytest.raises(IndexError):
+            view[index]
 
 
 def test_a_saturation_that_grows_nothing_retains_next_to_nothing():

@@ -225,6 +225,13 @@ def test_saturate_lines_equal_the_list_they_render():
     assert lines != expected[:-1] and lines != expected[:-1] + ["x"]
 
 
+def test_saturate_zero_is_its_header_and_one_probe_of_the_empty_string():
+    lines = ScenarioRunner(make_model("e")).execute(Command(1, "saturate", "0"))
+    assert lines == ["saturate 0 -> fed 2 length-1 strings (2 accepted)",
+                     "  probe  -> reject"]
+    assert lines[-1] == lines[1] and lines[-2] == lines[0]
+
+
 def test_a_slice_of_the_saturate_lines_is_a_list_of_its_lines():
     lines = ScenarioRunner(make_model("e")).execute(Command(1, "saturate", "3"))
     expected = list(lines)
