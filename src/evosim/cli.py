@@ -26,7 +26,8 @@ Exit status: 0 all expectations met, 1 expectation failure,
 A one-shot process pays for the modules it imports, so the scenario,
 experiment and procedure-file modules are imported only by the subcommands
 and flags that use them: `run`, `query` and `snapshot` load none of them
-without --proc.
+without --proc. Nor do they load `dataclasses` (see `evosim.trie` on
+`MachineStats`).
 """
 
 from __future__ import annotations

@@ -55,16 +55,20 @@ in `evosim.experiments`, call `_drive` itself, because they make tens of
 thousands of runs and would throw each report away; everything else calls
 `run`. Both go through the same acceptor calls in the same order.
 
-Value types: a type built on every run is a `typing.NamedTuple`, and a
-type built once per procedure, experiment or scenario is a frozen
-dataclass. A named tuple builds in about half the time (`Configuration`,
-`QueryOutcome`, `InvocationRecord`, `CostMeter`, `RunResult`), and
-faster still from positional arguments than from keywords; it also
-equals a plain tuple of the same values, iterates and orders, and takes
-`_replace` where a dataclass takes `dataclasses.replace`. The rest stay
-dataclasses, each for a reason: `Instruction` validates in
-`__post_init__`, `MachineStats` is digested by the benchmark with
-`dataclasses.astuple`, `Scenario` defines its own `__len__`, and
+Value types: a type built on every run is a `typing.NamedTuple`, and so
+is `Instruction`, which a run's report holds; a type built once per
+experiment or scenario is a frozen dataclass. A named tuple builds in
+about half the time (`Configuration`, `QueryOutcome`, `InvocationRecord`,
+`CostMeter`, `RunResult`), and faster still from positional arguments
+than from keywords; it also equals a plain tuple of the same values,
+iterates and orders, and takes `_replace` where a dataclass takes
+`dataclasses.replace`. `Instruction` checks its fields in `__new__`, and
+its `_make`, which `_replace` calls, goes through `__new__`, so no way of
+building one skips the check; and it keeps `dataclasses`, with the
+`inspect`, `ast` and `dis` that it imports, out of a one-shot CLI
+process. The rest stay dataclasses, each for a reason: `MachineStats` is
+digested by the benchmark with `dataclasses.astuple` (and is defined on
+first use, see `evosim.trie`), `Scenario` defines its own `__len__`, and
 `Command` and the experiment reports are built once per line or
 experiment, where the saving does not count.
 
@@ -78,7 +82,6 @@ while concurrent runs against distinct instances are safe.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DeterminationError, InvalidSymbolError
@@ -98,24 +101,38 @@ from .tape import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
-    """One rewrite rule: in `state` reading `read`, write `write`, move
-    one cell in `move`, and enter `target`."""
-
+class _InstructionFields(NamedTuple):
     state: str
     read: str
     target: str
     write: str
     move: str
 
-    def __post_init__(self):
-        if self.read not in ALPHABET or self.write not in ALPHABET:
+
+class Instruction(_InstructionFields):
+    """One rewrite rule: in `state` reading `read`, write `write`, move
+    one cell in `move`, and enter `target`.
+
+    A named tuple of those five fields that checks them when it is built,
+    by the constructor, `_make`, `_replace` or unpickling alike."""
+
+    __slots__ = ()
+
+    def __new__(cls, state, read, target, write, move):
+        self = super().__new__(cls, state, read, target, write, move)
+        if read not in ALPHABET or write not in ALPHABET:
             raise InvalidSymbolError(f"symbol outside alphabet in {self!r}")
-        if self.move not in MOVES:
-            raise ValueError(f"move must be L or R, got {self.move!r}")
-        if not self.state or not self.target:
+        if move not in MOVES:
+            raise ValueError(f"move must be L or R, got {move!r}")
+        if not state or not target:
             raise ValueError("state names must be nonempty")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # The named tuple's own `_make`, which `_replace` calls, skips
+        # `__new__` and so the checks.
+        return cls(*iterable)
 
     def key(self):
         return (self.state, self.read)

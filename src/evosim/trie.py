@@ -54,6 +54,15 @@ them. The format, like the layout it is read into, is known to this
 module only. The text is for files: `copy()` makes an independent machine
 equal to the one its snapshot decodes to by copying the arrays.
 
+Stats: `stats()` measures a machine as a `MachineStats`, a frozen,
+slotted dataclass, since the benchmark digests it with
+`dataclasses.astuple`. The class is defined on first use, by `stats()` or
+a lookup of the name (a PEP 562 module `__getattr__`), with the module
+and qualified name it would have at module level. So a one-shot CLI
+query, which never asks for stats, does not import `dataclasses` and the
+`inspect`, `ast` and `dis` that it drags in, some 12-15 ms of a fresh
+process.
+
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
 quiescent instance is safe. The arrays are written only by a query
@@ -67,7 +76,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence, Set
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -111,12 +119,34 @@ class QueryOutcome(NamedTuple):
     ticks: int
 
 
-@dataclass(frozen=True, slots=True)
-class MachineStats:
-    max_accepted_length: int
-    depth: int
-    state_count: int
-    accepting_count: int
+def __getattr__(name):
+    # PEP 562: `MachineStats` is defined on first use (see the module
+    # docstring); after that it is an ordinary module global.
+    if name == "MachineStats":
+        return _machine_stats()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _machine_stats():
+    """The `MachineStats` class, defined on the first call: a frozen,
+    slotted dataclass of a machine's measured figures."""
+    defined = globals().get("MachineStats")
+    if defined is not None:
+        return defined
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True, slots=True)
+    class MachineStats:
+        max_accepted_length: int
+        depth: int
+        state_count: int
+        accepting_count: int
+
+    # As if defined at module level: the repr and pickle read these.
+    MachineStats.__qualname__ = "MachineStats"
+    MachineStats.__module__ = __name__
+    # setdefault: two first calls at once still agree on one class.
+    return globals().setdefault("MachineStats", MachineStats)
 
 
 class _View:
@@ -166,7 +196,10 @@ class Transitions(_View, Mapping):
 
     def __getitem__(self, key):
         machine = self._machine
-        source, symbol = key
+        try:
+            source, symbol = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
         index = machine.index(source)
         if index is None or symbol not in TRIE_ALPHABET:
             raise KeyError(key)
@@ -430,11 +463,12 @@ class PartialDfa:
                                                len(self.marks) + shift)]
 
     def index(self, name):
-        """The creation index of the state named `name`, or None."""
+        """The creation index of the state named `name`, or None (also for
+        a `name` that is not a string)."""
         index = self._index_of.get(name)
         if index is not None:
             return index
-        if name[:1] == "s" and name[1:].isdecimal():
+        if isinstance(name, str) and name[:1] == "s" and name[1:].isdecimal():
             index = int(name[1:]) - self._shift
             if (len(self._named) <= index < len(self.marks)
                     and self.name(index) == name):
@@ -546,7 +580,7 @@ class PartialDfa:
     def stats(self):
         """Measured figures: the depth is recomputed by traversal, not read
         off a counter."""
-        return MachineStats(
+        return _machine_stats()(
             max_accepted_length=self.max_accepted_length,
             depth=self.depth(),
             state_count=self.state_count,

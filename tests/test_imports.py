@@ -1,7 +1,8 @@
 """What a process imports: `import evosim` loads none of its modules, the
 package still exports every name it did when it imported them all, and a
 one-shot `query --state` or `run --state` loads only the modules that it
-runs.
+runs. A one-shot `query`, `run` or `snapshot --state` loads no
+`dataclasses`, nor the modules that it drags in.
 
 The import checks run in a fresh interpreter, one child at a time, since
 this test process has long since imported everything.
@@ -44,22 +45,34 @@ EXPORTED_FROM = {
 }
 
 
-def _evosim_modules_after(code, *argv):
+# Modules a one-shot --state command must not load: `dataclasses` and the
+# heaviest of what it imports, about 12-15 ms of a fresh process.
+NOT_ON_THE_STATE_PATH = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_added(code, *argv):
     """Run `code` in a fresh interpreter with `argv` as sys.argv[1:]; the
-    evosim modules it left in sys.modules."""
+    lines it printed, and the modules it added to those that interpreter
+    start-up had loaded."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(SRC), path] if path else [str(SRC)]))
-    report = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-              " if m == 'evosim' or m.startswith('evosim.'))))")
-    proc = subprocess.run([sys.executable, "-c", code + report, *argv],
+    start = "import sys\n_startup = set(sys.modules)\n"
+    report = ("\n_added = sorted(set(sys.modules) - _startup)"
+              "\nimport json\nprint(json.dumps(_added))")
+    proc = subprocess.run([sys.executable, "-c", start + code + report, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    *out, added = proc.stdout.splitlines()
+    return out, json.loads(added)
+
+
+def _evosim_modules(modules):
+    return [m for m in modules if m == "evosim" or m.startswith("evosim.")]
 
 
 def test_import_evosim_loads_no_submodule():
-    assert json.loads(_evosim_modules_after("import evosim")[-1]) == ["evosim"]
+    assert _evosim_modules(_modules_added("import evosim")[1]) == ["evosim"]
 
 
 def test_a_state_query_loads_only_the_modules_it_runs(tmp_path):
@@ -68,14 +81,29 @@ def test_a_state_query_loads_only_the_modules_it_runs(tmp_path):
                              "(path 5, transitions 4, acceptor-ticks 7) final 101")):
         state = tmp_path / f"{command}.pet"
         state.write_text(encode_snapshot(EvolvingModel()), encoding="utf-8")
-        code = ("import sys\nfrom evosim.cli import main\n"
+        code = ("from evosim.cli import main\n"
                 "assert main([sys.argv[2], '101', '--model', 'e', '--state', sys.argv[1]]) == 0")
-        *out, loaded = _evosim_modules_after(code, str(state), command)
+        out, added = _modules_added(code, str(state), command)
         assert out == [printed]
         assert "accept: s3" in state.read_text(encoding="utf-8")
-        assert json.loads(loaded) == ["evosim", "evosim.cli", "evosim.engine",
-                                      "evosim.errors", "evosim.runner",
-                                      "evosim.tape", "evosim.trie"]
+        assert _evosim_modules(added) == ["evosim", "evosim.cli", "evosim.engine",
+                                          "evosim.errors", "evosim.runner",
+                                          "evosim.tape", "evosim.trie"]
+
+
+@pytest.mark.parametrize("command", ["query", "run", "snapshot"])
+def test_a_state_command_loads_no_dataclasses(tmp_path, command):
+    state = tmp_path / "world.pet"
+    world = EvolvingModel()
+    world.trie.query("0110")
+    state.write_text(encode_snapshot(world), encoding="utf-8")
+    argv = [command, *(["101"] if command != "snapshot" else []),
+            "--model", "e", "--state", str(state)]
+    code = "from evosim.cli import main\nassert main(sys.argv[1:]) == 0"
+    out, added = _modules_added(code, *argv)
+    assert out and "evosim.trie" in added
+    assert NOT_ON_THE_STATE_PATH.isdisjoint(added), sorted(
+        NOT_ON_THE_STATE_PATH.intersection(added))
 
 
 @pytest.mark.parametrize("module, name", [

@@ -145,6 +145,24 @@ def test_a_symbol_outside_the_alphabet_has_no_transition():
     assert ("q0", "2") not in m.transitions
 
 
+def test_a_key_of_another_type_is_absent_as_from_a_dict_or_set():
+    m = PartialDfa()
+    for text in ("101", "0"):
+        m.query(text)
+    # The same world keeping its names, by a counter raised by one.
+    kept = PartialDfa.from_snapshot(m.snapshot().replace("counter: 5", "counter: 6"))
+    for machine in (m, kept):
+        for key in ((0, "0"), (None, "0"), 5, None, (), ("q0",), ("q0", "0", "s1")):
+            assert key not in machine.transitions
+            assert machine.transitions.get(key) is None
+            with pytest.raises(KeyError):
+                machine.transitions[key]
+        for name in (5, 0, None, ("q0",)):
+            assert name not in machine.accepting
+            assert machine.index(name) is None
+        assert ("q0", "1") in machine.transitions and "s3" in machine.accepting
+
+
 def test_a_fresh_machine_resolves_its_first_grown_state():
     m = PartialDfa()
     m.query("1")
