@@ -121,10 +121,13 @@ def _open_world(args):
 def _state_lock(state):
     """Hold an exclusive lock on the sidecar FILE.lock of a --state file, so
     concurrent invocations take turns from load to write-back. The sidecar
-    is never deleted: a new one would let two holders in at once."""
+    is never deleted: a new one would let two holders in at once. A
+    missing file raises before the sidecar is made, so none is left
+    beside a path that holds no world."""
     if not state:
         yield
         return
+    os.stat(state)
     with open(state + ".lock", "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:

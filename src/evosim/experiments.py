@@ -8,10 +8,11 @@ engine.
 
 `saturate` and `sibling_search` make one run per string of a length and
 read only their verdicts, so they call the run loop itself,
-`evosim.runner._drive`, in place of `run`: the same acceptor calls in the
-same order, without the report that `run` builds around it (`RunResult`,
-`CostMeter`, the tuple of applied instructions and the final string).
-Everything else here calls `run`.
+`evosim.runner._drive`, in place of `run`, and hand it no list to record
+the applied instructions in: the same acceptor calls in the same order,
+without the record of steps or the report that `run` builds around it
+(`RunResult`, `CostMeter`, the tuple of applied instructions and the final
+string). Everything else here calls `run`.
 
 A saturation pass keeps one verdict code per run, and `Answers` is the one
 read-only view over such codes: it renders each entry on access, as a
@@ -34,9 +35,9 @@ from .runner import (ACCEPTED, DEFAULT_BUDGET, Verdict, _drive, answer_word,
 
 
 def binary_strings(length):
-    """All binary strings of the given length, lexicographically."""
-    for bits in itertools.product("01", repeat=length):
-        yield "".join(bits)
+    """All binary strings of the given length, lexicographically, as an
+    iterator (a `map` that joins each in C)."""
+    return map("".join, itertools.product("01", repeat=length))
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +66,9 @@ def _delta(before, after):
     return StructureDelta(*(a - b for b, a in zip(before, after)))
 
 
-# One byte per saturation run: the index of its verdict in `Verdict`.
-_VERDICT_CODE = {verdict: code for code, verdict in enumerate(Verdict)}
+# One byte per saturation run: the index of its verdict in `Verdict`, found
+# by identity (a dict would call the enum's Python-level `__hash__`).
+_VERDICT_CODE = tuple(Verdict).index
 _VERDICT_VALUE = tuple(verdict.value for verdict in Verdict)
 
 
@@ -139,7 +141,7 @@ def _verdicts(model, procedure, length, budget):
     """Run the procedure on every string of the given length, in
     `binary_strings` order; their answers."""
     return Answers(length, bytes(
-        _VERDICT_CODE[_drive(model, procedure, text, budget)[0]]
+        _VERDICT_CODE(_drive(model, procedure, text, budget)[0])
         for text in binary_strings(length)))
 
 

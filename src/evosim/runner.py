@@ -36,23 +36,25 @@ cell whose instruction is not such a loop, with one `bytearray.find` or
 `rfind` per symbol, or at the end of the budget; a right crossing in h
 stops at the last cell, and one in another state that loops on blanks runs
 past the end of the tape. Rewrites (the increment machine's carry) are
-stepped one cell at a time. A crossing extends the applied instructions in
-one call (a `map` over the crossed cells, or an `itertools.repeat` where
-one symbol loops). Every configuration it skips has the same instruction
-under single steps, and none is in h on a blank at a tape edge, so the
-acceptor contract answers NO there without a call, and a crossing skips no
-acceptor call; `applied`, the costs, the verdicts and the final string are
-those of single steps.
+stepped one cell at a time. A crossing extends a record of the applied
+instructions in one call (a `map` over the crossed cells, or an
+`itertools.repeat` where one symbol loops). Every configuration it skips
+has the same instruction under single steps, and none is in h on a blank
+at a tape edge, so the acceptor contract answers NO there without a call,
+and a crossing skips no acceptor call; `applied`, the costs, the verdicts
+and the final string are those of single steps.
 
 One loop, two readers: the loop is the private `_drive`, which returns the
-verdict, the final tape and the applied instructions, and `run` wraps it
-in a `RunResult` with its `CostMeter` and final string. The loop makes one
+verdict and the final tape, and records the applied instructions only when
+its caller hands it a list. `run` hands it one and wraps the outcome in a
+`RunResult` with its `CostMeter` and final string. The loop makes one
 `walk` per acceptor question, plus the first: `walk` stops where it must
-ask and says whether an instruction applies there, so after the answer the
-run ends (no instruction applies, or the budget is used up) or walks on.
-The experiments that read only verdicts, `saturate` and `sibling_search`
-in `evosim.experiments`, call `_drive` itself, because they make tens of
-thousands of runs and would throw each report away; everything else calls
+ask, says whether an instruction applies there and returns the budget
+left, so after the answer the run ends (no instruction applies, or the
+budget is used up) or walks on. The experiments that read only verdicts,
+`saturate` and `sibling_search` in `evosim.experiments`, call `_drive`
+itself with no list, because they make tens of thousands of runs and
+would throw each report and each record away; everything else calls
 `run`. Both go through the same acceptor calls in the same order.
 
 Value types: a type built on every run is a `typing.NamedTuple`, and so
@@ -307,31 +309,30 @@ def select_instruction(procedure, config):
     return step_config(procedure._steps, config)[0]
 
 
-def _drive(model, procedure, text, budget):
-    """The run loop of `run`, without its report: (verdict, cells, applied),
-    where `cells` is the final tape (a `bytearray` of cell codes) and
-    `applied` the list of applied instructions. `run` wraps it, and
-    `saturate` and `sibling_search` call it for the verdict alone (see the
-    module docstring)."""
+def _drive(model, procedure, text, budget, applied=None):
+    """The run loop of `run`, without its report: (verdict, cells), where
+    `cells` is the final tape (a `bytearray` of cell codes). The applied
+    instructions are appended to `applied` when it is a list; None records
+    none. `run` wraps it, and `saturate` and `sibling_search` call it for
+    the verdict alone (see the module docstring)."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     cells = start_tape(text)
     steps = procedure._steps
-    applied = []
-    state, pos = START_STATE, 0
+    state, pos, room = START_STATE, 0, budget
     while True:
-        state, pos, halted, asking = walk(steps, cells, pos, state,
-                                          budget - len(applied), applied)
+        state, pos, halted, asking, room = walk(steps, cells, pos, state,
+                                                room, applied)
         # A walk that did not stop to ask ends where the answer is NO: the
         # start configuration (the start state is not the halt state), or
         # one that is not h on a blank at a tape edge.
         if not asking:
-            return HALTED_REJECTED if halted else BUDGET_EXCEEDED, cells, applied
+            return HALTED_REJECTED if halted else BUDGET_EXCEEDED, cells
         answer = model.accept(tape_view(state, cells, pos))
         if halted:
-            return ACCEPTED if answer else HALTED_REJECTED, cells, applied
-        if len(applied) == budget:
-            return BUDGET_EXCEEDED, cells, applied
+            return ACCEPTED if answer else HALTED_REJECTED, cells
+        if not room:
+            return BUDGET_EXCEEDED, cells
 
 
 def run(model, procedure, text, budget=DEFAULT_BUDGET):
@@ -345,12 +346,14 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     `budget` bounds transition steps, not acceptor work; exhausting it
     yields the BUDGET_EXCEEDED verdict rather than an error.
 
-    The loop itself is `_drive`; `run` reads the acceptor's tick counter
-    around it and builds the report: the costs, the applied instructions
-    as a tuple and the final string.
+    The loop itself is `_drive`, which records the applied instructions in
+    a list of `run`'s; `run` reads the acceptor's tick counter around it
+    and builds the report: the costs, the applied instructions as a tuple
+    and the final string.
     """
     ticks_before = model.acceptor_ticks
-    verdict, cells, applied = _drive(model, procedure, text, budget)
+    applied = []
+    verdict, cells = _drive(model, procedure, text, budget, applied)
     steps = len(applied)
     # Positional: a named tuple built by keyword costs about 0.5 us more.
     cost = CostMeter(steps + 1, steps, model.acceptor_ticks - ticks_before)

@@ -121,53 +121,57 @@ def step_table(instructions):
 
 def walk(steps, cells, pos, state, room, applied):
     """Step a mutable tape in place from `state` with the head on `pos`;
-    return the new (state, pos, halted, asking).
+    return the new (state, pos, halted, asking, room), `room` being the
+    steps left.
 
     `cells` is the whole allocated tape, cell 0 being the origin. Each
-    applied instruction is appended to `applied`. The walk takes at most
-    `room` steps. It stops at the first configuration that a step reaches
-    in the halt state on a blank at a tape edge, cell 0 or the last cell,
-    so that the caller can ask an acceptor about it (asking is True); where
-    no instruction of `steps` applies; or where the room is used up. The
-    halt state on a blank inside the tape is not a stop. `halted` says
-    whether no instruction applies where the walk stopped, by the rule at
-    the top of its loop: none is keyed on the state and the cell, or it
-    moves left at the origin. So after an edge question the caller knows
-    without a second walk whether the run ends there, and asking and halted
-    both False mean that the room ran out.
+    applied instruction is appended to `applied` when it is a list; None
+    records nothing, and the room returned is then the only count of the
+    steps. The walk takes at most `room` steps. It stops at the first
+    configuration that a step reaches in the halt state on a blank at a
+    tape edge, cell 0 or the last cell, so that the caller can ask an
+    acceptor about it (asking is True); where no instruction of `steps`
+    applies; or where the room is used up. The halt state on a blank
+    inside the tape is not a stop. `halted` says whether no instruction
+    applies where the walk stopped, by the rule at the top of its loop:
+    none is keyed on the state and the cell, or it moves left at the
+    origin. So after an edge question the caller knows without a second
+    walk whether the run ends there, and asking and halted both False mean
+    that the room ran out.
 
     A loop (see `step_table`) crosses the run of cells it loops on in one
-    move, with the same applied instructions as single steps: up to the
-    nearest stopper that way, with one C-level search per stopper code, or
-    up to the room. A left crossing stops at the origin at the latest; a
-    left move does not apply there. A right crossing stops, at the latest,
-    at the end of the tape where a blank is a stopper, so that the usual
-    blank is appended, and at the last cell in the halt state, since the
-    halt state on a blank there is an acceptor question; a head already on
-    the last cell moves one past it. Any other state that loops on a blank
-    runs past the end, and the tape is extended with blanks. So every
-    configuration a crossing skips is one that single steps pass through
-    with the same instruction, and none is the halt state on a blank at a
-    tape edge.
+    move, using the same room and applying the same instructions as single
+    steps: up to the nearest stopper that way, with one C-level search per
+    stopper code, or up to the room. A left crossing stops at the origin
+    at the latest; a left move does not apply there. A right crossing
+    stops, at the latest, at the end of the tape where a blank is a
+    stopper, so that the usual blank is appended, and at the last cell in
+    the halt state, since the halt state on a blank there is an acceptor
+    question; a head already on the last cell moves one past it. Any other
+    state that loops on a blank runs past the end, and the tape is
+    extended with blanks. So every configuration a crossing skips is one
+    that single steps pass through with the same instruction, and none is
+    the halt state on a blank at a tape edge.
     """
     asking = False
     while True:
         entry = steps.get((state, cells[pos]))
         if entry is None:
-            return state, pos, True, asking
+            return state, pos, True, asking, room
         write, moves_right, target, inst, run = entry
         # A left move at the origin does not apply.
         if not (pos or moves_right):
-            return state, pos, True, asking
+            return state, pos, True, asking, room
         if asking or not room:
-            return state, pos, False, asking
+            return state, pos, False, asking, room
         # A crossing of one cell is a single step, and the replay of a path
         # takes only those.
         if run is None or room == 1:
             cells[pos] = write
             pos += 1 if moves_right else -1
             state = target
-            applied.append(inst)
+            if applied is not None:
+                applied.append(inst)
             room -= 1
         else:
             stoppers, getter, single = run
@@ -184,17 +188,18 @@ def walk(steps, cells, pos, state, room, applied):
                         stop = found
                 if stop > end:
                     cells.extend(bytes(stop - end))
-                crossed = cells[pos:stop]
+                crossed = stop - pos
             else:
                 stop = pos - room if pos > room else 0
                 for code in stoppers:
                     found = cells.rfind(code, stop, pos)
                     if found >= 0:
                         stop = found
-                crossed = cells[pos:stop:-1]
-            applied.extend(map(getter, crossed) if single is None
-                           else repeat(single, len(crossed)))
-            room -= len(crossed)
+                crossed = pos - stop
+            if applied is not None:
+                applied.extend(repeat(single, crossed) if single is not None else map(
+                    getter, cells[pos:stop] if moves_right else cells[pos:stop:-1]))
+            room -= crossed
             pos = stop
         # A right move off the last cell appends a blank.
         if pos == len(cells):
@@ -213,8 +218,8 @@ def step_config(steps, config):
         raise InvalidSymbolError(f"symbol outside alphabet in {config!r}")
     cells = bytearray(tape.replace(BLANK, "\0"), "ascii")
     applied = []
-    state, pos, _, _ = walk(steps, cells, len(config.left), config.state, 1,
-                            applied)
+    state, pos = walk(steps, cells, len(config.left), config.state, 1,
+                      applied)[:2]
     if not applied:
         return None, None
     return applied[0], tape_view(state, cells, pos)

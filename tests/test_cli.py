@@ -103,6 +103,14 @@ def test_state_with_the_stateless_model_is_rejected_before_any_io(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_missing_state_file_leaves_no_lock_sidecar(tmp_path, capsys):
+    missing = tmp_path / "no-such-world.pet"
+    assert main(["query", "1", "--model", "e", "--state", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"evosim: error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parallel_state_queries_serialize_into_one_history(tmp_path):
     # 000..111 is prefix-free, so every query grows the trie: a lost update
     # or a torn read shows as a missing string or an exit 2.

@@ -1,5 +1,6 @@
 """Saturation, sibling search, traced runs, the order demo."""
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -118,6 +119,29 @@ def test_saturate_and_sibling_search_match_a_loop_over_run(procedure, history):
     assert encode_snapshot(world) == encode_snapshot(reference)
     assert world.acceptor_ticks == reference.acceptor_ticks
     assert list(world.invocation_log) == list(reference.invocation_log)
+
+
+def test_a_saturation_pass_codes_its_verdicts_in_verdict_order():
+    # "1010" leaves "101" one step below an accepting chain end, and a
+    # budget of 4 steps cuts every 4-symbol feed run one step short of its
+    # edge: the feed ends out of budget, the probes accepted or rejected.
+    model = EvolvingModel()
+    run(model, right_scanner(), "1010")
+    reference = fork(model)
+    report = saturate(model, 3, budget=4)
+    verdicts = [run(reference, right_scanner(), text, 4).verdict
+                for length in (4, 3) for text in binary_strings(length)]
+    assert set(verdicts) == set(Verdict)
+    order = {Verdict.ACCEPTED: 0, Verdict.HALTED_REJECTED: 1, Verdict.BUDGET_EXCEEDED: 2}
+    assert list(order) == list(Verdict)
+    codes = report.feed_answers.codes + report.probe_answers.codes
+    assert codes == bytes(order[verdict] for verdict in verdicts)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_binary_strings_are_the_joined_product(n):
+    assert list(binary_strings(n)) == ["".join(bits)
+                                       for bits in itertools.product("01", repeat=n)]
 
 
 def test_saturation_answers_are_read_only_sequences():

@@ -206,9 +206,9 @@ def test_sweep_states_of_the_shipped_machines():
     h_right = Procedure([Instruction("h", BLANK, "h", BLANK, "R")])
     assert loop_keys(h_right) == {("h", BLANK)}
     cells, applied = bytearray(3), []
-    assert walk(h_right._steps, cells, 0, "h", 10, applied) == ("h", 2, False, True)
+    assert walk(h_right._steps, cells, 0, "h", 10, applied) == ("h", 2, False, True, 8)
     assert (len(applied), len(cells)) == (2, 3)
-    assert walk(h_right._steps, cells, 2, "h", 10, applied) == ("h", 3, False, True)
+    assert walk(h_right._steps, cells, 2, "h", 10, applied) == ("h", 3, False, True, 9)
     assert (len(applied), len(cells)) == (3, 4)
 
 
@@ -361,7 +361,8 @@ def test_the_budget_ends_a_run_only_where_an_instruction_applies(
     result = run(world, procedure, text, budget)
     assert (result.verdict, len(result.applied), len(world.asked)) == expected
     world = SpyModel()
-    verdict, _, applied = _drive(world, procedure, text, budget)
+    applied = []
+    verdict, _ = _drive(world, procedure, text, budget, applied)
     assert (verdict, len(applied), len(world.asked)) == expected
 
 
@@ -461,15 +462,47 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
     procedure = Procedure(Instruction(s, r, t, w, m)
                           for (s, r), (t, w, m) in table.items())
     for make in (SpyModel, lambda: fork(GROWN)):
-        driven, reported = make(), make()
-        verdict, cells, applied = _drive(driven, procedure, text, budget)
+        # A driver that records the applied instructions, one that records
+        # none, and `run`, each on a world of its own.
+        driven, bare, reported = make(), make(), make()
+        applied = []
+        verdict, cells = _drive(driven, procedure, text, budget, applied)
+        bare_verdict, bare_cells = _drive(bare, procedure, text, budget, None)
         result = run(reported, procedure, text, budget)
-        assert verdict is result.verdict
+        assert verdict is bare_verdict is result.verdict
         assert tuple(applied) == result.applied
+        assert cells == bare_cells
         assert tape_string(cells) == result.final_string
-        # Both worlds start at 0 ticks, so the counters are the deltas.
-        assert driven.acceptor_ticks == reported.acceptor_ticks == result.cost.acceptor_ticks
-        assert list(driven.invocation_log) == list(reported.invocation_log)
-        assert encode_snapshot(driven) == encode_snapshot(reported)
-        if isinstance(driven, SpyModel):
-            assert driven.asked == reported.asked
+        # The worlds start at 0 ticks, so the counters are the deltas.
+        for world in (driven, bare):
+            assert world.acceptor_ticks == result.cost.acceptor_ticks
+            assert list(world.invocation_log) == list(reported.invocation_log)
+            assert encode_snapshot(world) == encode_snapshot(reported)
+            if isinstance(world, SpyModel):
+                assert world.asked == reported.asked
+
+
+# 400 examples in tier-1; more under a larger profile, such as `deep`.
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(procedures, st.text(alphabet=SYMBOLS, min_size=1, max_size=24),
+       st.integers(min_value=0, max_value=23), st.sampled_from(STATES),
+       st.integers(min_value=0, max_value=60))
+# Crossings: rightward to the edge in h, leftward back to the origin, and
+# past the end of the tape.
+@example(SCANNER_TABLE, BLANK + "0110", 0, "q0", 40)
+@example(REWIND_TABLE, BLANK + "0110110", 0, "q0", 30)
+@example(RUNAWAY_TABLE, BLANK, 0, "q0", 37)
+def test_a_walk_without_a_record_agrees_with_a_recorded_one(table, tape, pos, state, room):
+    # From any state, head cell and room: the same stop and the same tape
+    # whether the applied instructions are recorded or not, and the room
+    # used is the number recorded.
+    steps = Procedure(Instruction(s, r, t, w, m)
+                      for (s, r), (t, w, m) in table.items())._steps
+    pos %= len(tape)
+    recorded = bytearray(tape.replace(BLANK, "\0"), "ascii")
+    bare = bytearray(recorded)
+    applied = []
+    stop = walk(steps, recorded, pos, state, room, applied)
+    assert walk(steps, bare, pos, state, room, None) == stop
+    assert bare == recorded
+    assert room - stop[4] == len(applied)

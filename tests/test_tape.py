@@ -200,7 +200,7 @@ def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move)
     assert steps == {("p", CODE[head]): (CODE[write], move == "R", "q", inst, None)}
     cells = byte_tape(left + head + right)
     applied = []
-    state, pos, halted, _ = walk(steps, cells, len(left), "p", 1, applied)
+    state, pos, halted, _, _ = walk(steps, cells, len(left), "p", 1, applied)
     # No instruction is keyed on q, so the walk ends halted either way.
     assert halted
     # The two tape rules, stated apart from the code that applies them.
