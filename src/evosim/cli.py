@@ -26,8 +26,8 @@ Exit status: 0 all expectations met, 1 expectation failure,
 A one-shot process pays for the modules it imports, so the scenario,
 experiment and procedure-file modules are imported only by the subcommands
 and flags that use them: `run`, `query` and `snapshot` load none of them
-without --proc. Nor do they load `dataclasses` (see `evosim.trie` on
-`MachineStats`).
+without --proc. No subcommand loads `dataclasses`, unless a scenario or
+REPL line runs `stats` (see `evosim.trie` on `MachineStats`).
 """
 
 from __future__ import annotations
@@ -121,13 +121,16 @@ def _open_world(args):
 def _state_lock(state):
     """Hold an exclusive lock on the sidecar FILE.lock of a --state file, so
     concurrent invocations take turns from load to write-back. The sidecar
-    is never deleted: a new one would let two holders in at once. A
-    missing file raises before the sidecar is made, so none is left
-    beside a path that holds no world."""
+    is never deleted: a new one would let two holders in at once. A path
+    that cannot be opened for reading (missing, a directory) raises before
+    the sidecar is made, so none is left beside a path that holds no world.
+    That probe is closed at once: the world is read by path under the
+    lock, since a descriptor opened before it could hold a world that a
+    write-back has since replaced."""
     if not state:
         yield
         return
-    os.stat(state)
+    open(state, "rb").close()
     with open(state + ".lock", "ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
@@ -209,7 +212,7 @@ def _cmd_scenario(world, args):
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
     runner = ScenarioRunner(world.model, world.procedure, world.budget,
                             path.parent)
-    for command in scenario.commands:
+    for command in scenario:
         for line in runner.execute(command):
             print(line)
     world.model = runner.model

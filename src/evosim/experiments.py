@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import EvolvingModel, encode_snapshot
 # right_scanner lives beside Procedure, so that the CLI builds its default
@@ -40,8 +40,7 @@ def binary_strings(length):
     return map("".join, itertools.product("01", repeat=length))
 
 
-@dataclass(frozen=True, slots=True)
-class StructureDelta:
+class StructureDelta(NamedTuple):
     """How much an experiment grew the embedded trie."""
 
     states: int
@@ -128,8 +127,7 @@ class Answers(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     probe_length: int
     precondition_ok: bool
     fed: int
@@ -170,8 +168,7 @@ def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SiblingSearchResult:
+class SiblingSearchResult(NamedTuple):
     found: bool
     queries_used: int
     witness: str | None
@@ -205,8 +202,7 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
                                _delta(before, _counts(model)))
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-run bookkeeping of the acceptor's trie consultations.
 
     `halting_configs` are the configurations on which the trie ran;

@@ -57,22 +57,19 @@ itself with no list, because they make tens of thousands of runs and
 would throw each report and each record away; everything else calls
 `run`. Both go through the same acceptor calls in the same order.
 
-Value types: a type built on every run is a `typing.NamedTuple`, and so
-is `Instruction`, which a run's report holds; a type built once per
-experiment or scenario is a frozen dataclass. A named tuple builds in
-about half the time (`Configuration`, `QueryOutcome`, `InvocationRecord`,
-`CostMeter`, `RunResult`), and faster still from positional arguments
-than from keywords; it also equals a plain tuple of the same values,
-iterates and orders, and takes `_replace` where a dataclass takes
-`dataclasses.replace`. `Instruction` checks its fields in `__new__`, and
-its `_make`, which `_replace` calls, goes through `__new__`, so no way of
-building one skips the check; and it keeps `dataclasses`, with the
-`inspect`, `ast` and `dis` that it imports, out of a one-shot CLI
-process. The rest stay dataclasses, each for a reason: `MachineStats` is
-digested by the benchmark with `dataclasses.astuple` (and is defined on
-first use, see `evosim.trie`), `Scenario` defines its own `__len__`, and
-`Command` and the experiment reports are built once per line or
-experiment, where the saving does not count.
+Value types: every value type of the package is a `typing.NamedTuple`,
+the per-run ones here and in `evosim.tape`, `evosim.trie` and
+`evosim.engine`, and the experiment reports and scenario commands (a
+parsed `Scenario` is a tuple of its `Command`s). A named tuple builds in
+about half the time of a frozen dataclass, and faster still from
+positional arguments than from keywords; it equals a plain tuple of the
+same values, iterates and orders, and takes `_replace` and `_asdict`;
+and none of them makes a process import `dataclasses`, with the
+`inspect`, `ast` and `dis` that it imports. `Instruction` checks its
+fields in `__new__`, and its `_make`, which `_replace` calls, goes through
+`__new__`, so no way of building one skips the check. The one exception
+is `MachineStats`, a dataclass defined on first use (see `evosim.trie`),
+because the benchmark digests it with `dataclasses.astuple`.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.

@@ -28,8 +28,8 @@ continues; transcripts are byte-stable across runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .engine import EvolvingModel, fork, make_model
 from .errors import ScenarioError
@@ -47,19 +47,21 @@ _CODE_WORD = tuple(map(answer_word, Verdict))
 _ACCEPTED_CODE = tuple(Verdict).index(Verdict.ACCEPTED)
 
 
-@dataclass(frozen=True, slots=True)
-class Command:
+class Command(NamedTuple):
     line_no: int
     kind: str
     arg: str
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
-    commands: tuple
+class Scenario(tuple):
+    """A parsed scenario: the tuple of its commands, in line order;
+    `commands` returns them as a plain tuple."""
 
-    def __len__(self):
-        return len(self.commands)
+    __slots__ = ()
+    commands = property(tuple)
+
+    def __repr__(self):
+        return f"Scenario(commands={tuple(self)!r})"
 
 
 def _binary_or_die(arg, line_no, what):
@@ -155,7 +157,7 @@ def parse_scenario(text):
         command = parser.parse_line(raw, line_no)
         if command is not None:
             commands.append(command)
-    return Scenario(tuple(commands))
+    return Scenario(commands)
 
 
 def show_config(config):
@@ -306,7 +308,7 @@ def execute_scenario(scenario, budget=DEFAULT_BUDGET, base_dir=None):
     """
     runner = ScenarioRunner(budget=budget, base_dir=base_dir)
     lines = []
-    for command in scenario.commands:
+    for command in scenario:
         lines.extend(runner.execute(command))
     lines.append(runner.summary())
     return "\n".join(lines) + "\n", runner.passed

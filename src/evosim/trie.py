@@ -172,7 +172,11 @@ class StateNames(_View, Sequence):
         return self._machine.state_count
 
     def __getitem__(self, index):
-        return self._machine.names()[index]
+        if isinstance(index, slice):
+            return self._machine.names()[index]
+        # One name, without building the list of all of them: the range
+        # checks the index and counts a negative one from the end.
+        return self._machine.name(range(len(self))[index])
 
     def __iter__(self):
         return iter(self._machine.names())

@@ -111,6 +111,15 @@ def test_a_missing_state_file_leaves_no_lock_sidecar(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_directory_as_state_file_leaves_no_lock_sidecar(tmp_path, capsys):
+    directory = tmp_path / "world.pet"
+    directory.mkdir()
+    assert main(["query", "1", "--model", "e", "--state", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"evosim: error: [Errno 21] Is a directory: '{directory}'\n"
+    assert list(tmp_path.iterdir()) == [directory]
+
+
 def test_parallel_state_queries_serialize_into_one_history(tmp_path):
     # 000..111 is prefix-free, so every query grows the trie: a lost update
     # or a torn read shows as a missing string or an exit 2.

@@ -135,6 +135,34 @@ def test_views_and_counters_agree():
     assert m.creation_counter == 9
 
 
+def _grown(m):
+    for text in ("101", "10", "", "0110"):
+        m.query(text)
+    return m
+
+
+@pytest.mark.parametrize("start", [None, OUT_OF_ORDER, OWN_NAMES],
+                         ids=["fresh", "out-of-order", "own-names"])
+def test_a_state_index_reads_one_name(start, monkeypatch):
+    m = _grown(PartialDfa() if start is None else PartialDfa.from_snapshot(start))
+    names = m.names()
+    count = len(names)
+    slices = [slice(None), slice(1, 3), slice(-2, None), slice(None, None, -2)]
+    assert [m.states[index] for index in slices] == [names[index] for index in slices]
+
+    def names_called():
+        raise AssertionError("an index built the list of every name")
+
+    monkeypatch.setattr(m, "names", names_called)
+    for index in range(-count, count):
+        assert m.states[index] == names[index]
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            m.states[index]
+    with pytest.raises(TypeError):
+        m.states["s1"]
+
+
 def test_a_symbol_outside_the_alphabet_has_no_transition():
     m = PartialDfa()
     m.query("0")

@@ -1,7 +1,9 @@
-"""The value types a run builds: tuples with the reprs, immutability and
-hashes they had as frozen dataclasses. `Instruction` checks its fields
-however it is built, and `MachineStats`, defined on first use, looks as it
-did when `evosim.trie` defined it at import."""
+"""The package's value types: named tuples with the reprs, immutability
+and hashes they had as frozen dataclasses, and a round trip through
+pickle. `Scenario` is a tuple of its commands. `Instruction` checks its
+fields however it is built, and `MachineStats`, the one dataclass left,
+defined on first use, looks as it did when `evosim.trie` defined it at
+import."""
 
 import copy
 import dataclasses
@@ -11,7 +13,9 @@ import pytest
 
 import evosim
 from evosim import (EvolvingModel, Instruction, InvalidSymbolError, PartialDfa,
-                    right_scanner, run, start_config)
+                    StructureDelta, right_scanner, run, run_traced, saturate,
+                    sibling_search, start_config)
+from evosim.scenario import Command, Scenario, parse_scenario
 from test_imports import _modules_added
 
 RUN_10 = ("RunResult(verdict=<Verdict.ACCEPTED: 'accepted'>, text='10', "
@@ -41,6 +45,21 @@ EXAMPLES = {
     "Instruction": (
         lambda: right_scanner().instructions[0],
         "Instruction(state='q0', read='△', target='h', write='△', move='R')"),
+    "Command": (
+        lambda: Command(3, "query", "101"),
+        "Command(line_no=3, kind='query', arg='101')"),
+    "StructureDelta": (
+        lambda: StructureDelta(1, 2, 3),
+        "StructureDelta(states=1, transitions=2, accepting=3)"),
+    "SiblingSearchResult": (
+        lambda: sibling_search(EvolvingModel(), "10"),
+        "SiblingSearchResult(found=True, queries_used=1, witness='00', "
+        "delta=StructureDelta(states=2, transitions=2, accepting=1))"),
+    "TraceRecord": (
+        lambda: run_traced(EvolvingModel(), right_scanner(), "10")[1],
+        "TraceRecord(halting_configs=(Configuration(state='h', left='△10', "
+        "head='△', right=''),), fed_strings=('10',), same_length=('10',), "
+        "longer_by_two=())"),
 }
 
 
@@ -58,6 +77,44 @@ def test_a_per_run_value_is_an_immutable_hashable_tuple(name):
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], None)
     assert value == again and hash(value) == hash(again)
+    twin = pickle.loads(pickle.dumps(value))
+    assert type(twin) is type(value) and twin == value
+
+
+def test_a_saturation_report_is_an_immutable_tuple():
+    # Unhashable, as it was as a dataclass: its answers are `Answers` views.
+    report = saturate(EvolvingModel(), 1)
+    assert repr(report) == (
+        "SaturationReport(probe_length=1, precondition_ok=True, fed=4, "
+        "feed_answers=Answers([('00', 'accepted'), ('01', 'accepted'), "
+        "('10', 'accepted'), ('11', 'accepted')]), probe_answers=Answers(["
+        "('0', 'halted-rejected'), ('1', 'halted-rejected')]))")
+    with pytest.raises(AttributeError):
+        report.fed = 0
+    assert report == tuple(report) == saturate(EvolvingModel(), 1)
+    assert report == (1, True, 4, [("00", "accepted"), ("01", "accepted"),
+                                   ("10", "accepted"), ("11", "accepted")],
+                      [("0", "halted-rejected"), ("1", "halted-rejected")])
+    twin = pickle.loads(pickle.dumps(report))
+    assert type(twin) is type(report) and twin == report
+
+
+def test_a_scenario_is_the_tuple_of_its_commands():
+    scenario = parse_scenario("model e\n# a comment\nquery 10\n")
+    commands = (Command(1, "model", "e"), Command(3, "query", "10"))
+    assert scenario == commands and tuple(scenario) == commands
+    assert type(scenario.commands) is tuple and scenario.commands == commands
+    assert len(scenario) == len(list(scenario)) == 2
+    assert repr(scenario) == ("Scenario(commands=(Command(line_no=1, kind='model', "
+                              "arg='e'), Command(line_no=3, kind='query', arg='10')))")
+    assert repr(parse_scenario("")) == "Scenario(commands=())"
+    with pytest.raises(AttributeError):
+        scenario.commands = ()
+    with pytest.raises(AttributeError):
+        scenario.extra = 1
+    twin = pickle.loads(pickle.dumps(scenario))
+    assert type(twin) is Scenario and twin == scenario
+    assert hash(twin) == hash(scenario)
 
 
 # Fields that the constructor rejects, with the error it raises.

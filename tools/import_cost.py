@@ -12,13 +12,16 @@ the host spreads over all of them:
     query --state        `evosim query` against a world file
     run --state          `evosim run` against the same world
     snapshot --state     `evosim snapshot` of the same world
+    scenario FILE        `evosim scenario` of a short script without `stats`
+    trace INPUT          `evosim trace` of one input in a fresh world
 
 The commands go through the console script's entry point (`main()` from
 `evosim.cli`) with the package from this checkout's `src`. The world is
 the 4,095-state trie that `saturate 10` grows, written once to a temporary
 directory and restored before every process, so each round does the same
 work: the query and the run ask a first-time string, grow the world and
-write it back.
+write it back. The script (`SCRIPT`) and the trace start from a fresh
+world and keep none.
 
 Prints, per case, its wall time in ms above `pass`: the min is its
 fastest process less the fastest `pass`, the median is over the rounds of
@@ -39,6 +42,9 @@ from time import perf_counter
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENTRY = "import sys; from evosim.cli import main; sys.exit(main())"
 QUERY = "1011001110001111"  # first-time in the world: the walk falls off it
+# A scenario of the commands that need the scenario and experiment modules,
+# but not `stats`, which alone loads `dataclasses` (for `MachineStats`).
+SCRIPT = "model e\nquery 101\nexpect accept\nsaturate 4\nbrute 110\n"
 # Wrapped around a case's one-line code for the module listing, written at
 # exit; `os` and `sys` are loaded by interpreter start-up, so the listing
 # adds no module of its own.
@@ -47,7 +53,7 @@ LISTING = ("try:\n    {}\nfinally:\n    import os, sys\n"
            "        out.write('\\n'.join(sys.modules))\n")
 
 
-def _cases(world):
+def _cases(world, script):
     state = ["--model", "e", "--state", str(world)]
     return {
         "pass": ("pass", []),
@@ -55,6 +61,8 @@ def _cases(world):
         "query --state": (ENTRY, ["query", QUERY, *state]),
         "run --state": (ENTRY, ["run", QUERY, *state]),
         "snapshot --state": (ENTRY, ["snapshot", *state]),
+        "scenario FILE": (ENTRY, ["scenario", str(script)]),
+        "trace INPUT": (ENTRY, ["trace", QUERY, "--model", "e"]),
     }
 
 
@@ -89,10 +97,12 @@ def main(argv):
         master = scratch / "master.pet"
         world = scratch / "world.pet"
         _grow_world(master)
+        script = scratch / "script.scn"
+        script.write_text(SCRIPT, encoding="utf-8")
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC), path] if path else [str(SRC)]))
-        cases = _cases(world)
+        cases = _cases(world, script)
         names = list(cases)
         times = {name: [] for name in names}
         for turn in range(rounds):
