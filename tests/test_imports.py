@@ -1,9 +1,9 @@
 """What a process imports: `import evosim` loads none of its modules, the
 package still exports every name it did when it imported them all, and a
 one-shot `query --state` or `run --state` loads only the modules that it
-runs. A one-shot `query`, `run` or `snapshot --state`, a `trace`, and a
-`scenario` without `stats` load no `dataclasses`, nor the modules that it
-drags in.
+runs. A one-shot `query`, `run`, `snapshot` or `trace --state`, and a
+`scenario --state` without `stats`, load no `dataclasses`, nor the modules
+that it drags in.
 
 The import checks run in a fresh interpreter, one child at a time, since
 this test process has long since imported everything.
@@ -92,21 +92,6 @@ def test_a_state_query_loads_only_the_modules_it_runs(tmp_path):
                                           "evosim.tape", "evosim.trie"]
 
 
-@pytest.mark.parametrize("command", ["query", "run", "snapshot"])
-def test_a_state_command_loads_no_dataclasses(tmp_path, command):
-    state = tmp_path / "world.pet"
-    world = EvolvingModel()
-    world.trie.query("0110")
-    state.write_text(encode_snapshot(world), encoding="utf-8")
-    argv = [command, *(["101"] if command != "snapshot" else []),
-            "--model", "e", "--state", str(state)]
-    code = "from evosim.cli import main\nassert main(sys.argv[1:]) == 0"
-    out, added = _modules_added(code, *argv)
-    assert out and "evosim.trie" in added
-    assert NOT_ON_THE_STATE_PATH.isdisjoint(added), sorted(
-        NOT_ON_THE_STATE_PATH.intersection(added))
-
-
 # A scenario that uses every command but `stats`, which alone measures a
 # machine as a `MachineStats` dataclass.
 NO_STATS = """\
@@ -123,15 +108,19 @@ snapshot load a
 """
 
 
-@pytest.mark.parametrize("command", ["scenario", "trace"])
-def test_a_scenario_without_stats_or_a_trace_loads_no_dataclasses(tmp_path, command):
+@pytest.mark.parametrize("command", ["query", "run", "snapshot", "scenario", "trace"])
+def test_a_state_command_loads_no_dataclasses(tmp_path, command):
+    state = tmp_path / "world.pet"
+    world = EvolvingModel()
+    world.trie.query("0110")
+    state.write_text(encode_snapshot(world), encoding="utf-8")
     script = tmp_path / "no_stats.scn"
     script.write_text(NO_STATS, encoding="utf-8")
-    argv = ["scenario", str(script)] if command == "scenario" else [
-        "trace", "101", "--model", "e"]
+    operand = {"snapshot": [], "scenario": [str(script)]}.get(command, ["101"])
+    argv = [command, *operand, "--model", "e", "--state", str(state)]
     code = "from evosim.cli import main\nassert main(sys.argv[1:]) == 0"
     out, added = _modules_added(code, *argv)
-    assert out and {"evosim.scenario", "evosim.experiments"} <= set(added)
+    assert out and "evosim.trie" in added
     assert NOT_ON_THE_STATE_PATH.isdisjoint(added), sorted(
         NOT_ON_THE_STATE_PATH.intersection(added))
 
