@@ -28,12 +28,17 @@ hand, decides which strings end up in the language at all.
 Layout: flat arrays indexed by creation order, after the child arrays of
 J. Aoe, "An efficient digital search algorithm by using a double-array
 structure", IEEE TSE 15(9), 1989. State i is the i-th state created;
-`kids0[i]` and `kids1[i]` (each an `array('l')`) hold its children on 0
-and on 1, and the `bytearray` `marks[i]` is 1 when it accepts. A child slot
-that holds the start state's index (`root`, 0 unless a decoded snapshot
-lists the start state elsewhere) is empty, since the start state is never
-a child. About 17 bytes per state, against some 190 for name strings in a
-dict keyed by (name, symbol) tuples. Names are mostly not stored: a
+`kids0[i]` and `kids1[i]` (each an `array('i')`, 4 bytes a slot) hold its
+children on 0 and on 1, and the `bytearray` `marks[i]` is 1 when it
+accepts. A child slot that holds the start state's index (`root`, 0 unless
+a decoded snapshot lists the start state elsewhere) is empty, since the
+start state is never a child. About 9 bytes per state, against some 190
+for name strings in a dict keyed by (name, symbol) tuples. A slot holds at
+most 2^31 - 1, so a machine has fewer than 2^31 states; nothing checks
+that bound. Such a machine's arrays alone would take some 19 GB, and a
+snapshot naming that many states runs out of memory in its `splitlines`
+and `split` long before a slot is written, so neither growth nor the
+decoder can reach it on a desk machine. Names are mostly not stored: a
 machine keeps the names of its first states, as a list with a dict from
 name to index for O(1) lookups by name, and names the rest `s<counter>`,
 computed from their index. With fresh names the start state `q0` is the
@@ -181,6 +186,21 @@ class StateNames(_View, Sequence):
     def __iter__(self):
         return iter(self._machine.names())
 
+    # Membership, `index` and `count` by one name lookup, not the mixins'
+    # scan of every name; a key that is not a name is absent.
+    def __contains__(self, name):
+        return self._machine.index(name) is not None
+
+    def index(self, name, start=0, stop=None):
+        """The position of `name`, as `list.index` gives it."""
+        found = self._machine.index(name)
+        if found is None or found not in range(len(self))[start:stop]:
+            raise ValueError(f"{name!r} is not in the state names")
+        return found
+
+    def count(self, name):
+        return int(name in self)
+
     def __eq__(self, other):
         if isinstance(other, (StateNames, list, tuple)):
             return self._machine.names() == list(other)
@@ -240,11 +260,13 @@ class AcceptingNames(_View, Set):
 
 
 def int_array(fill, count):
-    """An `array('l')` of `count` copies of `fill`. The array module is
-    imported here, on first use, so that a process that builds no trie
-    (the stateless model only) does not map it: about 0.25 MB of RSS."""
+    """An `array('i')` of `count` copies of `fill`: 4-byte signed slots,
+    which hold any state index (the module docstring gives the bound). The
+    array module is imported here, on first use, so that a process that
+    builds no trie (the stateless model only) does not map it: about
+    0.25 MB of RSS."""
     from array import array
-    return array("l", (fill,)) * count
+    return array("i", (fill,)) * count
 
 
 def _levels(kids0, kids1, root):
@@ -468,11 +490,13 @@ class PartialDfa:
 
     def index(self, name):
         """The creation index of the state named `name`, or None (also for
-        a `name` that is not a string)."""
+        a `name` that is not a string, hashable or not)."""
+        if not isinstance(name, str):
+            return None
         index = self._index_of.get(name)
         if index is not None:
             return index
-        if isinstance(name, str) and name[:1] == "s" and name[1:].isdecimal():
+        if name[:1] == "s" and name[1:].isdecimal():
             index = int(name[1:]) - self._shift
             if (len(self._named) <= index < len(self.marks)
                     and self.name(index) == name):

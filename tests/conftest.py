@@ -2,10 +2,12 @@
 
 `deep` runs a property at 20,000 examples where it takes its count from
 the profile, as the run loop's oracle-agreement property, the trie's
-lean-reader property and the parsers' mutated-text property do:
+lean-reader and reference-trie properties and the parsers' mutated-text
+property do:
 
     pytest tests/test_runner.py -k agrees --hypothesis-profile=deep
-    pytest tests/test_trie.py -k lean_reader_agrees --hypothesis-profile=deep
+    pytest tests/test_trie.py -k "lean_reader_agrees or reference_trie" \
+        --hypothesis-profile=deep
     pytest tests/test_parsers.py -k snapshot --hypothesis-profile=deep
 """
 

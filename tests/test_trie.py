@@ -16,6 +16,7 @@ from evosim import (
     binary_strings,
 )
 from ledger import QueryLedger, replay_check
+from oracle_trie import OracleTrie
 from test_decoder_record import OUT_OF_ORDER, OWN_NAMES
 
 queries = st.lists(st.text(alphabet="01", max_size=10), max_size=60)
@@ -106,7 +107,8 @@ def test_stats_fresh_and_after_growth():
 def test_full_trie_memory_per_state_is_bounded():
     # Name strings in a list, a dict keyed by (name, symbol) tuples and a
     # set of names held about 190 bytes per state here; two child slots of
-    # 8 bytes and one accepting byte per state hold about 20.
+    # 4 bytes and one accepting byte per state hold about 9, and slots of
+    # 8 bytes about 17.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -117,7 +119,15 @@ def test_full_trie_memory_per_state_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(machine.states) == 65_535
-    assert held / len(machine.states) <= 96
+    assert held / len(machine.states) <= 12
+
+
+def test_child_slots_take_four_bytes():
+    fresh = PartialDfa()
+    fresh.query("0110")
+    for machine in (fresh, PartialDfa.from_snapshot(fresh.snapshot()), fresh.copy(),
+                    PartialDfa.from_snapshot(OWN_NAMES)):
+        assert (machine.kids0.itemsize, machine.kids1.itemsize) == (4, 4)
 
 
 def test_views_and_counters_agree():
@@ -161,6 +171,37 @@ def test_a_state_index_reads_one_name(start, monkeypatch):
             m.states[index]
     with pytest.raises(TypeError):
         m.states["s1"]
+
+
+@pytest.mark.parametrize("start", [None, OUT_OF_ORDER, OWN_NAMES],
+                         ids=["fresh", "out-of-order", "own-names"])
+def test_name_membership_index_and_count_read_one_name(start, monkeypatch):
+    m = _grown(PartialDfa() if start is None else PartialDfa.from_snapshot(start))
+    names = m.names()
+    count = len(names)
+
+    def names_called():
+        raise AssertionError("a name lookup built the list of every name")
+
+    monkeypatch.setattr(m, "names", names_called)
+    states = m.states
+    for position, name in enumerate(names):
+        assert name in states and states.count(name) == 1
+        assert states.index(name) == position
+        for low, high in ((position, None), (-count, count + 5), (0, position + 1),
+                          (position - count, -1), (position + 1, None), (0, position),
+                          (count, 0)):
+            try:
+                expected = names.index(name, low, count if high is None else high)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    states.index(name, low, high)
+            else:
+                assert states.index(name, low, high) == expected
+    for key in ("s99", "q1", "", "s01", 5, None, ("q0",), ["q0"], b"q0"):
+        assert key not in states and states.count(key) == names.count(key) == 0
+        with pytest.raises(ValueError):
+            states.index(key)
 
 
 def test_a_symbol_outside_the_alphabet_has_no_transition():
@@ -367,3 +408,19 @@ def test_the_lean_reader_rejects_symbols_outside_the_alphabet():
     with pytest.raises(InvalidSymbolError):
         machine.answer("10x")
     assert machine.state_count == 1
+
+
+# 200 examples in tier-1; more under a larger profile (tests/conftest.py).
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(queries, queries)
+def test_the_trie_agrees_with_a_reference_trie(history, more):
+    machine, reference = PartialDfa(), OracleTrie()
+    for text in history:
+        assert machine.answer(text) == reference.answer(text)
+        assert machine.snapshot() == reference.snapshot()
+    # The machine, its copy and its decoded snapshot answer on independently.
+    forks = [machine, machine.copy(), PartialDfa.from_snapshot(machine.snapshot())]
+    for text in more:
+        expected = reference.answer(text)
+        assert [fork.answer(text) for fork in forks] == [expected] * 3
+    assert [fork.snapshot() for fork in forks] == [reference.snapshot()] * 3

@@ -2,6 +2,7 @@
 Standard library only.
 
     python3 tools/import_cost.py [ROUNDS]    # default: 15 rounds
+    python3 tools/import_cost.py [ROUNDS] --src A/src --src B/src
 
 Every case runs in a fresh interpreter, one process at a time, and the
 cases take turns round by round (in a rotated order), so that drift on
@@ -16,7 +17,11 @@ the host spreads over all of them:
     trace INPUT          `evosim trace` of one input in a fresh world
 
 The commands go through the console script's entry point (`main()` from
-`evosim.cli`) with the package from this checkout's `src`. The world is
+`evosim.cli`) with the package from this checkout's `src`, or from the
+`src` directory each `--src` names. Given two, the script compares two
+trees (say, two `git archive` copies of two commits): each round runs
+every case once per tree, the tree that goes first alternating from round
+to round, so that the drift of the host falls on both alike. The world is
 the 4,095-state trie that `saturate 10` grows, written once to a temporary
 directory and restored before every process, so each round does the same
 work: the query and the run ask a first-time string, grow the world and
@@ -25,11 +30,14 @@ world and keep none.
 
 Prints, per case, its wall time in ms above `pass`: the min is its
 fastest process less the fastest `pass`, the median is over the rounds of
-its process less that round's `pass`. Then the standard-library modules
-each case has in `sys.modules` at exit that `pass` did not (taken from
-one more, untimed process per case).
+its process less that round's `pass`. With two trees, A and B in the
+order given, each is measured against its own `pass`, and the table gives
+both trees' min and median and B's median over A's. Then the
+standard-library modules each case has in `sys.modules` at exit that
+`pass` did not (taken from one more, untimed process per case and tree).
 """
 
+import argparse
 import os
 import shutil
 import statistics
@@ -66,8 +74,8 @@ def _cases(world, script):
     }
 
 
-def _grow_world(path):
-    sys.path.insert(0, str(SRC))
+def _grow_world(path, src):
+    sys.path.insert(0, str(src))
     from evosim import EvolvingModel, encode_snapshot, saturate
     model = EvolvingModel()
     saturate(model, 10)
@@ -90,46 +98,100 @@ def _stdlib(modules):
             if name.partition(".")[0] in sys.stdlib_module_names}
 
 
-def main(argv):
-    rounds = int(argv[1]) if len(argv) > 1 else 15
+def _env(src):
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), path] if path else [str(src)]))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rounds", type=int, nargs="?", default=15)
+    parser.add_argument("--src", type=Path, action="append",
+                        help="a src directory holding the evosim package; "
+                             "give it twice to compare two trees")
+    args = parser.parse_args(argv)
+    trees = [src.resolve() for src in args.src or [SRC]]
+    if len(trees) > 2:
+        parser.error("--src may be given at most twice")
+    for src in trees:
+        if not (src / "evosim" / "__init__.py").is_file():
+            parser.error(f"{src} holds no evosim package")
+    rounds = args.rounds
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         master = scratch / "master.pet"
         world = scratch / "world.pet"
-        _grow_world(master)
+        _grow_world(master, trees[0])
         script = scratch / "script.scn"
         script.write_text(SCRIPT, encoding="utf-8")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC), path] if path else [str(SRC)]))
+        envs = [_env(src) for src in trees]
         cases = _cases(world, script)
         names = list(cases)
-        times = {name: [] for name in names}
+        times = [{name: [] for name in names} for _ in trees]
         for turn in range(rounds):
             shift = turn % len(names)
+            order = [*range(len(trees))][::-1 if turn % 2 else 1]
             for name in names[shift:] + names[:shift]:
-                shutil.copyfile(master, world)
-                times[name].append(_launch(*cases[name], env))
+                for tree in order:
+                    shutil.copyfile(master, world)
+                    times[tree][name].append(_launch(*cases[name], envs[tree]))
         listing = scratch / "modules.txt"
-        added = {}
-        for name in names:
-            shutil.copyfile(master, world)
-            code, args = cases[name]
-            _launch(LISTING.format(code), args, dict(env, IMPORT_COST_OUT=str(listing)))
-            added[name] = _stdlib(listing.read_text().split("\n"))
+        added = [{} for _ in trees]
+        for tree, env in enumerate(envs):
+            for name in names:
+                shutil.copyfile(master, world)
+                code, case_args = cases[name]
+                _launch(LISTING.format(code), case_args,
+                        dict(env, IMPORT_COST_OUT=str(listing)))
+                added[tree][name] = _stdlib(listing.read_text().split("\n"))
+    if len(trees) == 1:
+        _print_one(times[0], added[0], names, rounds)
+    else:
+        _print_two(trees, times, added, names, rounds)
+
+
+def _above_pass(times, name):
+    """(min, median) ms of a case above `pass`, as the docstring says."""
+    base = times["pass"]
+    paired = [t - b for t, b in zip(times[name], base)]
+    return 1000 * (min(times[name]) - min(base)), 1000 * statistics.median(paired)
+
+
+def _print_one(times, added, names, rounds):
     base = times["pass"]
     print(f"pass: {1000 * min(base):.1f} ms min, "
           f"{1000 * statistics.median(base):.1f} ms median "
           f"({rounds} rounds, Python {sys.version.split()[0]})")
     print(f"{'ms above pass':<20}{'min':>8}{'median':>8}")
     for name in names[1:]:
-        paired = [t - b for t, b in zip(times[name], base)]
-        print(f"{name:<20}{1000 * (min(times[name]) - min(base)):>8.1f}"
-              f"{1000 * statistics.median(paired):>8.1f}")
+        least, median = _above_pass(times, name)
+        print(f"{name:<20}{least:>8.1f}{median:>8.1f}")
     print("stdlib modules each case adds to pass:")
     for name in names[1:]:
         print(f"  {name}: {' '.join(sorted(added[name] - added['pass']))}")
 
 
+def _print_two(trees, times, added, names, rounds):
+    labels = ("A", "B")
+    for label, src, runs in zip(labels, trees, times):
+        base = runs["pass"]
+        print(f"{label} = {src}: pass {1000 * min(base):.1f} ms min, "
+              f"{1000 * statistics.median(base):.1f} ms median")
+    print(f"({rounds} rounds, Python {sys.version.split()[0]})")
+    print(f"{'ms above pass':<20}{'A min':>8}{'A median':>10}"
+          f"{'B min':>8}{'B median':>10}{'B/A median':>12}")
+    for name in names[1:]:
+        a_min, a_median = _above_pass(times[0], name)
+        b_min, b_median = _above_pass(times[1], name)
+        ratio = f"{b_median / a_median:.2f}" if a_median > 0 else "-"
+        print(f"{name:<20}{a_min:>8.1f}{a_median:>10.1f}"
+              f"{b_min:>8.1f}{b_median:>10.1f}{ratio:>12}")
+    for label, modules in zip(labels, added):
+        print(f"stdlib modules each case adds to pass ({label}):")
+        for name in names[1:]:
+            print(f"  {name}: {' '.join(sorted(modules[name] - modules['pass']))}")
+
+
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
