@@ -131,7 +131,9 @@ def main(argv=None):
         times = [{name: [] for name in names} for _ in trees]
         for turn in range(rounds):
             shift = turn % len(names)
-            order = [*range(len(trees))][::-1 if turn % 2 else 1]
+            order = list(range(len(trees)))
+            if turn % 2:
+                order.reverse()
             for name in names[shift:] + names[:shift]:
                 for tree in order:
                     shutil.copyfile(master, world)
