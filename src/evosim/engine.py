@@ -6,9 +6,9 @@ tape origin; on a halt-state head parked on a blank at the right edge it
 strips the end blanks off the tape content and hands the resulting string
 to an embedded growing trie (`evosim.trie.PartialDfa`); the trie's answer,
 and its structural growth, become part of the world. Everything else is NO.
-The acceptor reads the trie's lean reader, `PartialDfa.answer`, which
-gives only the answer and its ticks; `PartialDfa.query` grows the trie the
-same way and also reports what it added, for callers that read that.
+The acceptor reads `PartialDfa.answer`, the trie's one writer, which
+gives only the answer and its ticks; `PartialDfa.query` calls it and reads
+off the grown trie a report of what it added, for callers that read that.
 
 An EvolvingModel is single-writer mutable world state: a run or query needs
 exclusive access for its full duration. `fork` is the supported way to

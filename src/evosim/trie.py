@@ -15,10 +15,11 @@ structure or grows it:
     unread suffix is appended, its last state is marked accepting, and the
     string is accepted.
 
-Two readers take that one walk and growth (the private `_settle`): `query`
-reports what it answered and added as a `QueryOutcome`, case, state names
-and transitions included, and `answer` gives only (accepted, ticks). The
-evolving model's acceptor reads `answer`, on every consultation.
+`answer` makes that walk and growth and gives (accepted, ticks); the
+evolving model's acceptor reads it, on every consultation. `query` reads
+`answer`: it takes the case from the answer, its ticks and the length of
+the string, and walks the grown path to name what was added, reporting
+it all as a `QueryOutcome`.
 
 These rules only ever add structure, which is what makes every answer
 permanent: once a string has been accepted or rejected, every future query
@@ -70,10 +71,10 @@ process.
 
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
-quiescent instance is safe. The arrays are written only by a query
-(`query` or `answer`, through `_settle`), which keeps the trie shape, and
-filled once by `from_snapshot`, which checks it, or by `copy`, from
-arrays of one of those two; everything else only reads them. So a copy
+quiescent instance is safe. The arrays and counters are written only by
+`answer` (with its `_mark`), which keeps the trie shape, and filled once by
+`from_snapshot`, which checks it, or by `copy`, from arrays of one of
+those two; everything else, `query` included, only reads them. So a copy
 needs no check of its own.
 """
 
@@ -101,11 +102,6 @@ class QueryCase(enum.Enum):
     NEAR_ACCEPTING = "near-accepting"      # full read, acceptance one hop away
     MARKED_ACCEPTING = "marked-accepting"  # full read onto a promoted dead end
     GREW_CHAIN = "grew-chain"              # stuck; suffix chain appended
-
-
-# The cases as module globals: a global read is several times cheaper than
-# an enum member read through its class, and a query makes one or more.
-AT_ACCEPTING, NEAR_ACCEPTING, MARKED_ACCEPTING, GREW_CHAIN = QueryCase
 
 
 class QueryOutcome(NamedTuple):
@@ -526,45 +522,43 @@ class PartialDfa:
         return list(compress(self.names(), self.marks))
 
     def query(self, text):
-        """Answer a membership query, growing the machine as needed; the
-        report of what it answered and added, as a `QueryOutcome`."""
-        accepted, ticks, case, node, read = self._settle(text)
-        if case is GREW_CHAIN:
-            new_states = []
-            new_transitions = []
-            source = self.name(node)
-            # The chain is the last states created, in the order of the
-            # unread symbols.
-            number = len(self.marks) + self._shift - len(text) + read
-            for symbol in text[read:]:
-                name = f"s{number}"
-                new_states.append(name)
-                new_transitions.append((source, symbol, name))
-                source = name
-                number += 1
-            return QueryOutcome(True, case, tuple(new_states),
-                                tuple(new_transitions), (source,), ticks)
-        if case is MARKED_ACCEPTING:
-            return QueryOutcome(True, case, (), (), (self.name(node),), ticks)
-        return QueryOutcome(accepted, case, (), (), (), ticks)
+        """Answer a membership query, growing the machine as needed, as
+        `answer` does; the report of what it answered and added, as a
+        `QueryOutcome`, read off the grown machine."""
+        accepted, ticks = self.answer(text)
+        # The case follows from the answer, its ticks and the length.
+        length = len(text)
+        if not accepted or ticks == length:
+            case = QueryCase.AT_ACCEPTING if accepted else QueryCase.NEAR_ACCEPTING
+            return QueryOutcome(accepted, case, (), (), (), ticks)
+        # A mark (ticks length + 1) or a grown chain: the path of `text` is
+        # complete now, and its states after the first `read` symbols are new.
+        read = 2 * length + 1 - ticks
+        kids0, kids1 = self.kids0, self.kids1
+        node = self.root
+        for symbol in text[:read]:
+            node = (kids1 if symbol == "1" else kids0)[node]
+        new_states, new_transitions = [], []
+        source = self.name(node)
+        for symbol in text[read:]:
+            node = (kids1 if symbol == "1" else kids0)[node]
+            name = self.name(node)
+            new_states.append(name)
+            new_transitions.append((source, symbol, name))
+            source = name
+        case = QueryCase.MARKED_ACCEPTING if read == length else QueryCase.GREW_CHAIN
+        return QueryOutcome(True, case, tuple(new_states),
+                            tuple(new_transitions), (source,), ticks)
 
     def answer(self, text):
-        """Answer a membership query, growing the machine as needed, as
-        `query` does; only (accepted, ticks), with no report."""
-        return self._settle(text)[:2]
-
-    def _settle(self, text):
-        """The walk and growth of one query, for `query` and `answer`:
-        (accepted, ticks, case, node, read), where `node` is the state the
-        walk ended on before any growth and `read` the number of symbols it
-        read. A grown chain is the last len(text) - read states."""
+        """Answer a membership query, growing the machine as needed:
+        (accepted, ticks). With `_mark`, the one writer of a built machine;
+        `query` reports what it did."""
         if text.strip("01"):
             bad = sorted(set(text) - set(TRIE_ALPHABET))
             raise InvalidSymbolError(f"query contains {bad!r}; allowed: 0, 1")
-        kids0 = self.kids0
-        kids1 = self.kids1
-        root = self.root
-        node = root
+        kids0, kids1 = self.kids0, self.kids1
+        node = root = self.root
         read = 0
         for symbol in text:
             child = (kids1 if symbol == "1" else kids0)[node]
@@ -576,15 +570,14 @@ class PartialDfa:
         marks = self.marks
         if read == len(text):
             if marks[node]:
-                return True, read, AT_ACCEPTING, node, read
+                return True, read
             zero = kids0[node]
             one = kids1[node]
             if (zero != root and marks[zero]) or (one != root and marks[one]):
-                return False, read, NEAR_ACCEPTING, node, read
+                return False, read
             self._mark(node, read)
-            return True, read + 1, MARKED_ACCEPTING, node, read
+            return True, read + 1
 
-        stuck = node
         fresh = len(marks)
         for symbol in text[read:]:
             (kids1 if symbol == "1" else kids0)[node] = fresh
@@ -596,7 +589,7 @@ class PartialDfa:
         self._mark(node, len(text))
         # One tick per symbol read, two per state added (the state and its
         # transition) and one for the mark.
-        return True, 2 * len(text) - read + 1, GREW_CHAIN, stuck, read
+        return True, 2 * len(text) - read + 1
 
     def _mark(self, node, length):
         """Mark `node`, where a query of `length` symbols ends, accepting."""

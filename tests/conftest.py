@@ -9,6 +9,12 @@ property do:
     pytest tests/test_trie.py -k "lean_reader_agrees or reference_trie" \
         --hypothesis-profile=deep
     pytest tests/test_parsers.py -k snapshot --hypothesis-profile=deep
+
+The exhaustive check of tests/test_small_worlds.py goes deeper by its
+arguments, not by a profile; CI calls it as
+
+    PYTHONPATH=src:tests python3 -c \
+        "from test_small_worlds import check_worlds; check_worlds(3, 4)"
 """
 
 from hypothesis import settings

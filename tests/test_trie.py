@@ -397,8 +397,18 @@ def test_the_lean_reader_agrees_with_query(start, texts):
     world = PartialDfa() if start is None else PartialDfa.from_snapshot(start)
     lean, reported = world.copy(), world.copy()
     for text in texts:
+        states = list(reported.states)
+        transitions = dict(reported.transitions)
+        accepting = set(reported.accepting)
         outcome = reported.query(text)
         assert lean.answer(text) == (outcome.accepted, outcome.ticks)
+        # The report names what was added as the views do, kept names and a
+        # raised counter included.
+        assert outcome.added_states == tuple(reported.states[len(states):])
+        assert outcome.added_transitions == tuple(
+            (*key, target) for key, target in reported.transitions.items()
+            if key not in transitions)
+        assert set(outcome.added_accepting) == set(reported.accepting) - accepting
         assert lean.snapshot() == reported.snapshot()
         assert lean.structure_problems() == []
 

@@ -29,12 +29,15 @@ write it back. The script (`SCRIPT`) and the trace start from a fresh
 world and keep none.
 
 Prints, per case, its wall time in ms above `pass`: the min is its
-fastest process less the fastest `pass`, the median is over the rounds of
-its process less that round's `pass`. With two trees, A and B in the
-order given, each is measured against its own `pass`, and the table gives
-both trees' min and median and B's median over A's. Then the
-standard-library modules each case has in `sys.modules` at exit that
-`pass` did not (taken from one more, untimed process per case and tree).
+fastest process less the fastest `pass`; the median, with its first and
+third quartiles (inclusive method, as `tools/bench_pairs.py` takes them),
+is over the rounds of its process less that round's `pass`. A one-off
+median on this kind of host can move by 10-20% between runs of the same
+code, so read it against its quartiles. The table has one column group
+per tree, A and B in the order given, each measured against its own
+`pass`, and with two trees B's median over A's. Then the standard-library
+modules each case has in `sys.modules` at exit that `pass` did not (taken
+from one more, untimed process per case and tree).
 """
 
 import argparse
@@ -147,48 +150,38 @@ def main(argv=None):
                 _launch(LISTING.format(code), case_args,
                         dict(env, IMPORT_COST_OUT=str(listing)))
                 added[tree][name] = _stdlib(listing.read_text().split("\n"))
-    if len(trees) == 1:
-        _print_one(times[0], added[0], names, rounds)
-    else:
-        _print_two(trees, times, added, names, rounds)
+    _print_table(trees, times, added, names, rounds)
 
 
 def _above_pass(times, name):
-    """(min, median) ms of a case above `pass`, as the docstring says."""
+    """(min, q1, median, q3) ms of a case above `pass`, as the docstring
+    says; one round gives its one value for each quartile."""
     base = times["pass"]
-    paired = [t - b for t, b in zip(times[name], base)]
-    return 1000 * (min(times[name]) - min(base)), 1000 * statistics.median(paired)
+    paired = [1000 * (t - b) for t, b in zip(times[name], base)]
+    quartiles = (statistics.quantiles(paired, n=4, method="inclusive")
+                 if len(paired) > 1 else paired * 3)
+    return 1000 * (min(times[name]) - min(base)), *quartiles
 
 
-def _print_one(times, added, names, rounds):
-    base = times["pass"]
-    print(f"pass: {1000 * min(base):.1f} ms min, "
-          f"{1000 * statistics.median(base):.1f} ms median "
-          f"({rounds} rounds, Python {sys.version.split()[0]})")
-    print(f"{'ms above pass':<20}{'min':>8}{'median':>8}")
-    for name in names[1:]:
-        least, median = _above_pass(times, name)
-        print(f"{name:<20}{least:>8.1f}{median:>8.1f}")
-    print("stdlib modules each case adds to pass:")
-    for name in names[1:]:
-        print(f"  {name}: {' '.join(sorted(added[name] - added['pass']))}")
-
-
-def _print_two(trees, times, added, names, rounds):
-    labels = ("A", "B")
+def _print_table(trees, times, added, names, rounds):
+    labels = "AB"[:len(trees)]
     for label, src, runs in zip(labels, trees, times):
         base = runs["pass"]
         print(f"{label} = {src}: pass {1000 * min(base):.1f} ms min, "
               f"{1000 * statistics.median(base):.1f} ms median")
     print(f"({rounds} rounds, Python {sys.version.split()[0]})")
-    print(f"{'ms above pass':<20}{'A min':>8}{'A median':>10}"
-          f"{'B min':>8}{'B median':>10}{'B/A median':>12}")
+    columns = ("min", "q1", "median", "q3")
+    header = f"{'ms above pass':<20}" + "".join(
+        f"{label + ' ' + column:>10}" for label in labels for column in columns)
+    print(header + (f"{'B/A median':>12}" if len(trees) == 2 else ""))
     for name in names[1:]:
-        a_min, a_median = _above_pass(times[0], name)
-        b_min, b_median = _above_pass(times[1], name)
-        ratio = f"{b_median / a_median:.2f}" if a_median > 0 else "-"
-        print(f"{name:<20}{a_min:>8.1f}{a_median:>10.1f}"
-              f"{b_min:>8.1f}{b_median:>10.1f}{ratio:>12}")
+        figures = [_above_pass(runs, name) for runs in times]
+        row = f"{name:<20}" + "".join(
+            f"{value:>10.1f}" for values in figures for value in values)
+        if len(trees) == 2:
+            a_median, b_median = figures[0][2], figures[1][2]
+            row += f"{b_median / a_median:>12.2f}" if a_median > 0 else f"{'-':>12}"
+        print(row)
     for label, modules in zip(labels, added):
         print(f"stdlib modules each case adds to pass ({label}):")
         for name in names[1:]:
