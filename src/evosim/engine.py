@@ -27,6 +27,7 @@ run collects them itself, as `evosim.experiments.run_traced` does.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import NamedTuple
 
 from .tape import BLANK, HALT_STATE, StandardModel
@@ -44,6 +45,11 @@ class InvocationRecord(NamedTuple):
     text: str
     accepted: bool
     ticks: int
+
+
+# The run path's builder, in C (see the `evosim.runner` "Value types"
+# paragraph).
+_invocation_record = partial(tuple.__new__, InvocationRecord)
 
 
 class EvolvingModel:
@@ -75,7 +81,7 @@ class EvolvingModel:
             return False
         accepted, ticks = self.trie.answer(text)
         self.acceptor_ticks += ticks
-        self.invocation_log.append(InvocationRecord(config, text, accepted, ticks))
+        self.invocation_log.append(_invocation_record((config, text, accepted, ticks)))
         return accepted
 
 

@@ -67,7 +67,17 @@ same values, iterates and orders, and takes `_replace` and `_asdict`;
 and none of them makes a process import `dataclasses`, with the
 `inspect`, `ast` and `dis` that it imports. `Instruction` checks its
 fields in `__new__`, and its `_make`, which `_replace` calls, goes through
-`__new__`, so no way of building one skips the check. The one exception
+`__new__`, so no way of building one skips the check. The run and query
+paths build theirs in C: each module keeps one `functools.partial(
+tuple.__new__, Cls)` beside the class (`Configuration` in `tape_view`,
+`InvocationRecord` in `EvolvingModel.accept`, `CostMeter` and `RunResult`
+in `run`, `QueryOutcome` in `PartialDfa.query`) and calls it with the
+fields as one tuple. The class call goes through the Python-level
+`__new__` that `collections.namedtuple` generates, one more Python frame
+and about 0.25-0.3 us a build on CPython 3.11, some four a run; the value
+is the same, with its type, repr, hash and pickle. No per-run or
+per-query path calls a named-tuple class, and `Instruction`, which is not
+built per run, keeps its checking `__new__`. The one exception
 is `MachineStats`, a dataclass defined on first use (see `evosim.trie`),
 because the benchmark digests it with `dataclasses.astuple`.
 
@@ -81,6 +91,7 @@ while concurrent runs against distinct instances are safe.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import NamedTuple
 
 from .errors import DeterminationError, InvalidSymbolError
@@ -260,6 +271,9 @@ class CostMeter(NamedTuple):
     acceptor_ticks: int
 
 
+_cost_meter = partial(tuple.__new__, CostMeter)
+
+
 class RunResult(NamedTuple):
     """The outcome of one run: its verdict, input text, applied
     instructions, cost and final string; `start` and `path` are built on
@@ -298,6 +312,9 @@ class RunResult(NamedTuple):
                                  f"not the applied {inst}")
             path.append(config)
         return tuple(path)
+
+
+_run_result = partial(tuple.__new__, RunResult)
 
 
 def select_instruction(procedure, config):
@@ -352,9 +369,8 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     applied = []
     verdict, cells = _drive(model, procedure, text, budget, applied)
     steps = len(applied)
-    # Positional: a named tuple built by keyword costs about 0.5 us more.
-    cost = CostMeter(steps + 1, steps, model.acceptor_ticks - ticks_before)
-    return RunResult(verdict, text, tuple(applied), cost, tape_string(cells))
+    cost = _cost_meter((steps + 1, steps, model.acceptor_ticks - ticks_before))
+    return _run_result((verdict, text, tuple(applied), cost, tape_string(cells)))
 
 
 def compute_function(model, procedure, text, budget=DEFAULT_BUDGET):

@@ -30,6 +30,7 @@ evosim but the error types, and the run loop and the engines build on it.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -64,6 +65,12 @@ class Configuration(NamedTuple):
     right: str
 
 
+# The run path's builder: `tuple.__new__` from the fields as one tuple, in
+# C, where `Configuration(...)` goes through the Python-level `__new__` the
+# named tuple generates (see the `evosim.runner` "Value types" paragraph).
+_configuration = partial(tuple.__new__, Configuration)
+
+
 def start_tape(text):
     """The cells of an input's start tape: the origin blank, then the
     input."""
@@ -82,7 +89,7 @@ def start_config(text):
 def tape_view(state, cells, pos):
     """The immutable configuration of a mutable tape with the head on `pos`."""
     tape = cells.decode("latin-1").replace("\0", BLANK)
-    return Configuration(state, tape[:pos], SYMBOL[cells[pos]], tape[pos + 1:])
+    return _configuration((state, tape[:pos], SYMBOL[cells[pos]], tape[pos + 1:]))
 
 
 def tape_string(cells):

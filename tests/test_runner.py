@@ -1,7 +1,9 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -365,6 +367,42 @@ def test_the_budget_ends_a_run_only_where_an_instruction_applies(
     verdict, _ = _drive(world, procedure, text, budget, applied)
     assert (verdict, len(applied), len(world.asked)) == expected
 
+
+
+def _python_frames(function, *args):
+    """The Python functions that `function(*args)` enters, by name, with
+    the number of times each is entered (C calls are not counted)."""
+    frames = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+@pytest.mark.parametrize("driver", [run, _drive])
+@pytest.mark.parametrize("first_time", [True, False])
+def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
+    # A run of the scanner under model e enters each function of its path
+    # once, and `_mark` once more when the trie grows: the value types it
+    # builds (a configuration, a log record, and for `run` a cost meter and
+    # a report) take no Python frame, where a named tuple's generated
+    # `__new__` takes one per build.
+    world = EvolvingModel()
+    if not first_time:
+        run(world, SCANNER, "1011")
+    expected = Counter(["_drive", "start_tape", "walk", "tape_view", "accept", "answer"])
+    if driver is run:
+        expected.update(["run", "tape_string"])
+    if first_time:
+        expected["_mark"] += 1
+    assert _python_frames(driver, world, SCANNER, "1011", 100) == expected
 
 def test_views_share_the_symbols_of_the_alphabet():
     # Every configuration the acceptor keeps holds its head; a fresh string
