@@ -18,7 +18,8 @@ loaded, written back, which is what lets order effects persist across
 one-line invocations. An exclusive lock on the sidecar FILE.lock is held
 from load to write-back, so concurrent invocations take turns, and the
 write replaces the file atomically, so a crash leaves the old world or the
-new one.
+new one. A FILE that is a symlink is resolved first: the world is read from
+and written to its target, and the sidecars sit beside the target.
 
 Exit status: 0 all expectations met, 1 expectation failure,
 2 usage, parse, or I/O error, or out of memory (nothing written back).
@@ -234,8 +235,6 @@ def _cmd_repl(world, args):
             break
         line_no += 1
         line = raw.strip()
-        if not line:
-            continue
         if line in ("exit", "quit"):
             break
         try:
@@ -267,6 +266,9 @@ def main(argv=None):
         # A usage error, found before the --state file or its lock is opened.
         if args.state and args.model == "v":
             raise EvosimError("--state carries an evolving world; use --model e")
+        # One path for the world, its sidecars and the directory fsync: a
+        # symlink is followed once, so write-back replaces its target.
+        args.state = args.state and os.path.realpath(args.state)
         with _state_lock(args.state):
             world, loaded = _open_world(args)
             status = _COMMANDS[args.command](world, args)

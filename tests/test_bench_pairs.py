@@ -41,3 +41,16 @@ def test_a_claim_holds_on_nine_tenths_of_the_pairs_and_a_gain_beyond_the_spread(
     assert [found[seed]["holds"] for seed in "1234"] == [True, False, False, True]
     assert (found["1"]["aa_ratio"], found["1"]["aa_parent_iqr"]) == (1.0, 4.5)
     assert found["2"]["aa_ratio"] is None
+
+
+def test_a_claim_inside_the_aa_spread_does_not_hold():
+    parent = [100.0 + i for i in range(10)]
+    # 10 of 10 pairs and a median gain of 5 against a parent IQR of 4.5, but
+    # two copies of the parent read further apart (1.057x) than the change
+    # reads from the parent (1.048x).
+    blocks = {"w_1": block(parent, [p + 5 for p in parent]),
+              "aa_w_1": block(parent, [p + 6 for p in parent])}
+    found = bench_pairs.claim_result(blocks, "w", "m", [1])["1"]
+    assert (found["pairs_won"], found["median_gain"], found["parent_iqr"]) == (10, 5.0, 4.5)
+    assert 1 < found["ratio"] < found["aa_ratio"]
+    assert found["holds"] is False

@@ -120,6 +120,24 @@ def test_a_directory_as_state_file_leaves_no_lock_sidecar(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [directory]
 
 
+def test_a_state_file_reached_through_a_symlink_stays_one_world(tmp_path,
+                                                               capsys):
+    real = tmp_path / "real.pet"
+    link = tmp_path / "link.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(real)]) == 0
+    link.symlink_to(real.name)
+    assert main(["query", "101", "--model", "e", "--state", str(link)]) == 0
+    # the link still names the world, which grew in its target, and the
+    # one lock sidecar sits beside the target
+    assert link.is_symlink()
+    assert "accept: s3" in real.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.pet", "real.pet", "real.pet.lock"]
+    capsys.readouterr()
+    assert main(["query", "10", "--model", "e", "--state", str(real)]) == 0
+    assert capsys.readouterr().out == "reject\n"
+
+
 def test_parallel_state_queries_serialize_into_one_history(tmp_path):
     # 000..111 is prefix-free, so every query grows the trie: a lost update
     # or a torn read shows as a missing string or an exit 2.
@@ -290,12 +308,20 @@ def test_write_back_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch)
 
 def test_the_world_is_opened_before_the_subcommand_runs(tmp_path, capsys):
     state = tmp_path / "world.pet"
-    state.write_text("PET9 v1\n")
     scenario = tmp_path / "broken.scn"
     scenario.write_text("warp 9\n")
-    assert main(["scenario", str(scenario), "--model", "e",
-                 "--state", str(state)]) == 2
-    assert "bad header" in capsys.readouterr().err
+    for world, message in [
+        ("PET9 v1\n", "bad header"),
+        # a world cut off mid-write, after its last `trans:` line
+        ("PET1 v1\nstates: q0 s1\nstart: q0\naccept: s1\ntrans: q0 1 s1\n",
+         "line 6: missing 'maxaccept:' line"),
+    ]:
+        state.write_text(world)
+        assert main(["scenario", str(scenario), "--model", "e",
+                     "--state", str(state)]) == 2
+        assert message in capsys.readouterr().err
+        assert state.read_text() == world
+        assert not (tmp_path / "world.pet.tmp").exists()
     missing = tmp_path / "missing.proc"
     assert main(["snapshot", "--model", "e", "--proc", str(missing)]) == 2
     assert "missing.proc" in capsys.readouterr().err
@@ -313,7 +339,9 @@ def test_trace_needs_the_evolving_world(capsys):
 
 
 def test_repl_executes_commands_line_by_line():
-    script = "model e\nquery 101\nquery 10\nexpect reject\nbogus\nexit\n"
+    # a blank line and a comment run nothing and leave the `expect` chain
+    script = ("model e\nquery 101\nquery 10\n\n# comment\nexpect reject\n"
+              "bogus\nexit\n")
     proc = subprocess.run(
         [sys.executable, "-m", "evosim.cli", "repl"],
         input=script, capture_output=True, text=True, timeout=60)

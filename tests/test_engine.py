@@ -231,10 +231,21 @@ def test_decode_takes_only_ascii_decimal_counts(line):
     assert excinfo.value.line_no == {"maxaccept": 8, "counter": 9}[key]
 
 
-def test_decode_reports_parse_error_lines():
+@pytest.mark.parametrize("text, line, message", [
+    ("PET1 v1\nstates: q0\nstart q0\n", 3, "expected 'start:' line"),
+    ("PET1 v1\nstates:\nstart: q0\n", 2, "no states listed"),
+    # files cut off at the end of a line: after `accept:`, and after the
+    # last `trans:` line, where the transitions run to the end of the text
+    ("PET1 v1\nstates: q0\nstart: q0\naccept:\n", 5,
+     "missing 'maxaccept:' line"),
+    ("PET1 v1\nstates: q0 s1\nstart: q0\naccept: s1\ntrans: q0 1 s1\n", 6,
+     "missing 'maxaccept:' line"),
+], ids=["start", "no-states", "cut-after-accept", "cut-after-trans"])
+def test_decode_reports_parse_error_lines(text, line, message):
     with pytest.raises(SnapshotError) as excinfo:
-        decode_snapshot("PET1 v1\nstates: q0\nstart q0\n")
-    assert excinfo.value.line_no == 3
+        decode_snapshot(text)
+    assert excinfo.value.line_no == line
+    assert str(excinfo.value).startswith(f"line {line}: {message}")
 
 
 def test_a_world_with_its_own_names_keeps_them_and_grows_fresh_ones():

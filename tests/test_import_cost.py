@@ -1,8 +1,7 @@
-"""The arithmetic and the cache check of tools/import_cost.py. The tool's
+"""The arithmetic and the copy step of tools/import_cost.py. The tool's
 process runs themselves are run in CI."""
 
 import importlib.util
-import py_compile
 from pathlib import Path
 
 import pytest
@@ -23,11 +22,20 @@ def test_the_min_above_pass_is_the_least_difference_of_one_round():
     assert low <= q1
 
 
-def test_a_cache_is_fresh_only_for_the_source_it_was_compiled_from(tmp_path):
-    source = tmp_path / "module.py"
-    source.write_text("x = 1\n")
-    assert not import_cost._fresh_cache(source)
-    py_compile.compile(str(source), doraise=True)
-    assert import_cost._fresh_cache(source)
-    source.write_text("x = 12\n")
-    assert not import_cost._fresh_cache(source)
+def test_each_tree_is_timed_from_a_compiled_copy_beside_the_other(tmp_path):
+    tree = tmp_path / "src"
+    (tree / "pkg").mkdir(parents=True)
+    (tree / "pkg" / "__init__.py").write_text("x = 1\n")
+    (tree / "pkg" / "mod.py").write_text("y = 2\n")
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    copies = import_cost._compiled_copies([tree, tree], scratch)
+    assert len(copies) == 2 and len({len(str(copy)) for copy in copies}) == 1
+    assert {copy.parent for copy in copies} == {scratch}
+    for copy in copies:
+        modules = sorted(copy.rglob("*.py"))
+        assert [m.relative_to(copy) for m in modules] == [
+            Path("pkg/__init__.py"), Path("pkg/mod.py")]
+        for module in modules:
+            assert Path(importlib.util.cache_from_source(module)).is_file()
+    assert not list(tree.rglob("__pycache__"))

@@ -113,6 +113,13 @@ def test_import_tm_is_the_identity_embedding():
         ("h", "1", "h", "1", "R"),
     ]
     assert import_tm(rows) == right_scanner()
+    # a value: equal, and equally hashed, in any row order
+    reordered = import_tm(rows[::-1])
+    assert reordered == right_scanner()
+    assert hash(reordered) == hash(right_scanner())
+    assert len({import_tm(rows), right_scanner()}) == 1
+    assert right_scanner() != rows
+    assert repr(right_scanner()) == "Procedure(3 instructions)"
 
 
 def test_import_tm_rejects_duplicate_keys():

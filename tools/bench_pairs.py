@@ -37,8 +37,9 @@ Writes BENCH_<N>.json at the root of this repository, in one schema:
     claim_result  per seed, for the claimed metric: ratio, pairs_won,
               pairs, the medians' distance against the parent's IQR, the
               A/A block's ratio and IQR, and `holds`: the change won at
-              least nine tenths of the pairs and its median is better by
-              more than the parent's IQR
+              least nine tenths of the pairs, its median is better by
+              more than the parent's IQR, and its ratio lies further from
+              1 than the A/A block's (when both ratios are known)
     failures  one line per run that was not correct or did not finish, and
               per block whose sides' digests differ
 
@@ -171,7 +172,8 @@ def summarise(name, sides, by_side, spec, failures):
 
 
 def claim_result(blocks, workload, metric, seeds):
-    """Per seed: whether the claimed metric improved by the pairs rule."""
+    """Per seed: whether the claimed metric improved by the pairs rule,
+    beyond the spread of the A/A block."""
     out = {}
     for seed in seeds:
         found = blocks[f"{workload}_{seed}"]["metrics"].get(metric)
@@ -182,11 +184,16 @@ def claim_result(blocks, workload, metric, seeds):
         sign = 1 if found["better"] == "higher" else -1
         gain = sign * (found["quartiles"]["change"][1] - found["quartiles"]["parent"][1])
         pairs = len(found["values"]["parent"])
+        ratio, aa_ratio = found["ratio"], aa and aa["ratio"]
+        # Two copies of one commit read this far apart: a claim must go further.
+        beyond_aa = (ratio is None or aa_ratio is None
+                     or abs(ratio - 1) > abs(aa_ratio - 1))
         out[str(seed)] = {
-            "ratio": found["ratio"], "pairs_won": found["pairs_won"], "pairs": pairs,
+            "ratio": ratio, "pairs_won": found["pairs_won"], "pairs": pairs,
             "median_gain": gain, "parent_iqr": found["parent_iqr"],
-            "aa_ratio": aa and aa["ratio"], "aa_parent_iqr": aa and aa["parent_iqr"],
-            "holds": found["pairs_won"] >= 0.9 * pairs and gain > found["parent_iqr"],
+            "aa_ratio": aa_ratio, "aa_parent_iqr": aa and aa["parent_iqr"],
+            "holds": (found["pairs_won"] >= 0.9 * pairs
+                      and gain > found["parent_iqr"] and beyond_aa),
         }
     return out
 

@@ -28,27 +28,28 @@ work: the query and the run ask a first-time string, grow the world and
 write it back. The script (`SCRIPT`) and the trace start from a fresh
 world and keep none.
 
-Prints, per tree, its bytecode-cache state before and after the rounds:
-the `sys.flags.dont_write_bytecode` of its processes, and how many of
-its `evosim` modules have a `.pyc` that an import would load as it is.
-With no cache and no writing (`PYTHONDONTWRITEBYTECODE=1`) every process
-compiles the package, some 28 ms of self time under `-X importtime`
-against some 7 ms from a cache, and so does every process of a tree
-edited after it was compiled; a tree whose cache is written by its first
-processes pays for it in those alone. Then, per case, its wall time in
-ms above `pass`, over the rounds of its process less that round's
-`pass`: the min, and the median with its first and third quartiles
-(inclusive method, as `tools/bench_pairs.py` takes them). A one-off
-median on this kind of host can move by 10-20% between runs of the same
-code, so read it against its quartiles. The table has one column group
-per tree, A and B in the order given, each measured against its own
-`pass`, and with two trees B's median over A's. Then the
-standard-library modules each case has in `sys.modules` at exit that
-`pass` did not (taken from one more, untimed process per case and tree).
+Each tree is timed from a byte-compiled copy. Before the first round it
+is copied without its `__pycache__` into the temporary directory, beside
+the other tree's copy under a name of equal length, and compiled there
+with `python -m compileall -q`, as `tools/bench_pairs.py` does. Every
+process imports the copy, the import that grows the world included, so
+both trees start from an up-to-date cache whatever
+`PYTHONDONTWRITEBYTECODE` says, and no tree given is written to; `--src
+X --src X` compares two copies of one tree.
+
+Prints, per case, its wall time in ms above `pass`, over the rounds of
+its process less that round's `pass`: the min, and the median with its
+first and third quartiles (inclusive method, as `tools/bench_pairs.py`
+takes them). A one-off median on this kind of host can move by 10-20%
+between runs of the same code, so read it against its quartiles. The
+table has one column group per tree, A and B in the order given, each
+measured against its own `pass`, and with two trees B's median over A's.
+Then the standard-library modules each case has in `sys.modules` at exit
+that `pass` did not (taken from one more, untimed process per case and
+tree).
 """
 
 import argparse
-import importlib.util
 import os
 import shutil
 import statistics
@@ -109,32 +110,17 @@ def _stdlib(modules):
             if name.partition(".")[0] in sys.stdlib_module_names}
 
 
-def _fresh_cache(source):
-    """Whether `source` has a `.pyc` that an import by this interpreter
-    would load as it is: this interpreter's magic number, and the source's
-    mtime and size, or for a hash-based `.pyc` its hash."""
-    try:
-        with open(importlib.util.cache_from_source(source), "rb") as pyc:
-            header = pyc.read(16)
-    except (OSError, NotImplementedError):
-        return False
-    if len(header) < 16 or header[:4] != importlib.util.MAGIC_NUMBER:
-        return False
-    if int.from_bytes(header[4:8], "little") & 1:
-        return header[8:] == importlib.util.source_hash(source.read_bytes())
-    stat = source.stat()
-    return header[8:] == ((int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
-                          + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
-
-
-def _cache_state(src, env):
-    """A tree's bytecode-cache state, as its processes see it."""
-    flag = subprocess.run(
-        [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
-        env=env, check=True, capture_output=True, text=True).stdout.strip()
-    sources = sorted((src / "evosim").glob("*.py"))
-    fresh = sum(map(_fresh_cache, sources))
-    return f"dont_write_bytecode {flag}, {fresh}/{len(sources)} evosim .pyc up to date"
+def _compiled_copies(trees, scratch):
+    """A byte-compiled copy of each tree in `scratch`, without its
+    `__pycache__`, in sibling directories whose names have equal length."""
+    copies = []
+    for label, src in zip("ab", trees):
+        copy = scratch / f"src_{label}"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(copy)],
+                       check=True, stdout=subprocess.DEVNULL)
+        copies.append(copy)
+    return copies
 
 
 def _env(src):
@@ -161,10 +147,9 @@ def main(argv=None):
         scratch = Path(scratch)
         master = scratch / "master.pet"
         world = scratch / "world.pet"
-        envs = [_env(src) for src in trees]
-        # Before this process imports the first tree to grow the world.
-        caches = [[_cache_state(src, env)] for src, env in zip(trees, envs)]
-        _grow_world(master, trees[0])
+        copies = _compiled_copies(trees, scratch)
+        envs = [_env(copy) for copy in copies]
+        _grow_world(master, copies[0])
         script = scratch / "script.scn"
         script.write_text(SCRIPT, encoding="utf-8")
         cases = _cases(world, script)
@@ -179,8 +164,6 @@ def main(argv=None):
                 for tree in order:
                     shutil.copyfile(master, world)
                     times[tree][name].append(_launch(*cases[name], envs[tree]))
-        for cache, src, env in zip(caches, trees, envs):
-            cache.append(_cache_state(src, env))
         listing = scratch / "modules.txt"
         added = [{} for _ in trees]
         for tree, env in enumerate(envs):
@@ -190,7 +173,7 @@ def main(argv=None):
                 _launch(LISTING.format(code), case_args,
                         dict(env, IMPORT_COST_OUT=str(listing)))
                 added[tree][name] = _stdlib(listing.read_text().split("\n"))
-    _print_table(trees, caches, times, added, names, rounds)
+    _print_table(trees, times, added, names, rounds)
 
 
 def _above_pass(times, name):
@@ -202,15 +185,14 @@ def _above_pass(times, name):
     return min(paired), *quartiles
 
 
-def _print_table(trees, caches, times, added, names, rounds):
+def _print_table(trees, times, added, names, rounds):
     labels = "AB"[:len(trees)]
-    for label, src, (before, after), runs in zip(labels, trees, caches, times):
+    for label, src, runs in zip(labels, trees, times):
         base = runs["pass"]
         print(f"{label} = {src}: pass {1000 * min(base):.1f} ms min, "
               f"{1000 * statistics.median(base):.1f} ms median")
-        print(f"  bytecode before the rounds: {before}")
-        print(f"  bytecode after the rounds:  {after}")
-    print(f"({rounds} rounds, Python {sys.version.split()[0]})")
+    print(f"({rounds} rounds, Python {sys.version.split()[0]}, "
+          "each tree timed from a byte-compiled copy)")
     columns = ("min", "q1", "median", "q3")
     header = f"{'ms above pass':<20}" + "".join(
         f"{label + ' ' + column:>10}" for label in labels for column in columns)
