@@ -27,8 +27,9 @@ Exit status: 0 all expectations met, 1 expectation failure,
 A one-shot process pays for the modules it imports, so the scenario,
 experiment and procedure-file modules are imported only by the subcommands
 and flags that use them: `run`, `query` and `snapshot` load none of them
-without --proc. No subcommand loads `dataclasses`, unless a scenario or
-REPL line runs `stats` (see `evosim.trie` on `MachineStats`).
+without --proc, and `trace` loads `experiments` only. No subcommand loads
+`dataclasses`, unless a scenario or REPL line runs `stats` (see
+`evosim.trie` on `MachineStats`).
 """
 
 from __future__ import annotations
@@ -183,8 +184,7 @@ def _cmd_query(world, args):
 
 
 def _cmd_trace(world, args):
-    from .experiments import run_traced
-    from .scenario import show_config, trace_line
+    from .experiments import run_traced, show_config, trace_line
     if not isinstance(world.model, EvolvingModel):
         raise EvosimError("trace needs the evolving world; pass --model e")
     result, trace = run_traced(world.model, world.procedure, args.input,
@@ -213,11 +213,9 @@ def _cmd_scenario(world, args):
     scenario = parse_scenario(path.read_text(encoding="utf-8"))
     runner = ScenarioRunner(world.model, world.procedure, world.budget,
                             path.parent)
-    for command in scenario:
-        for line in runner.execute(command):
-            print(line)
+    for line in runner.transcript(scenario):
+        print(line)
     world.model = runner.model
-    print(runner.summary())
     return 0 if runner.passed else 1
 
 

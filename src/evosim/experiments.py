@@ -18,6 +18,11 @@ A saturation pass keeps one verdict code per run, and `Answers` is the one
 read-only view over such codes: it renders each entry on access, as a
 (text, verdict value) pair in a `SaturationReport`, and as a transcript
 line for a scenario's `saturate` (`evosim.scenario`).
+
+A traced run (`run_traced`) is shown here too, beside its `TraceRecord`:
+`trace_line` summarizes it, for `evosim trace` and a scenario's `trace on`,
+and `show_config` renders each halting configuration that `evosim trace`
+lists.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .engine import EvolvingModel, encode_snapshot
 # procedure without this module; it is re-exported here, unchanged.
 from .runner import (ACCEPTED, DEFAULT_BUDGET, Verdict, _drive, answer_word,
                      right_scanner, run)
+from .tape import BLANK
 
 
 def binary_strings(length):
@@ -241,6 +247,21 @@ def run_traced(model, procedure, text, budget=DEFAULT_BUDGET):
         longer_by_two=tuple(x for x in fed if len(x) == len(text) + 2),
     )
     return result, trace
+
+
+def show_config(config):
+    left = config.left.replace(BLANK, "_")
+    head = config.head.replace(BLANK, "_")
+    right = config.right.replace(BLANK, "_")
+    return f"({config.state}, {left}[{head}]{right})"
+
+
+def trace_line(trace):
+    """One-line summary of a traced run's trie consultations."""
+    # The record's string fields: fed_strings, same_length, longer_by_two.
+    fed, same, longer = (", ".join(sorted(strings)) for strings in trace[1:])
+    return (f"trace: halts {len(trace.halting_configs)}, fed [{fed}], "
+            f"same-length [{same}], longer-by-two [{longer}]")
 
 
 def order_demo():

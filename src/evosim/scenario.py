@@ -34,11 +34,10 @@ from typing import NamedTuple
 from .engine import EvolvingModel, fork, make_model
 from .errors import ScenarioError
 from .experiments import (SIBLING_LENGTH_LIMIT, Answers, run_traced, saturate,
-                          sibling_search)
+                          sibling_search, trace_line)
 from .procfile import load_procedure
 from .runner import (DEFAULT_BUDGET, Verdict, answer_word, cost_text, right_scanner,
                      run, run_line, show_string)
-from .tape import BLANK
 
 _NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
 _CHECKABLE = {"query", "run", "brute"}
@@ -118,7 +117,11 @@ class LineParser:
         elif kind == "saturate":
             if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
                 raise ScenarioError("saturate takes a probe length", line_no)
-            if int(args[0]) > SIBLING_LENGTH_LIMIT:
+            try:
+                beyond = int(args[0]) > SIBLING_LENGTH_LIMIT
+            except ValueError:  # more digits than `int` converts
+                beyond = True
+            if beyond:
                 raise ScenarioError(
                     f"saturate is desk-scale only "
                     f"(probe length <= {SIBLING_LENGTH_LIMIT})", line_no)
@@ -152,28 +155,9 @@ class LineParser:
 def parse_scenario(text):
     """Parse scenario text; raises ScenarioError with a line number."""
     parser = LineParser()
-    commands = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        command = parser.parse_line(raw, line_no)
-        if command is not None:
-            commands.append(command)
-    return Scenario(commands)
-
-
-def show_config(config):
-    left = config.left.replace(BLANK, "_")
-    head = config.head.replace(BLANK, "_")
-    right = config.right.replace(BLANK, "_")
-    return f"({config.state}, {left}[{head}]{right})"
-
-
-def trace_line(trace):
-    """One-line summary of a traced run's trie consultations."""
-    fed = ", ".join(sorted(trace.fed_strings))
-    same = ", ".join(sorted(trace.same_length))
-    longer = ", ".join(sorted(trace.longer_by_two))
-    return (f"trace: halts {len(trace.halting_configs)}, fed [{fed}], "
-            f"same-length [{same}], longer-by-two [{longer}]")
+    commands = (parser.parse_line(raw, line_no)
+                for line_no, raw in enumerate(text.splitlines(), start=1))
+    return Scenario(command for command in commands if command is not None)
 
 
 def _probe_line(text, code):
@@ -202,7 +186,7 @@ class ScenarioRunner:
     def _require_evolving(self, command):
         if not isinstance(self.model, EvolvingModel):
             raise ScenarioError(
-                f"{command.kind} needs an evolving world (model e)",
+                f"{command.kind.replace('-', ' ')} needs an evolving world (model e)",
                 command.line_no)
 
     def execute(self, command):
@@ -293,6 +277,14 @@ class ScenarioRunner:
     def passed(self):
         return self.failures == 0
 
+    def transcript(self, scenario):
+        """The scenario's transcript lines: each command's as it runs (a
+        `saturate`'s probe lines one at a time, as they are rendered), then
+        the summary line."""
+        for command in scenario:
+            yield from self.execute(command)
+        yield self.summary()
+
     def summary(self):
         if self.failures:
             return (f"scenario: FAIL ({self.failures} of "
@@ -307,8 +299,4 @@ def execute_scenario(scenario, budget=DEFAULT_BUDGET, base_dir=None):
     execution; I/O and usage problems raise instead.
     """
     runner = ScenarioRunner(budget=budget, base_dir=base_dir)
-    lines = []
-    for command in scenario:
-        lines.extend(runner.execute(command))
-    lines.append(runner.summary())
-    return "\n".join(lines) + "\n", runner.passed
+    return "\n".join(runner.transcript(scenario)) + "\n", runner.passed

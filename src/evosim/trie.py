@@ -299,10 +299,14 @@ def _field(lines, index, key):
 
 
 def _decimal(text, line_no):
-    """The value of an ASCII decimal numeral, or SnapshotError at `line_no`."""
+    """The value of an ASCII decimal numeral, or SnapshotError at `line_no`,
+    also for one with more digits than `int` converts."""
     if not (text.isascii() and text.isdigit()):
         raise SnapshotError(f"not an ASCII decimal numeral: {text!r}", line_no)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise SnapshotError(f"{len(text)}-digit numeral too long", line_no) from None
 
 
 class PartialDfa:

@@ -2,13 +2,14 @@
 
 `deep` runs a property at 20,000 examples where it takes its count from
 the profile, as the run loop's oracle-agreement property, the trie's
-lean-reader and reference-trie properties and the parsers' mutated-text
-property do:
+lean-reader and reference-trie properties and the mutated-text property
+of all three parsers (procedures, scenarios and snapshots) do:
 
     pytest tests/test_runner.py -k agrees --hypothesis-profile=deep
     pytest tests/test_trie.py -k "lean_reader_agrees or reference_trie" \
         --hypothesis-profile=deep
-    pytest tests/test_parsers.py -k snapshot --hypothesis-profile=deep
+    pytest tests/test_parsers.py -k only_package_errors_escape \
+        --hypothesis-profile=deep
 
 The exhaustive check of tests/test_small_worlds.py goes deeper by its
 arguments, not by a profile; CI calls it as

@@ -362,7 +362,21 @@ def test_repl_expect_after_a_failed_command_sees_no_answer(capsys,
     assert "expect accept -> FAIL (got None)" in out
 
 
-@pytest.mark.parametrize("bad", ["saturate \u00b2", "brute " + "0" * 21])
+def test_repl_loading_a_name_whose_save_failed_is_an_error(capsys,
+                                                          monkeypatch):
+    # The parser records a saved name before the save runs; under model v
+    # the save fails, so the load finds no snapshot of that name.
+    script = "snapshot save a\nmodel e\nsnapshot load a\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out
+    assert "error: line 1: snapshot save needs an evolving world (model e)" in out
+    assert "error: line 3: unknown snapshot 'a'" in out
+
+
+@pytest.mark.parametrize("bad", [
+    "saturate \u00b2", "brute " + "0" * 21,
+    pytest.param("saturate " + "1" * 5000, id="saturate 5000-ones")])
 def test_repl_survives_out_of_range_lines_and_writes_back(bad, tmp_path,
                                                           capsys, monkeypatch):
     state = tmp_path / "world.pet"

@@ -240,7 +240,11 @@ def test_decode_takes_only_ascii_decimal_counts(line):
      "missing 'maxaccept:' line"),
     ("PET1 v1\nstates: q0 s1\nstart: q0\naccept: s1\ntrans: q0 1 s1\n", 6,
      "missing 'maxaccept:' line"),
-], ids=["start", "no-states", "cut-after-accept", "cut-after-trans"])
+    # the fresh world with a counter of more digits than `int` converts
+    ("PET1 v1\nstates: q0\nstart: q0\naccept:\nmaxaccept: 0\ncounter: "
+     + "1" * 5000 + "\n", 6, "5000-digit numeral too long"),
+], ids=["start", "no-states", "cut-after-accept", "cut-after-trans",
+        "long-counter"])
 def test_decode_reports_parse_error_lines(text, line, message):
     with pytest.raises(SnapshotError) as excinfo:
         decode_snapshot(text)

@@ -22,6 +22,21 @@ def test_the_min_above_pass_is_the_least_difference_of_one_round():
     assert low <= q1
 
 
+@pytest.mark.parametrize("a, b, rounds, ratio", [
+    # one round: each quartile is the one value, and no ratio is read off it
+    ((20.0, 20.0, 20.0, 20.0), (30.0, 30.0, 30.0, 30.0), 1, None),
+    # a negative median: B ran faster than its `pass`
+    ((0.1, 0.2, 0.3, 0.5), (-9.0, -8.0, -7.4, -6.0), 5, None),
+    # A's median of 3 ms inside B's spread of 12 ms
+    ((2.0, 2.5, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0), 5, None),
+    # both medians clear of the wider spread, 2 ms
+    ((18.0, 19.0, 20.0, 21.0), (28.0, 29.5, 30.0, 31.0), 5, 1.5),
+], ids=["one-round", "negative-median", "median-inside-spread", "clear"])
+def test_the_median_ratio_is_read_only_above_the_spread(a, b, rounds, ratio):
+    assert import_cost._median_ratio(a, b, rounds) == (
+        None if ratio is None else pytest.approx(ratio))
+
+
 def test_each_tree_is_timed_from_a_compiled_copy_beside_the_other(tmp_path):
     tree = tmp_path / "src"
     (tree / "pkg").mkdir(parents=True)

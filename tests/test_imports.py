@@ -1,9 +1,10 @@
 """What a process imports: `import evosim` loads none of its modules, the
 package still exports every name it did when it imported them all, and a
 one-shot `query --state` or `run --state` loads only the modules that it
-runs. A one-shot `query`, `run`, `snapshot` or `trace --state`, and a
-`scenario --state` without `stats`, load no `dataclasses`, nor the modules
-that it drags in.
+runs; a one-shot `trace --state` loads `experiments` for its report, but
+not the scenario grammar. A one-shot `query`, `run`, `snapshot` or `trace
+--state`, and a `scenario --state` without `stats`, load no `dataclasses`,
+nor the modules that it drags in.
 
 The import checks run in a fresh interpreter, one child at a time, since
 this test process has long since imported everything.
@@ -90,6 +91,23 @@ def test_a_state_query_loads_only_the_modules_it_runs(tmp_path):
         assert _evosim_modules(added) == ["evosim", "evosim.cli", "evosim.engine",
                                           "evosim.errors", "evosim.runner",
                                           "evosim.tape", "evosim.trie"]
+
+
+def test_a_state_trace_loads_experiments_but_not_the_scenario_grammar(tmp_path):
+    state = tmp_path / "world.pet"
+    state.write_text(encode_snapshot(EvolvingModel()), encoding="utf-8")
+    code = ("from evosim.cli import main\n"
+            "assert main(['trace', '101', '--model', 'e', '--state', sys.argv[1]]) == 0")
+    out, added = _modules_added(code, str(state))
+    assert out == ["run 101 -> accepted (path 5, transitions 4, "
+                   "acceptor-ticks 7) final 101",
+                   "trace: halts 1, fed [101], same-length [101], "
+                   "longer-by-two []",
+                   "  halt (h, _101[_])"]
+    assert _evosim_modules(added) == ["evosim", "evosim.cli", "evosim.engine",
+                                      "evosim.errors", "evosim.experiments",
+                                      "evosim.runner", "evosim.tape",
+                                      "evosim.trie"]
 
 
 # A scenario that uses every command but `stats`, which alone measures a

@@ -46,10 +46,11 @@ CORPUS = {
 }
 
 # Pieces an edit puts in: the grammars' own tokens, values out of range or
-# of the wrong kind, non-ASCII digits, odd whitespace and control
-# characters, and free text.
+# of the wrong kind, a numeral of more digits than `int` converts, non-ASCII
+# digits, odd whitespace and control characters, and free text.
 TOKENS = ("", "0", "1", "_", BLANK, "x", "q0", "h", "s1", "(q0,_)", "(h,_,R)",
           "->", "#", ":", "\r", "\t", "\x00", "-1", "1.5", "99999999999",
+          "9" * 4301,
           "\u00b2", "\u0663", "PET1 v1", "trans:", "states:", "accept:",
           "saturate", "brute", "expect", "snapshot", "load", "model", "e")
 pieces = st.one_of(st.sampled_from(TOKENS), st.text(max_size=3))

@@ -74,6 +74,7 @@ def test_parse_rejects_loading_an_unsaved_snapshot():
 @pytest.mark.parametrize("line, message", [
     ("snapshot save a/b", "bad snapshot name 'a/b'"),
     ("stats 1", "stats takes no argument"),
+    ("trace maybe", "trace takes on or off"),
 ])
 def test_parse_errors_name_their_line(line, message):
     with pytest.raises(ScenarioError, match=message) as excinfo:
@@ -86,7 +87,11 @@ def test_parse_rejects_nonbinary_query_strings():
         parse_scenario("query 12\n")
 
 
-@pytest.mark.parametrize("arg", ["\u00b2", "\u0663", "-1", "1.5", "21"])
+# Numerals of more digits than `int` converts are beyond desk scale too.
+@pytest.mark.parametrize("arg", [
+    "\u00b2", "\u0663", "-1", "1.5", "21",
+    pytest.param("1" * 5000, id="5000-ones"),
+    pytest.param("0" * 5000, id="5000-zeros")])
 def test_parse_rejects_saturate_beyond_ascii_desk_scale_numerals(arg):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(f"model e\nsaturate {arg}\n")
@@ -95,6 +100,7 @@ def test_parse_rejects_saturate_beyond_ascii_desk_scale_numerals(arg):
 
 def test_parse_accepts_saturate_up_to_the_limit():
     assert parse_scenario("model e\nsaturate 20\n").commands[1].arg == "20"
+    assert parse_scenario("model e\nsaturate 05\n").commands[1].arg == "05"
 
 
 def test_parse_rejects_brute_strings_beyond_the_limit():

@@ -145,6 +145,32 @@ def test_views_and_counters_agree():
     assert m.creation_counter == 9
 
 
+def test_views_repr_as_their_plain_values():
+    m = PartialDfa()
+    m.query("101")
+    assert repr(m.states) == "StateNames(['q0', 's1', 's2', 's3'])"
+    assert repr(m.transitions) == ("Transitions({('q0', '1'): 's1', "
+                                   "('s1', '0'): 's2', ('s2', '1'): 's3'})")
+    assert repr(m.accepting) == "AcceptingNames({'s3'})"
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (lambda m: m.kids0.__setitem__(0, 99), "child slots reference unknown states"),
+    (lambda m: m.kids1.__setitem__(2, -1), "child slots reference unknown states"),
+    (lambda m: setattr(m, "accepting_count", m.accepting_count + 1),
+     "accepting count 2 is not the number of accepting states"),
+    # A list of its own: fresh machines share one list of their first names.
+    (lambda m: setattr(m, "_named", ["q0", "q0"]), "duplicate state names"),
+], ids=["slot-99", "slot-minus-1", "accepting-count", "duplicate-names"])
+def test_structure_problems_name_each_fault(damage, problem):
+    grown = PartialDfa()
+    grown.query("101")
+    broken = grown.copy()
+    damage(broken)
+    assert broken.structure_problems() == [problem]
+    assert grown.structure_problems() == []
+
+
 def _grown(m):
     for text in ("101", "10", "", "0110"):
         m.query(text)

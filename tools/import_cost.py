@@ -43,7 +43,9 @@ first and third quartiles (inclusive method, as `tools/bench_pairs.py`
 takes them). A one-off median on this kind of host can move by 10-20%
 between runs of the same code, so read it against its quartiles. The
 table has one column group per tree, A and B in the order given, each
-measured against its own `pass`, and with two trees B's median over A's.
+measured against its own `pass`, and with two trees B's median over A's:
+printed only from two rounds on, and where both medians stand above the
+wider of the two trees' interquartile ranges, `-` otherwise.
 Then the standard-library modules each case has in `sys.modules` at exit
 that `pass` did not (taken from one more, untimed process per case and
 tree).
@@ -185,6 +187,16 @@ def _above_pass(times, name):
     return min(paired), *quartiles
 
 
+def _median_ratio(a, b, rounds):
+    """B's median over A's, from the (min, q1, median, q3) rows of the two
+    trees; None with one round, or where either median is not above the
+    wider of the two interquartile ranges (so not above 0 either)."""
+    spread = max(a[3] - a[1], b[3] - b[1])
+    if rounds < 2 or min(a[2], b[2]) <= spread:
+        return None
+    return b[2] / a[2]
+
+
 def _print_table(trees, times, added, names, rounds):
     labels = "AB"[:len(trees)]
     for label, src, runs in zip(labels, trees, times):
@@ -202,8 +214,8 @@ def _print_table(trees, times, added, names, rounds):
         row = f"{name:<20}" + "".join(
             f"{value:>10.1f}" for values in figures for value in values)
         if len(trees) == 2:
-            a_median, b_median = figures[0][2], figures[1][2]
-            row += f"{b_median / a_median:>12.2f}" if a_median > 0 else f"{'-':>12}"
+            ratio = _median_ratio(*figures, rounds)
+            row += f"{'-':>12}" if ratio is None else f"{ratio:>12.2f}"
         print(row)
     for label, modules in zip(labels, added):
         print(f"stdlib modules each case adds to pass ({label}):")
