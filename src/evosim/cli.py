@@ -44,7 +44,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .engine import EvolvingModel, decode_snapshot, encode_snapshot, make_model
-from .errors import EvosimError
+from .errors import EvosimError, excerpt
 from .runner import DEFAULT_BUDGET, answer_word, right_scanner, run, run_line
 
 
@@ -61,7 +61,7 @@ def _positive_int(text):
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+            f"expected a positive integer, got {excerpt(text)}")
     return value
 
 

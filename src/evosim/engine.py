@@ -19,21 +19,34 @@ for files (a `--state` world, `evosim snapshot --out`); their format
 belongs to the trie (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`),
 and `encode_snapshot` and `decode_snapshot` apply it to a whole world.
 
-Only the trie grows with the number of runs. `invocation_log` is a ring of
-the last `LOG_LIMIT` consultations; a caller that needs every record of one
-run collects them itself, as `evosim.experiments.run_traced` does.
+The run loop asks `accept_tape`, the same question about the byte tape
+itself, where `evosim.tape.walk` stopped to ask: the acceptor reads the
+string on the tape (`evosim.tape.edge_content`) without building a
+`Configuration`. `accept(config)` checks the pattern and asks it in turn,
+so the trie answer, the ticks and the record are written in one place.
+
+Only the trie grows with the number of runs. `ring` keeps the last
+`LOG_LIMIT` consultations raw, each as (state, tape bytes, head position,
+text, answer, ticks), and `invocation_log` is a read-only view over it
+that renders each as an `InvocationRecord` only when it is read: a
+saturation makes tens of thousands of consultations and reads none. A
+caller that needs every record of one run collects the raw entries
+itself, as `evosim.experiments.run_traced` does, and renders them with
+`render_record`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from functools import partial
 from typing import NamedTuple
 
-from .tape import BLANK, HALT_STATE, StandardModel
+from .tape import (BLANK, HALT_STATE, StandardModel, config_cells,
+                   edge_content, tape_view)
 from .trie import PartialDfa
 
-# The number of consultations `invocation_log` keeps: the most recent ones.
+# The number of consultations `ring` keeps: the most recent ones.
 LOG_LIMIT = 256
 
 
@@ -47,19 +60,62 @@ class InvocationRecord(NamedTuple):
     ticks: int
 
 
-# The run path's builder, in C (see the `evosim.runner` "Value types"
-# paragraph).
+# The builder, in C (see the `evosim.runner` "Value types" paragraph).
 _invocation_record = partial(tuple.__new__, InvocationRecord)
+
+
+def render_record(entry):
+    """The `InvocationRecord` of a raw ring entry (state, tape bytes, head
+    position, text, answer, ticks)."""
+    state, tape, pos, text, accepted, ticks = entry
+    return _invocation_record((tape_view(state, tape, pos), text, accepted, ticks))
+
+
+class InvocationLog(Sequence):
+    """A model's consultations, oldest first, read-only: its `ring`, each
+    entry rendered on access by `render_record`. Equal to a list or tuple
+    of the same records; a slice is a list of them."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model):
+        self._model = model
+
+    def __len__(self):
+        return len(self._model.ring)
+
+    def __getitem__(self, index):
+        ring = self._model.ring
+        if isinstance(index, slice):
+            return [render_record(ring[i]) for i in range(*index.indices(len(ring)))]
+        return render_record(ring[index])
+
+    def __iter__(self):
+        return map(render_record, self._model.ring)
+
+    def __eq__(self, other):
+        if isinstance(other, (InvocationLog, list, tuple)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 class EvolvingModel:
     """Evolving model: the trie-backed acceptor, with its last `LOG_LIMIT`
-    consultations in `invocation_log`, oldest first (a bounded deque)."""
+    consultations raw in `ring` (a bounded deque) and rendered, oldest
+    first, by `invocation_log`."""
 
     def __init__(self, trie=None):
         self.trie = trie if trie is not None else PartialDfa()
-        self.invocation_log = deque(maxlen=LOG_LIMIT)
+        self.ring = deque(maxlen=LOG_LIMIT)
         self.acceptor_ticks = 0
+
+    @property
+    def invocation_log(self):
+        """The consultations in `ring`, as a read-only `InvocationLog`."""
+        return InvocationLog(self)
 
     def accept(self, config):
         """The evolving accepting engine.
@@ -68,7 +124,8 @@ class EvolvingModel:
         fully blank tape answers YES without consulting the trie. A
         right-edge tape whose content still holds interior blanks after
         end-stripping is not a binary string; the trie is never consulted
-        and the answer is NO.
+        and the answer is NO. A configuration in either pattern is asked
+        about as its tape, by `accept_tape`.
         """
         if config.state != HALT_STATE or config.head != BLANK:
             return False
@@ -76,12 +133,28 @@ class EvolvingModel:
             return True
         if config.right:
             return False
-        text = config.left.strip(BLANK)
-        if BLANK in text:
+        return self.accept_tape(HALT_STATE, config_cells(config), len(config.left))
+
+    def accept_tape(self, state, cells, pos):
+        """The answer of `accept(tape_view(state, cells, pos))`, with the
+        same side effects: the ticks, the trie's growth and the ring entry.
+
+        Asked only where the halt state reads a blank at a tape edge (cell
+        0 or the last cell), as the run loop asks it where `walk` stopped
+        to ask and `accept` after its own check; so it does not check that
+        pattern again. At the origin the answer is YES; at the right edge
+        the trie is asked about the string on the tape (`edge_content`),
+        or the answer is NO when a blank remains inside it. The ring keeps
+        a frozen copy of the tape, not its view.
+        """
+        if not pos:
+            return True
+        text = edge_content(cells)
+        if text is None:
             return False
         accepted, ticks = self.trie.answer(text)
         self.acceptor_ticks += ticks
-        self.invocation_log.append(_invocation_record((config, text, accepted, ticks)))
+        self.ring.append((state, bytes(cells), pos, text, accepted, ticks))
         return accepted
 
 
@@ -107,7 +180,7 @@ def decode_snapshot(text):
 
 
 def fork(model):
-    """An independent copy of the evolving world (fresh, empty log), equal
+    """An independent copy of the evolving world (fresh, empty ring), equal
     to `decode_snapshot(encode_snapshot(model))`: the trie's arrays are
     copied, not printed and parsed back, so neither world's growth reaches
     the other."""

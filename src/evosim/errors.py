@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `excerpt`, which their
+messages use to name a piece of the input they reject."""
+
+
+def excerpt(text, limit=40, show=repr):
+    """`show(text)` for a text of at most `limit` characters; for a longer
+    one, `show` of its first `limit` characters and its length, so that a
+    message never echoes a whole input line."""
+    if len(text) <= limit:
+        return show(text)
+    return f"{show(text[:limit])}… ({len(text)} characters)"
 
 
 class EvosimError(Exception):
@@ -17,7 +27,7 @@ class DeterminationError(EvosimError):
 
     def __init__(self, collisions):
         self.collisions = tuple(collisions)
-        keys = ", ".join(f"({s},{a})" for s, a in self.collisions)
+        keys = ", ".join(f"({excerpt(s, 20, str)},{a})" for s, a in self.collisions)
         super().__init__(f"conflicting instructions for key(s): {keys}")
 
 

@@ -32,7 +32,7 @@ import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .engine import EvolvingModel, encode_snapshot
+from .engine import EvolvingModel, encode_snapshot, render_record
 # right_scanner lives beside Procedure, so that the CLI builds its default
 # procedure without this module; it is re-exported here, unchanged.
 from .runner import (ACCEPTED, DEFAULT_BUDGET, Verdict, _drive, answer_word,
@@ -226,18 +226,20 @@ class TraceRecord(NamedTuple):
 def run_traced(model, procedure, text, budget=DEFAULT_BUDGET):
     """Run under the evolving model while capturing its trie consultations.
 
-    The run's records go to a list of their own, swapped in for the
-    model's bounded `invocation_log` for the length of the run, so the
-    trace holds every consultation however many there are. The ring is then
-    restored and extended with them, as if the run had been untraced.
+    The run's raw consultations go to a list of their own, swapped in for
+    the model's bounded `ring` for the length of the run, so the trace
+    holds every consultation however many there are. The ring is then
+    restored and extended with them, as if the run had been untraced, and
+    the trace renders them (`render_record`).
     """
-    ring = model.invocation_log
-    records = model.invocation_log = []
+    ring = model.ring
+    entries = model.ring = []
     try:
         result = run(model, procedure, text, budget)
     finally:
-        model.invocation_log = ring
-        ring.extend(records)
+        model.ring = ring
+        ring.extend(entries)
+    records = list(map(render_record, entries))
     configs = tuple(dict.fromkeys(r.config for r in records))
     fed = tuple(dict.fromkeys(r.text for r in records))
     trace = TraceRecord(

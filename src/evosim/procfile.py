@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ProcedureSyntaxError
+from .errors import ProcedureSyntaxError, excerpt
 from .runner import Instruction, Procedure
 from .tape import BLANK
 
@@ -46,7 +46,7 @@ def parse_procedure(text):
         if match is None:
             raise ProcedureSyntaxError(
                 f"expected '(<state>,<sym>) -> (<state>,<sym>,<L|R>)', "
-                f"got {raw.strip()!r}", line_no)
+                f"got {excerpt(raw.strip())}", line_no)
         state, read, target, write, move = match.groups()
         instructions.append(
             Instruction(state, _symbol_in(read), target, _symbol_in(write), move))

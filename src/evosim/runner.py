@@ -16,14 +16,25 @@ candidates. A *model* supplies only the accepting engine:
                                                       constant 0 for pure
                                                       models)
 
+and may also supply the same question about the mutable tape itself:
+
+    accept_tape(state, cells, pos) -> bool           (the answer, and the
+                                                      side effects, of
+                                                      accept(tape_view(
+                                                      state, cells, pos)))
+
 Acceptor contract: an accepting engine may answer YES only on a
 configuration in the halt state with the head on a blank at a tape edge
 (cell 0 or the last cell: an empty `left` or an empty `right`), the
 paper's halting pattern, and must answer NO everywhere else without doing
-any work. The run loop relies on this: it builds a `Configuration` and
-calls `accept` only on those edge configurations, in order of generation,
-and takes NO as the answer everywhere else, so a run costs time and memory
-linear in its steps, apart from the edge configurations it builds. A model
+any work. The run loop relies on this: it asks only on those edge
+configurations, where `walk` stopped to ask, in order of generation, and
+takes NO as the answer everywhere else, so a run costs time and memory
+linear in its steps, apart from what each question costs. It looks the
+tape question up once per run: a model that has it (`EvolvingModel`) is
+asked it, with no configuration built, and any other model (the
+`StandardModel`, or one with `accept` and `acceptor_ticks` alone) is asked
+`accept` on a `Configuration` built by `evosim.tape.tape_view`. A model
 that would answer YES with the halt state on a blank inside the tape is
 not asked there.
 
@@ -68,13 +79,14 @@ and none of them makes a process import `dataclasses`, with the
 `inspect`, `ast` and `dis` that it imports. `Instruction` checks its
 fields in `__new__`, and its `_make`, which `_replace` calls, goes through
 `__new__`, so no way of building one skips the check. The run and query
-paths build theirs in C: each module keeps one `functools.partial(
-tuple.__new__, Cls)` beside the class (`Configuration` in `tape_view`,
-`InvocationRecord` in `EvolvingModel.accept`, `CostMeter` and `RunResult`
-in `run`, `QueryOutcome` in `PartialDfa.query`) and calls it with the
-fields as one tuple. The class call goes through the Python-level
-`__new__` that `collections.namedtuple` generates, one more Python frame
-and about 0.25-0.3 us a build on CPython 3.11, some four a run; the value
+paths, and the readers that render what they keep, build theirs in C:
+each module keeps one `functools.partial(tuple.__new__, Cls)` beside the
+class (`Configuration` in `tape_view`, `InvocationRecord` in
+`evosim.engine.render_record`, `CostMeter` and `RunResult` in `run`,
+`QueryOutcome` in `PartialDfa.query`) and calls it with the fields as one
+tuple. The class call goes through the Python-level `__new__` that
+`collections.namedtuple` generates, one more Python frame and about
+0.25-0.3 us a build on CPython 3.11, some two a run; the value
 is the same, with its type, repr, hash and pickle. No per-run or
 per-query path calls a named-tuple class, and `Instruction`, which is not
 built per run, keeps its checking `__new__`. The one exception
@@ -334,6 +346,7 @@ def _drive(model, procedure, text, budget, applied=None):
     cells = start_tape(text)
     steps = procedure._steps
     state, pos, room = START_STATE, 0, budget
+    ask = getattr(model, "accept_tape", None)
     while True:
         state, pos, halted, asking, room = walk(steps, cells, pos, state,
                                                 room, applied)
@@ -342,7 +355,10 @@ def _drive(model, procedure, text, budget, applied=None):
         # one that is not h on a blank at a tape edge.
         if not asking:
             return HALTED_REJECTED if halted else BUDGET_EXCEEDED, cells
-        answer = model.accept(tape_view(state, cells, pos))
+        if ask is not None:
+            answer = ask(state, cells, pos)
+        else:
+            answer = model.accept(tape_view(state, cells, pos))
         if halted:
             return ACCEPTED if answer else HALTED_REJECTED, cells
         if not room:

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .engine import EvolvingModel, fork, make_model
-from .errors import ScenarioError
+from .errors import ScenarioError, excerpt
 from .experiments import (SIBLING_LENGTH_LIMIT, Answers, run_traced, saturate,
                           sibling_search, trace_line)
 from .procfile import load_procedure
@@ -65,7 +65,7 @@ class Scenario(tuple):
 
 def _binary_or_die(arg, line_no, what):
     if set(arg) - {"0", "1"}:
-        raise ScenarioError(f"{what} must be a binary string, got {arg!r}",
+        raise ScenarioError(f"{what} must be a binary string, got {excerpt(arg)}",
                             line_no)
 
 
@@ -131,10 +131,11 @@ class LineParser:
                 raise ScenarioError(
                     "snapshot takes 'save <name>' or 'load <name>'", line_no)
             if not _NAME.match(args[1]):
-                raise ScenarioError(f"bad snapshot name {args[1]!r}", line_no)
+                raise ScenarioError(f"bad snapshot name {excerpt(args[1])}", line_no)
             if args[0] == "load" and args[1] not in self.saved_names:
                 raise ScenarioError(
-                    f"snapshot {args[1]!r} loaded before it was saved", line_no)
+                    f"snapshot {excerpt(args[1])} loaded before it was saved",
+                    line_no)
             if args[0] == "save":
                 self.saved_names.add(args[1])
             command = Command(line_no, f"snapshot-{args[0]}", args[1])
@@ -147,7 +148,7 @@ class LineParser:
                 raise ScenarioError("trace takes on or off", line_no)
             command = Command(line_no, "trace", args[0])
         else:
-            raise ScenarioError(f"unknown command {kind!r}", line_no)
+            raise ScenarioError(f"unknown command {excerpt(kind)}", line_no)
         self.previous_kind = kind
         return command
 
@@ -259,7 +260,7 @@ class ScenarioRunner:
         if kind == "snapshot-load":
             self._require_evolving(command)
             if arg not in self.snapshots:
-                raise ScenarioError(f"unknown snapshot {arg!r}", command.line_no)
+                raise ScenarioError(f"unknown snapshot {excerpt(arg)}", command.line_no)
             self.model = fork(self.snapshots[arg])
             return [f"snapshot load {arg} -> {len(self.model.trie.states)} states"]
         if kind == "stats":

@@ -4,7 +4,8 @@ A configuration is a named tuple (state, left, head, right) that splits
 the tape at the head; the conceptual tape is left+head+right, extended
 with blanks on the right on demand. As a tuple it equals a plain tuple of
 the same values, and it is cheap to build: the run loop builds one for
-every acceptor question, and `RunResult.path` one per step. Both
+every question to a model that has only `accept`, and `RunResult.path`
+one per step. Both
 plain engines (`apply_instruction` and `halting_accept`) are pure
 functions, so the model is stateless and configurations can be shared
 freely across threads.
@@ -22,7 +23,9 @@ Beaver 5", 1990): an instruction that writes back the symbol it reads and
 stays in its state, a *loop*, crosses the whole run of cells it loops on
 in one move. The pure engine `apply_instruction` takes one step of a
 configuration through the same walk, and `tape_view` turns a mutable tape
-back into a configuration.
+back into a configuration (`config_cells` the other way). The evolving
+acceptor asks its question of the tape itself: `edge_content` reads the
+string on it, so the byte codes stay known to this module alone.
 
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
@@ -44,9 +47,10 @@ START_STATE = "q0"
 HALT_STATE = "h"
 
 # The code of each symbol on the byte tape, and the symbol object of each
-# code. A view's head is the ALPHABET string itself: a blank sliced out of a
-# decoded tape would be a fresh string in every configuration that the
-# evolving model's log keeps.
+# code. A view's head is the ALPHABET string itself, not a blank sliced out
+# of the decoded tape: a fresh string in every configuration that a reader
+# renders, such as each record of the evolving model's log (which keeps the
+# raw tape, not the view).
 CODE = dict(zip(ALPHABET, b"01\0"))
 SYMBOL = {code: symbol for symbol, code in CODE.items()}
 ZERO, ONE = CODE["0"], CODE["1"]
@@ -96,6 +100,27 @@ def tape_string(cells):
     """The content of a mutable tape with blank ends stripped (interior
     blanks retained)."""
     return cells.strip(b"\0").decode("latin-1").replace("\0", BLANK)
+
+
+def edge_content(cells):
+    """The binary string on a tape with its blank ends stripped, or None
+    when a blank remains inside it: what the evolving acceptor asks its
+    trie about at the right edge."""
+    content = cells.strip(b"\0")
+    if 0 in content:
+        return None
+    return content.decode("ascii")
+
+
+def config_cells(config):
+    """The mutable tape of a configuration, cell 0 being the origin.
+
+    InvalidSymbolError if the configuration holds a symbol outside the
+    alphabet."""
+    tape = config.left + config.head + config.right
+    if config.head not in ALPHABET or tape.strip("".join(ALPHABET)):
+        raise InvalidSymbolError(f"symbol outside alphabet in {config!r}")
+    return bytearray(tape.replace(BLANK, "\0"), "ascii")
 
 
 def step_table(instructions):
@@ -220,10 +245,7 @@ def step_config(steps, config):
 
     InvalidSymbolError if the configuration holds a symbol outside the
     alphabet."""
-    tape = config.left + config.head + config.right
-    if config.head not in ALPHABET or tape.strip("".join(ALPHABET)):
-        raise InvalidSymbolError(f"symbol outside alphabet in {config!r}")
-    cells = bytearray(tape.replace(BLANK, "\0"), "ascii")
+    cells = config_cells(config)
     applied = []
     state, pos = walk(steps, cells, len(config.left), config.state, 1,
                       applied)[:2]

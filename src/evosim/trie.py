@@ -86,7 +86,7 @@ from functools import partial
 from itertools import chain, compress
 from typing import NamedTuple
 
-from .errors import InvalidSymbolError, SnapshotError
+from .errors import InvalidSymbolError, SnapshotError, excerpt
 
 TRIE_ALPHABET = ("0", "1")
 TRIE_START = "q0"
@@ -289,12 +289,39 @@ def _levels(kids0, kids1, root):
         level = below
 
 
+def _value(numeral):
+    """The value of a decimal numeral, or infinity for one with more digits
+    after its leading zeros than `int` converts: past any counter, itself
+    a numeral that `int` converted."""
+    try:
+        return int(numeral.lstrip("0") or "0")
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return float("inf")
+
+
+def _shown(name):
+    """A name or numeral from snapshot text as a message shows it: short
+    enough that three fit in one problem (see `evosim.errors.excerpt`)."""
+    return excerpt(str(name), 15, str)
+
+
+def _summary(problems, limit=160):
+    """The problems joined by "; ", as many as fit in `limit` characters
+    (at least one), then the count of the rest."""
+    shown = problems[0]
+    for count, problem in enumerate(problems[1:], 1):
+        if len(shown) + 2 + len(problem) > limit:
+            return f"{shown}; and {len(problems) - count} more"
+        shown += "; " + problem
+    return shown
+
+
 def _field(lines, index, key):
     if index >= len(lines):
         raise SnapshotError(f"missing '{key}:' line", index + 1)
     line = lines[index]
     if line != key + ":" and not line.startswith(key + ": "):
-        raise SnapshotError(f"expected '{key}:' line, got {line!r}", index + 1)
+        raise SnapshotError(f"expected '{key}:' line, got {excerpt(line)}", index + 1)
     return line[len(key) + 1:].strip()
 
 
@@ -302,7 +329,7 @@ def _decimal(text, line_no):
     """The value of an ASCII decimal numeral, or SnapshotError at `line_no`,
     also for one with more digits than `int` converts."""
     if not (text.isascii() and text.isdigit()):
-        raise SnapshotError(f"not an ASCII decimal numeral: {text!r}", line_no)
+        raise SnapshotError(f"not an ASCII decimal numeral: {excerpt(text)}", line_no)
     try:
         return int(text)
     except ValueError:  # beyond sys.get_int_max_str_digits()
@@ -385,18 +412,22 @@ class PartialDfa:
                 # A key with no child slot: only the same key can repeat it.
                 if (src, symbol) in unslotted:
                     raise SnapshotError(
-                        f"two transitions from ({src},{symbol})", index + 1)
+                        f"two transitions from ({_shown(src)},{_shown(symbol)})",
+                        index + 1)
                 unslotted.add((src, symbol))
-                problems.append(f"transition {src}-{symbol}->{dst} has an "
+                problems.append(f"transition {_shown(src)}-{_shown(symbol)}->"
+                                f"{_shown(dst)} has an "
                                 f"unknown state or a symbol outside the "
                                 f"alphabet")
                 continue
             if kids[parent] != root:
                 raise SnapshotError(
-                    f"two transitions from ({src},{symbol})", index + 1)
+                    f"two transitions from ({_shown(src)},{_shown(symbol)})",
+                    index + 1)
             if child is None or child == root:
                 kids[parent] = -1  # taken: a repeat of the key is a duplicate
-                problems.append(f"transition {src}-{symbol}->{dst} enters "
+                problems.append(f"transition {_shown(src)}-{_shown(symbol)}->"
+                                f"{_shown(dst)} enters "
                                 f"the start state or an unknown state")
                 continue
             kids[parent] = child
@@ -414,7 +445,7 @@ class PartialDfa:
         for name in accept_field.split():
             state = get(name)
             if state is None:
-                problems.append(f"accepting state {name} unknown")
+                problems.append(f"accepting state {_shown(name)} unknown")
             else:
                 marks[state] = 1
         fresh = (counter == count
@@ -426,7 +457,7 @@ class PartialDfa:
         machine.max_accepted_length = maxaccept
         problems = problems or machine.structure_problems()
         if problems:
-            raise SnapshotError("; ".join(problems))
+            raise SnapshotError(_summary(problems))
         return machine
 
     def copy(self):
@@ -664,8 +695,8 @@ class PartialDfa:
         if reached != count:
             problems.append(f"{count - reached} unreachable states")
         if self.max_accepted_length != deepest_accepting:
-            problems.append(f"maxaccept {self.max_accepted_length} is not the "
-                            f"deepest accepting depth {deepest_accepting}")
+            problems.append(f"maxaccept {_shown(self.max_accepted_length)} is "
+                            f"not the deepest accepting depth {deepest_accepting}")
         if self.accepting_count != marks.count(1):
             problems.append(f"accepting count {self.accepting_count} is not "
                             f"the number of accepting states")
@@ -675,7 +706,7 @@ class PartialDfa:
             problems.append("duplicate state names")
         counter = self.creation_counter
         for name in named:
-            if name[:1] == "s" and name[1:].isdecimal() and int(name[1:]) >= counter:
-                problems.append(f"creation counter {counter} "
-                                f"would collide with existing {name}")
+            if name[:1] == "s" and name[1:].isdecimal() and _value(name[1:]) >= counter:
+                problems.append(f"creation counter {_shown(counter)} "
+                                f"would collide with existing {_shown(name)}")
         return problems

@@ -12,7 +12,11 @@ Semantics mirrored here:
     as if no instruction matched);
   * the machine halts when no table entry applies; it accepts iff it halts
     in state "h" reading a blank at either the left edge (position 0) or
-    the right edge (the highest allocated cell).
+    the right edge (the highest allocated cell);
+  * with an acceptor, the evolving model's: it is asked at every
+    configuration in "h" on a blank at an edge, in order, and its answer
+    at the halting configuration replaces the pattern's. `TrieAcceptor`
+    is the paper's model E over a reference trie.
 """
 
 BLANK = "△"
@@ -22,12 +26,39 @@ HALTED_REJECTED = "halted-rejected"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-def oracle_run(table, text, budget=100_000):
+class TrieAcceptor:
+    """Model E's acceptor over `trie`, any object whose `answer(text)`
+    gives (accepted, ticks): YES at the origin without a consultation; at
+    the right edge NO when the content, stripped of its end blanks, holds
+    a blank, and otherwise the trie's answer on it. `fed` lists the
+    consulted strings in order, and `ticks` sums their ticks."""
+
+    def __init__(self, trie):
+        self.trie = trie
+        self.fed = []
+        self.ticks = 0
+
+    def __call__(self, head, content):
+        if head == 0:
+            return True
+        content = content.strip(BLANK)
+        if BLANK in content:
+            return False
+        accepted, ticks = self.trie.answer(content)
+        self.fed.append(content)
+        self.ticks += ticks
+        return accepted
+
+
+def oracle_run(table, text, budget=100_000, acceptor=None):
     """Run `table` on `text`; return (verdict, steps, final_string).
 
     `table` maps (state, read_symbol) to (next_state, write_symbol, move)
     with move in {"L", "R"}. `steps` counts applied transitions. The final
-    string is the allocated tape with blank ends stripped.
+    string is the allocated tape with blank ends stripped. `acceptor`, when
+    given, is called as acceptor(head, content) on every configuration in
+    "h" on a blank at an edge, in order, `content` being the allocated
+    tape; None keeps the halting pattern.
     """
     tape = {i + 1: ch for i, ch in enumerate(text)}
     head = 0
@@ -36,13 +67,16 @@ def oracle_run(table, text, budget=100_000):
     steps = 0
     while True:
         symbol = tape.get(head, BLANK)
+        at_edge = head == 0 or head == rightmost
+        answer = state == "h" and symbol == BLANK and at_edge
+        if answer and acceptor is not None:
+            content = "".join(tape.get(i, BLANK) for i in range(rightmost + 1))
+            answer = acceptor(head, content)
         action = table.get((state, symbol))
         if action is not None and action[2] == "L" and head == 0:
             action = None
         if action is None:
-            at_edge = head == 0 or head == rightmost
-            accepted = state == "h" and symbol == BLANK and at_edge
-            verdict = ACCEPTED if accepted else HALTED_REJECTED
+            verdict = ACCEPTED if answer else HALTED_REJECTED
             break
         if steps >= budget:
             verdict = BUDGET_EXCEEDED

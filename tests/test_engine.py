@@ -3,7 +3,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evosim import (
@@ -20,6 +20,7 @@ from evosim import (
     run,
 )
 from evosim.engine import LOG_LIMIT
+from evosim.tape import tape_view
 from test_decoder_record import OUT_OF_ORDER, OWN_NAMES
 
 FRESH_SNAPSHOT = """PET1 v1
@@ -83,28 +84,87 @@ def test_interior_blank_never_reaches_the_trie():
     assert not model.invocation_log
 
 
-def test_log_memory_is_linear_in_the_budget_when_every_step_is_asked():
-    # An h that walks on over blanks past the last cell is at the right edge
-    # on every step, so "10", rejected after "101", is asked at every step
-    # and each question holds a full-tape configuration. A log that kept
-    # them all would be quadratic in the budget (about 13x from 1k to 4k).
+def _walk_on_peak(budget):
+    """The traced memory peak of a run that asks at every step: an h that
+    walks on over blanks past the last cell is at the right edge on every
+    step, so "10", rejected after "101", is asked at every step, each time
+    about a tape one blank longer."""
     walk_on = Procedure([*right_scanner(),
                          Instruction("h", BLANK, "h", BLANK, "R")])
+    model = EvolvingModel()
+    run(model, walk_on, "101")
+    tracemalloc.start()
+    try:
+        result = run(model, walk_on, "10", budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.accepted
+    assert len(model.invocation_log) == min(budget - 2, LOG_LIMIT)
+    return peak
 
-    def peak(budget):
-        model = EvolvingModel()
-        run(model, walk_on, "101")
-        tracemalloc.start()
-        try:
-            result = run(model, walk_on, "10", budget)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not result.accepted
-        assert len(model.invocation_log) == min(budget - 2, LOG_LIMIT)
-        return peak
 
-    assert peak(4000) <= 6 * peak(1000)
+def test_log_memory_is_linear_in_the_budget_when_every_step_is_asked():
+    # A log that kept every question would be quadratic in the budget
+    # (about 13x from 1k to 4k).
+    assert _walk_on_peak(4000) <= 6 * _walk_on_peak(1000)
+
+
+def test_a_ring_of_tapes_stays_small_when_every_step_is_asked():
+    # The ring keeps the last LOG_LIMIT tapes as bytes, one byte a cell:
+    # about 1 MB at a budget of 4,000. Configurations kept there, whose
+    # strings take 2 bytes a character for the blank symbol, peaked near
+    # 2 MB.
+    assert _walk_on_peak(4000) < 1.5 * 2 ** 20
+
+
+# A world grown by a few queries, forked for each example.
+GROWN = EvolvingModel()
+for _text in ("101", "0", "11011", "", "0110", "111"):
+    GROWN.trie.answer(_text)
+tapes = st.lists(st.sampled_from(b"01\0"), max_size=8).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tapes, st.booleans())
+# At the origin: a blank tape and a tape with content; at the right edge:
+# content with an interior blank, a string the world rejects, and one it
+# grows for.
+@example(b"", True)
+@example(b"101", True)
+@example(b"\x001\x001", False)
+@example(b"\x0010", False)
+@example(b"\x00100", False)
+def test_the_tape_question_agrees_with_the_config_question(inner, at_origin):
+    # The halt state on a blank at the origin or at the right edge, the
+    # only places the tape question is asked, on forks of one world.
+    tape = b"\0" + inner if at_origin else inner + b"\0"
+    cells = bytearray(tape)
+    pos = 0 if at_origin else len(cells) - 1
+    by_tape, by_config = fork(GROWN), fork(GROWN)
+    config = tape_view("h", cells, pos)
+    answer = by_tape.accept_tape("h", cells, pos)
+    assert cells == tape
+    assert by_config.accept(config) is answer
+    assert by_tape.acceptor_ticks == by_config.acceptor_ticks
+    assert list(by_tape.invocation_log) == list(by_config.invocation_log)
+    assert [r.config for r in by_tape.invocation_log] in ([], [config])
+    assert encode_snapshot(by_tape) == encode_snapshot(by_config)
+
+
+def test_the_log_is_a_read_only_view_of_the_ring():
+    model = EvolvingModel()
+    for text in ("101", "10", "0110"):
+        model.accept(right_edge(text))
+    log = model.invocation_log
+    assert log == [(right_edge(t), t, a, k) for t, a, k in
+                   [("101", True, 7), ("10", False, 2), ("0110", True, 9)]]
+    assert log[1:] == list(log)[1:] and log[-1] == list(log)[-1]
+    assert len(log) == len(model.ring) == 3
+    with pytest.raises(AttributeError):
+        model.invocation_log = []
+    assert not fork(model).invocation_log
+    assert not decode_snapshot(encode_snapshot(model)).invocation_log
 
 
 def test_fresh_snapshot_text_is_pinned():

@@ -1,5 +1,6 @@
 """Text parsers on mutated corpus text: only package errors escape."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from evosim import (
     run,
     saturate,
 )
+from evosim.cli import _positive_int
 from evosim.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,11 +48,12 @@ CORPUS = {
 }
 
 # Pieces an edit puts in: the grammars' own tokens, values out of range or
-# of the wrong kind, a numeral of more digits than `int` converts, non-ASCII
-# digits, odd whitespace and control characters, and free text.
+# of the wrong kind, a numeral of more digits than `int` converts, a word
+# far longer than any message should echo, non-ASCII digits, odd whitespace
+# and control characters, and free text.
 TOKENS = ("", "0", "1", "_", BLANK, "x", "q0", "h", "s1", "(q0,_)", "(h,_,R)",
           "->", "#", ":", "\r", "\t", "\x00", "-1", "1.5", "99999999999",
-          "9" * 4301,
+          "9" * 4301, "x" * 100_000,
           "\u00b2", "\u0663", "PET1 v1", "trans:", "states:", "accept:",
           "saturate", "brute", "expect", "snapshot", "load", "model", "e")
 pieces = st.one_of(st.sampled_from(TOKENS), st.text(max_size=3))
@@ -62,6 +65,9 @@ offsets = st.integers(min_value=0, max_value=10_000)
 edits = st.lists(st.tuples(st.sampled_from(KINDS), offsets, offsets, pieces),
                  min_size=1, max_size=3)
 
+
+# The longest message a parser may give.
+MESSAGE_LIMIT = 200
 
 # Words are what lies between these: whitespace and the grammars'
 # punctuation, so that `(h,_,R)` has the words h, _ and R.
@@ -107,5 +113,80 @@ def test_only_package_errors_escape_the_parsers(name, which, edit_list):
     parser, texts = CORPUS[name]
     try:
         parser(mutate(texts[which % len(texts)], edit_list))
-    except EvosimError:
-        pass
+    except EvosimError as error:
+        # A message names what is wrong; it does not echo a whole input.
+        assert len(str(error)) <= MESSAGE_LIMIT, str(error)[:300]
+
+
+LONG = "x" * 100_000
+HEAD = "PET1 v1\nstates: q0 s1\nstart: q0\n"
+
+
+def _snapshot_message(text):
+    with pytest.raises(EvosimError) as caught:
+        decode_snapshot(text)
+    return str(caught.value)
+
+
+def _scenario_message(text):
+    with pytest.raises(EvosimError) as caught:
+        parse_scenario(text)
+    return str(caught.value)
+
+
+def _procedure_message(text):
+    with pytest.raises(EvosimError) as caught:
+        parse_procedure(text)
+    return str(caught.value)
+
+
+def _budget_message(text):
+    with pytest.raises(argparse.ArgumentTypeError) as caught:
+        _positive_int(text)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("message, text", [
+    (_snapshot_message, "PET1 v1\n" + LONG + "\n"),
+    (_snapshot_message, HEAD + "accept:\nmaxaccept: 0\ncounter: " + LONG + "\n"),
+    (_snapshot_message, HEAD + "accept: " + LONG + "\nmaxaccept: 0\ncounter: 2\n"),
+    (_snapshot_message, HEAD + f"accept:\ntrans: {LONG} {LONG} {LONG}\n"
+                               "maxaccept: 0\ncounter: 2\n"),
+    (_snapshot_message, HEAD + f"accept:\ntrans: {LONG} 1 s1\ntrans: {LONG} 1 s1\n"
+                               "maxaccept: 0\ncounter: 2\n"),
+    (_scenario_message, LONG),
+    (_scenario_message, "model e\nsnapshot save " + LONG + "!"),
+    (_scenario_message, "query 2" + LONG),
+    (_procedure_message, LONG),
+    (_budget_message, LONG),
+])
+def test_a_message_names_a_long_input_by_an_excerpt(message, text):
+    shown = message(text)
+    assert len(shown) <= MESSAGE_LIMIT
+    assert " characters)" in shown
+
+
+@pytest.mark.parametrize("message, text, expected", [
+    (_snapshot_message, HEAD + "accept: zz\nmaxaccept: 0\ncounter: 2\n",
+     "accepting state zz unknown"),
+    (_snapshot_message, HEAD + "accept:\ntrans: q0 1 zz\nmaxaccept: 0\ncounter: 2\n",
+     "transition q0-1->zz enters the start state or an unknown state"),
+    (_snapshot_message, HEAD + "accept:\nmaxaccept: 0\ncounter: 2x\n",
+     "line 6: not an ASCII decimal numeral: '2x'"),
+    (_scenario_message, "frob", "line 1: unknown command 'frob'"),
+    (_scenario_message, "query 12", "line 1: query argument must be a binary "
+                                    "string, got '12'"),
+    (_procedure_message, "(q0,_) -> h", "line 1: expected '(<state>,<sym>) -> "
+                                        "(<state>,<sym>,<L|R>)', got '(q0,_) -> h'"),
+    (_budget_message, "-3", "expected a positive integer, got '-3'"),
+])
+def test_a_message_about_a_short_input_names_it_whole(message, text, expected):
+    assert message(text) == expected
+
+
+def test_a_state_name_of_more_digits_than_int_converts_is_a_snapshot_error():
+    # A kept name s<digits> past any counter collides with the fresh names.
+    name = "s" + "9" * 5000
+    text = (f"PET1 v1\nstates: q0 {name}\nstart: q0\naccept: {name}\n"
+            f"trans: q0 1 {name}\nmaxaccept: 1\ncounter: 2\n")
+    assert "would collide" in _snapshot_message(text)

@@ -31,7 +31,8 @@ from evosim import (
 from evosim.engine import LOG_LIMIT, encode_snapshot, fork
 from evosim.runner import _drive
 from evosim.tape import ALPHABET, ONE, SYMBOL, ZERO, start_tape, tape_string, tape_view, walk
-from oracle_tm import oracle_run
+from oracle_tm import TrieAcceptor, oracle_run
+from oracle_trie import OracleTrie
 
 V = StandardModel()
 SCANNER = right_scanner()
@@ -316,15 +317,15 @@ budgets = st.one_of(st.integers(min_value=1, max_value=40),
 
 class SpyModel(EvolvingModel):
     """An evolving model that also records every configuration it is
-    asked about."""
+    asked about, as the run loop asks it: about the tape."""
 
     def __init__(self):
         super().__init__()
         self.asked = []
 
-    def accept(self, config):
-        self.asked.append(config)
-        return super().accept(config)
+    def accept_tape(self, state, cells, pos):
+        self.asked.append(tape_view(state, cells, pos))
+        return super().accept_tape(state, cells, pos)
 
 
 def test_long_accepted_runs_ask_the_acceptor_once():
@@ -390,14 +391,15 @@ def _python_frames(function, *args):
 @pytest.mark.parametrize("first_time", [True, False])
 def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
     # A run of the scanner under model e enters each function of its path
-    # once, and `_mark` once more when the trie grows: the value types it
-    # builds (a configuration, a log record, and for `run` a cost meter and
-    # a report) take no Python frame, where a named tuple's generated
-    # `__new__` takes one per build.
+    # once, and `_mark` once more when the trie grows: the acceptor is asked
+    # about the tape, with no configuration built, and the value types the
+    # run builds (for `run` a cost meter and a report) take no Python
+    # frame, where a named tuple's generated `__new__` takes one per build.
     world = EvolvingModel()
     if not first_time:
         run(world, SCANNER, "1011")
-    expected = Counter(["_drive", "start_tape", "walk", "tape_view", "accept", "answer"])
+    expected = Counter(["_drive", "start_tape", "walk", "edge_content", "accept_tape",
+                        "answer"])
     if driver is run:
         expected.update(["run", "tape_string"])
     if first_time:
@@ -405,8 +407,9 @@ def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
     assert _python_frames(driver, world, SCANNER, "1011", 100) == expected
 
 def test_views_share_the_symbols_of_the_alphabet():
-    # Every configuration the acceptor keeps holds its head; a fresh string
-    # per view would grow the evolving model's log.
+    # Every configuration a reader renders holds its head, every record of
+    # the evolving model's log among them; a fresh string per view would
+    # grow what a reader keeps.
     cells = start_tape("01")
     heads = [tape_view("h", cells, pos).head for pos in (1, 2, 0)]
     assert all(head is symbol for head, symbol in zip(heads, ALPHABET))
@@ -518,6 +521,67 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
             assert encode_snapshot(world) == encode_snapshot(reported)
             if isinstance(world, SpyModel):
                 assert world.asked == reported.asked
+
+
+class ConfigQuestion:
+    """A model with the README's protocol alone, `accept` and
+    `acceptor_ticks`, over an evolving world: the run loop asks it about
+    each configuration, where it asks the world itself about the tape."""
+
+    def __init__(self, world):
+        self.world = world
+
+    def accept(self, config):
+        return self.world.accept(config)
+
+    @property
+    def acceptor_ticks(self):
+        return self.world.acceptor_ticks
+
+
+# 200 examples in tier-1; more under a larger profile, such as `deep`.
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(procedures, st.text(alphabet="01", max_size=24), budgets)
+@example(SCANNER_TABLE, "10", 40)
+@example(SCANNER_TABLE, "", 40)
+@example(H_ONES_BLANKS_TABLE, "1011", 18)
+@example(INTERIOR_BLANK_TABLE, "101", 40)
+@example(PALINDROME_TABLE, "0110", 18)
+def test_the_config_question_agrees_with_the_tape_question(table, text, budget):
+    procedure = Procedure(Instruction(s, r, t, w, m)
+                          for (s, r), (t, w, m) in table.items())
+    by_tape, by_config = fork(GROWN), ConfigQuestion(fork(GROWN))
+    result = run(by_tape, procedure, text, budget)
+    assert run(by_config, procedure, text, budget) == result
+    assert list(by_config.world.invocation_log) == list(by_tape.invocation_log)
+    assert encode_snapshot(by_config.world) == encode_snapshot(by_tape)
+
+
+# 200 examples in tier-1; more under a larger profile, such as `deep`.
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(procedures, st.text(alphabet="01", max_size=7), budgets,
+       st.lists(st.text(alphabet="01", max_size=7), max_size=7))
+@example(SCANNER_TABLE, "10", 40, ["101"])
+@example(H_ONES_BLANKS_TABLE, "1011", 18, ["1", "10110"])
+@example(INTERIOR_BLANK_TABLE, "101", 40, [])
+@example(PALINDROME_TABLE, "0110", 18, ["", "0110"])
+def test_model_e_agrees_with_the_reference_acceptor(table, text, budget, history):
+    # The reference simulator, asking the paper's acceptor over the
+    # reference trie (tests/oracle_trie.py), from a world that both tries
+    # grew by the same history of queries.
+    procedure = Procedure(Instruction(s, r, t, w, m)
+                          for (s, r), (t, w, m) in table.items())
+    world, trie = EvolvingModel(), OracleTrie()
+    for query in history:
+        world.trie.answer(query)
+        trie.answer(query)
+    acceptor = TrieAcceptor(trie)
+    result = run(world, procedure, text, budget)
+    assert (result.verdict.value, result.cost.transition_ticks,
+            result.final_string) == oracle_run(table, text, budget, acceptor)
+    assert result.cost.acceptor_ticks == acceptor.ticks
+    assert [r.text for r in world.invocation_log] == acceptor.fed[-LOG_LIMIT:]
+    assert encode_snapshot(world) == trie.snapshot()
 
 
 # 400 examples in tier-1; more under a larger profile, such as `deep`.
