@@ -19,31 +19,33 @@ for files (a `--state` world, `evosim snapshot --out`); their format
 belongs to the trie (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`),
 and `encode_snapshot` and `decode_snapshot` apply it to a whole world.
 
-The run loop asks `accept_tape`, the same question about the byte tape
-itself, where `evosim.tape.walk` stopped to ask: the acceptor reads the
-string on the tape (`evosim.tape.edge_content`) without building a
-`Configuration`. `accept(config)` checks the pattern and asks it in turn,
-so the trie answer, the ticks and the record are written in one place.
+The run loop asks `accept_tape(cells, pos)`, the same question about the
+byte tape itself, where `evosim.tape.walk` stopped to ask: the acceptor
+reads the string on the tape (`evosim.tape.edge_content`) without
+building a `Configuration`. `accept(config)` checks the pattern with
+`evosim.tape.halting_accept` and asks it in turn, so the trie answer, the
+ticks and the ring entry are written in one place.
 
 Only the trie grows with the number of runs. `ring` keeps the last
-`LOG_LIMIT` consultations raw, each as (state, tape bytes, head position,
-text, answer, ticks), and `invocation_log` is a read-only view over it
-that renders each as an `InvocationRecord` only when it is read: a
-saturation makes tens of thousands of consultations and reads none. A
-caller that needs every record of one run collects the raw entries
-itself, as `evosim.experiments.run_traced` does, and renders them with
+`LOG_LIMIT` consultations raw, each as (tape bytes, text, answer, ticks):
+every one is asked in the halt state at the tape's last cell, the origin
+answering YES without one, so those two never vary and are not kept.
+`invocation_log` renders the ring, oldest first, as a new list of
+`InvocationRecord`s each time it is read: a saturation makes tens of
+thousands of consultations and reads none. A caller that needs every
+record of one run collects the raw entries itself, as
+`evosim.experiments.run_traced` does, and renders them with
 `render_record`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from functools import partial
 from typing import NamedTuple
 
-from .tape import (BLANK, HALT_STATE, StandardModel, config_cells,
-                   edge_content, tape_view)
+from .tape import (HALT_STATE, StandardModel, config_cells, edge_content,
+                   halting_accept, tape_view)
 from .trie import PartialDfa
 
 # The number of consultations `ring` keeps: the most recent ones.
@@ -65,41 +67,11 @@ _invocation_record = partial(tuple.__new__, InvocationRecord)
 
 
 def render_record(entry):
-    """The `InvocationRecord` of a raw ring entry (state, tape bytes, head
-    position, text, answer, ticks)."""
-    state, tape, pos, text, accepted, ticks = entry
-    return _invocation_record((tape_view(state, tape, pos), text, accepted, ticks))
-
-
-class InvocationLog(Sequence):
-    """A model's consultations, oldest first, read-only: its `ring`, each
-    entry rendered on access by `render_record`. Equal to a list or tuple
-    of the same records; a slice is a list of them."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model):
-        self._model = model
-
-    def __len__(self):
-        return len(self._model.ring)
-
-    def __getitem__(self, index):
-        ring = self._model.ring
-        if isinstance(index, slice):
-            return [render_record(ring[i]) for i in range(*index.indices(len(ring)))]
-        return render_record(ring[index])
-
-    def __iter__(self):
-        return map(render_record, self._model.ring)
-
-    def __eq__(self, other):
-        if isinstance(other, (InvocationLog, list, tuple)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{type(self).__name__}({list(self)!r})"
+    """The `InvocationRecord` of a raw ring entry (tape bytes, text, answer,
+    ticks), asked in the halt state on the tape's last cell."""
+    tape, text, accepted, ticks = entry
+    return _invocation_record(
+        (tape_view(HALT_STATE, tape, len(tape) - 1), text, accepted, ticks))
 
 
 class EvolvingModel:
@@ -114,38 +86,36 @@ class EvolvingModel:
 
     @property
     def invocation_log(self):
-        """The consultations in `ring`, as a read-only `InvocationLog`."""
-        return InvocationLog(self)
+        """The consultations in `ring`, oldest first, as a new list of
+        `InvocationRecord`s."""
+        return list(map(render_record, self.ring))
 
     def accept(self, config):
         """The evolving accepting engine.
 
-        The origin pattern is tested before the right-edge pattern, so the
-        fully blank tape answers YES without consulting the trie. A
-        right-edge tape whose content still holds interior blanks after
-        end-stripping is not a binary string; the trie is never consulted
-        and the answer is NO. A configuration in either pattern is asked
-        about as its tape, by `accept_tape`.
+        NO outside the halting pattern (`halting_accept`). The origin
+        pattern is tested before the right-edge pattern, so the fully
+        blank tape answers YES without consulting the trie. A configuration
+        at the right edge is asked about as its tape, by `accept_tape`.
         """
-        if config.state != HALT_STATE or config.head != BLANK:
+        if not halting_accept(config):
             return False
-        if not config.left:
-            return True
-        if config.right:
-            return False
-        return self.accept_tape(HALT_STATE, config_cells(config), len(config.left))
+        return not config.left or self.accept_tape(config_cells(config),
+                                                    len(config.left))
 
-    def accept_tape(self, state, cells, pos):
-        """The answer of `accept(tape_view(state, cells, pos))`, with the
-        same side effects: the ticks, the trie's growth and the ring entry.
+    def accept_tape(self, cells, pos):
+        """The answer of `accept(tape_view(HALT_STATE, cells, pos))`, with
+        the same side effects: the ticks, the trie's growth and the ring
+        entry.
 
         Asked only where the halt state reads a blank at a tape edge (cell
         0 or the last cell), as the run loop asks it where `walk` stopped
         to ask and `accept` after its own check; so it does not check that
         pattern again. At the origin the answer is YES; at the right edge
         the trie is asked about the string on the tape (`edge_content`),
-        or the answer is NO when a blank remains inside it. The ring keeps
-        a frozen copy of the tape, not its view.
+        or the answer is NO when a blank remains inside it, as the content
+        is then not a binary string. The ring keeps a frozen copy of the
+        tape, not its view.
         """
         if not pos:
             return True
@@ -154,7 +124,7 @@ class EvolvingModel:
             return False
         accepted, ticks = self.trie.answer(text)
         self.acceptor_ticks += ticks
-        self.ring.append((state, bytes(cells), pos, text, accepted, ticks))
+        self.ring.append((bytes(cells), text, accepted, ticks))
         return accepted
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `excerpt`, which their
-messages use to name a piece of the input they reject."""
+"""Exception types shared across the package, and `excerpt` and `summary`,
+which their messages use to name a piece of the input they reject and to
+list the problems they found."""
 
 
 def excerpt(text, limit=40, show=repr):
@@ -9,6 +10,18 @@ def excerpt(text, limit=40, show=repr):
     if len(text) <= limit:
         return show(text)
     return f"{show(text[:limit])}… ({len(text)} characters)"
+
+
+def summary(parts, sep="; ", limit=160):
+    """The parts joined by `sep`, as many as fit in `limit` characters (at
+    least one), then the count of the rest, so that a message never lists
+    every problem of a large input."""
+    shown = parts[0]
+    for count, part in enumerate(parts[1:], 1):
+        if len(shown) + len(sep) + len(part) > limit:
+            return f"{shown}{sep}and {len(parts) - count} more"
+        shown += sep + part
+    return shown
 
 
 class EvosimError(Exception):
@@ -22,12 +35,15 @@ class InvalidSymbolError(EvosimError):
 class DeterminationError(EvosimError):
     """Two instructions compete for the same configuration.
 
-    Carries the colliding (state, symbol) keys in `collisions`.
+    Carries every colliding (state, symbol) key in `collisions`; the
+    message names as many as fit (`summary`).
     """
 
     def __init__(self, collisions):
         self.collisions = tuple(collisions)
-        keys = ", ".join(f"({excerpt(s, 20, str)},{a})" for s, a in self.collisions)
+        # 140 characters of keys, the prefix and the count stay within 200.
+        keys = summary([f"({excerpt(s, 20, str)},{a})" for s, a in self.collisions],
+                       ", ", 140)
         super().__init__(f"conflicting instructions for key(s): {keys}")
 
 

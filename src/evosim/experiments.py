@@ -19,10 +19,12 @@ read-only view over such codes: it renders each entry on access, as a
 (text, verdict value) pair in a `SaturationReport`, and as a transcript
 line for a scenario's `saturate` (`evosim.scenario`).
 
-A traced run (`run_traced`) is shown here too, beside its `TraceRecord`:
-`trace_line` summarizes it, for `evosim trace` and a scenario's `trace on`,
-and `show_config` renders each halting configuration that `evosim trace`
-lists.
+A traced run (`run_traced`) collects the model's raw ring entries for one
+run, (tape bytes, text, answer, ticks) each, and renders them with
+`evosim.engine.render_record`. It is shown here too, beside its
+`TraceRecord`: `trace_line` summarizes it, for `evosim trace` and a
+scenario's `trace on`, and `show_config` renders each halting
+configuration that `evosim trace` lists.
 """
 
 from __future__ import annotations

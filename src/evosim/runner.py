@@ -16,12 +16,14 @@ candidates. A *model* supplies only the accepting engine:
                                                       constant 0 for pure
                                                       models)
 
-and may also supply the same question about the mutable tape itself:
+and may also supply the same question about the mutable tape itself,
+which both shipped models do:
 
-    accept_tape(state, cells, pos) -> bool           (the answer, and the
+    accept_tape(cells, pos)   -> bool                (the answer, and the
                                                       side effects, of
                                                       accept(tape_view(
-                                                      state, cells, pos)))
+                                                      HALT_STATE, cells,
+                                                      pos)))
 
 Acceptor contract: an accepting engine may answer YES only on a
 configuration in the halt state with the head on a blank at a tape edge
@@ -30,13 +32,15 @@ paper's halting pattern, and must answer NO everywhere else without doing
 any work. The run loop relies on this: it asks only on those edge
 configurations, where `walk` stopped to ask, in order of generation, and
 takes NO as the answer everywhere else, so a run costs time and memory
-linear in its steps, apart from what each question costs. It looks the
-tape question up once per run: a model that has it (`EvolvingModel`) is
-asked it, with no configuration built, and any other model (the
-`StandardModel`, or one with `accept` and `acceptor_ticks` alone) is asked
-`accept` on a `Configuration` built by `evosim.tape.tape_view`. A model
-that would answer YES with the halt state on a blank inside the tape is
-not asked there.
+linear in its steps, apart from what each question costs. So the state is
+always `HALT_STATE` where it asks, and the tape question does not take
+it. The loop picks its one question once per run: a model's
+`accept_tape`, asked with no configuration built (`StandardModel`, whose
+answer there is YES, and `EvolvingModel`), or for a model with `accept`
+and `acceptor_ticks` alone an adapter that asks `accept` on a
+`Configuration` built by `evosim.tape.tape_view`. A model that would
+answer YES with the halt state on a blank inside the tape is not asked
+there.
 
 Loops: an instruction that writes back the symbol it reads and stays in
 its state crosses the whole run of cells it loops on in one move (see
@@ -111,6 +115,7 @@ from .errors import DeterminationError, InvalidSymbolError
 from .tape import (
     ALPHABET,
     BLANK,
+    HALT_STATE,
     MOVES,
     START_STATE,
     start_config,
@@ -347,6 +352,9 @@ def _drive(model, procedure, text, budget, applied=None):
     steps = procedure._steps
     state, pos, room = START_STATE, 0, budget
     ask = getattr(model, "accept_tape", None)
+    if ask is None:
+        def ask(cells, pos):
+            return model.accept(tape_view(HALT_STATE, cells, pos))
     while True:
         state, pos, halted, asking, room = walk(steps, cells, pos, state,
                                                 room, applied)
@@ -355,10 +363,7 @@ def _drive(model, procedure, text, budget, applied=None):
         # one that is not h on a blank at a tape edge.
         if not asking:
             return HALTED_REJECTED if halted else BUDGET_EXCEEDED, cells
-        if ask is not None:
-            answer = ask(state, cells, pos)
-        else:
-            answer = model.accept(tape_view(state, cells, pos))
+        answer = ask(cells, pos)
         if halted:
             return ACCEPTED if answer else HALTED_REJECTED, cells
         if not room:

@@ -3,12 +3,11 @@
 A configuration is a named tuple (state, left, head, right) that splits
 the tape at the head; the conceptual tape is left+head+right, extended
 with blanks on the right on demand. As a tuple it equals a plain tuple of
-the same values, and it is cheap to build: the run loop builds one for
-every question to a model that has only `accept`, and `RunResult.path`
-one per step. Both
-plain engines (`apply_instruction` and `halting_accept`) are pure
-functions, so the model is stateless and configurations can be shared
-freely across threads.
+the same values, and it is cheap to build: `RunResult.path` builds one
+per step, and the run loop one per question to a model that has only
+`accept`. Both plain engines (`apply_instruction` and `halting_accept`)
+are pure functions, so the model is stateless and configurations can be
+shared freely across threads.
 
 Every step is taken by `walk`, on a mutable tape: a `bytearray` of cell
 codes (blank 0, "0" and "1" their ASCII codes), cell 0 being the origin,
@@ -23,9 +22,12 @@ Beaver 5", 1990): an instruction that writes back the symbol it reads and
 stays in its state, a *loop*, crosses the whole run of cells it loops on
 in one move. The pure engine `apply_instruction` takes one step of a
 configuration through the same walk, and `tape_view` turns a mutable tape
-back into a configuration (`config_cells` the other way). The evolving
-acceptor asks its question of the tape itself: `edge_content` reads the
-string on it, so the byte codes stay known to this module alone.
+back into a configuration (`config_cells` the other way). Both shipped
+models answer the run loop's question about the tape itself,
+`accept_tape(cells, pos)`: `StandardModel` answers YES, as
+`halting_accept` does on every configuration the walk stops to ask
+about, and the evolving acceptor reads the string on the tape with
+`edge_content`, so the byte codes stay known to this module alone.
 
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
@@ -291,3 +293,9 @@ class StandardModel:
 
     def accept(self, config):
         return halting_accept(config)
+
+    def accept_tape(self, cells, pos):
+        """YES: the answer of `accept(tape_view(HALT_STATE, cells, pos))`
+        wherever the run loop asks, the halt state on a blank at a tape
+        edge."""
+        return True

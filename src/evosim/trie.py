@@ -86,7 +86,7 @@ from functools import partial
 from itertools import chain, compress
 from typing import NamedTuple
 
-from .errors import InvalidSymbolError, SnapshotError, excerpt
+from .errors import InvalidSymbolError, SnapshotError, excerpt, summary
 
 TRIE_ALPHABET = ("0", "1")
 TRIE_START = "q0"
@@ -305,17 +305,6 @@ def _shown(name):
     return excerpt(str(name), 15, str)
 
 
-def _summary(problems, limit=160):
-    """The problems joined by "; ", as many as fit in `limit` characters
-    (at least one), then the count of the rest."""
-    shown = problems[0]
-    for count, problem in enumerate(problems[1:], 1):
-        if len(shown) + 2 + len(problem) > limit:
-            return f"{shown}; and {len(problems) - count} more"
-        shown += "; " + problem
-    return shown
-
-
 def _field(lines, index, key):
     if index >= len(lines):
         raise SnapshotError(f"missing '{key}:' line", index + 1)
@@ -457,7 +446,7 @@ class PartialDfa:
         machine.max_accepted_length = maxaccept
         problems = problems or machine.structure_problems()
         if problems:
-            raise SnapshotError(_summary(problems))
+            raise SnapshotError(summary(problems))
         return machine
 
     def copy(self):

@@ -13,6 +13,7 @@ from evosim import (
     Instruction,
     Procedure,
     SnapshotError,
+    StandardModel,
     decode_snapshot,
     encode_snapshot,
     fork,
@@ -137,22 +138,24 @@ tapes = st.lists(st.sampled_from(b"01\0"), max_size=8).map(bytes)
 @example(b"\x00100", False)
 def test_the_tape_question_agrees_with_the_config_question(inner, at_origin):
     # The halt state on a blank at the origin or at the right edge, the
-    # only places the tape question is asked, on forks of one world.
+    # only places the tape question is asked: model v, and model e on
+    # forks of one world.
     tape = b"\0" + inner if at_origin else inner + b"\0"
     cells = bytearray(tape)
     pos = 0 if at_origin else len(cells) - 1
-    by_tape, by_config = fork(GROWN), fork(GROWN)
     config = tape_view("h", cells, pos)
-    answer = by_tape.accept_tape("h", cells, pos)
+    assert StandardModel().accept_tape(cells, pos) is StandardModel().accept(config)
+    by_tape, by_config = fork(GROWN), fork(GROWN)
+    answer = by_tape.accept_tape(cells, pos)
     assert cells == tape
     assert by_config.accept(config) is answer
     assert by_tape.acceptor_ticks == by_config.acceptor_ticks
-    assert list(by_tape.invocation_log) == list(by_config.invocation_log)
+    assert by_tape.invocation_log == by_config.invocation_log
     assert [r.config for r in by_tape.invocation_log] in ([], [config])
     assert encode_snapshot(by_tape) == encode_snapshot(by_config)
 
 
-def test_the_log_is_a_read_only_view_of_the_ring():
+def test_the_log_is_a_new_list_of_the_ring_each_time_it_is_read():
     model = EvolvingModel()
     for text in ("101", "10", "0110"):
         model.accept(right_edge(text))
@@ -163,6 +166,10 @@ def test_the_log_is_a_read_only_view_of_the_ring():
     assert len(log) == len(model.ring) == 3
     with pytest.raises(AttributeError):
         model.invocation_log = []
+    # Editing the list leaves the ring and the next read as they were.
+    log.clear()
+    assert len(model.ring) == 3 and len(model.invocation_log) == 3
+    assert model.invocation_log is not model.invocation_log
     assert not fork(model).invocation_log
     assert not decode_snapshot(encode_snapshot(model)).invocation_log
 

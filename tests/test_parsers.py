@@ -179,9 +179,25 @@ def test_a_message_names_a_long_input_by_an_excerpt(message, text):
     (_procedure_message, "(q0,_) -> h", "line 1: expected '(<state>,<sym>) -> "
                                         "(<state>,<sym>,<L|R>)', got '(q0,_) -> h'"),
     (_budget_message, "-3", "expected a positive integer, got '-3'"),
+    (_procedure_message, "(h,1) -> (h,1,R)\n(h,1) -> (h,0,L)\n"
+                         "(q0,_) -> (h,_,R)\n(q0,_) -> (h,1,R)\n",
+     "conflicting instructions for key(s): (h,1), (q0,△)"),
 ])
 def test_a_message_about_a_short_input_names_it_whole(message, text, expected):
     assert message(text) == expected
+
+
+def test_a_determination_message_counts_the_keys_it_does_not_name():
+    # 1,000 keys, each written twice: the message names the first few and
+    # counts the rest, and the error still carries every key.
+    lines = [f"(q{i},1) -> (h,1,R)" for i in range(1000)]
+    with pytest.raises(EvosimError) as caught:
+        parse_procedure("\n".join(lines + lines))
+    shown = str(caught.value)
+    assert len(shown) <= MESSAGE_LIMIT, shown[:300]
+    assert shown.startswith("conflicting instructions for key(s): (q0,1), (q1,1), ")
+    assert shown.endswith(" more")
+    assert caught.value.collisions == tuple((f"q{i}", "1") for i in range(1000))
 
 
 def test_a_state_name_of_more_digits_than_int_converts_is_a_snapshot_error():

@@ -323,9 +323,9 @@ class SpyModel(EvolvingModel):
         super().__init__()
         self.asked = []
 
-    def accept_tape(self, state, cells, pos):
-        self.asked.append(tape_view(state, cells, pos))
-        return super().accept_tape(state, cells, pos)
+    def accept_tape(self, cells, pos):
+        self.asked.append(tape_view("h", cells, pos))
+        return super().accept_tape(cells, pos)
 
 
 def test_long_accepted_runs_ask_the_acceptor_once():
@@ -388,23 +388,31 @@ def _python_frames(function, *args):
 
 
 @pytest.mark.parametrize("driver", [run, _drive])
-@pytest.mark.parametrize("first_time", [True, False])
+# Model e on a fresh world and on one the run's string has grown, and model
+# v, which has no trie to grow (None).
+@pytest.mark.parametrize("first_time", [True, False, None],
+                         ids=["True", "False", "StandardModel"])
 def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
-    # A run of the scanner under model e enters each function of its path
-    # once, and `_mark` once more when the trie grows: the acceptor is asked
-    # about the tape, with no configuration built, and the value types the
-    # run builds (for `run` a cost meter and a report) take no Python
-    # frame, where a named tuple's generated `__new__` takes one per build.
-    world = EvolvingModel()
-    if not first_time:
-        run(world, SCANNER, "1011")
-    expected = Counter(["_drive", "start_tape", "walk", "edge_content", "accept_tape",
-                        "answer"])
+    # A run of the scanner enters each function of its path once, and under
+    # model e `_mark` once more when the trie grows: either model is asked
+    # about the tape, with no configuration built (no `tape_view`, `accept`
+    # or `halting_accept`), and the value types the run builds (for `run` a
+    # cost meter and a report) take no Python frame, where a named tuple's
+    # generated `__new__` takes one per build.
+    expected = Counter(["_drive", "start_tape", "walk", "accept_tape"])
+    if first_time is None:
+        world = StandardModel()
+    else:
+        world = EvolvingModel()
+        if not first_time:
+            run(world, SCANNER, "1011")
+        expected.update(["edge_content", "answer"])
     if driver is run:
         expected.update(["run", "tape_string"])
     if first_time:
         expected["_mark"] += 1
     assert _python_frames(driver, world, SCANNER, "1011", 100) == expected
+
 
 def test_views_share_the_symbols_of_the_alphabet():
     # Every configuration a reader renders holds its head, every record of
@@ -525,8 +533,9 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
 
 class ConfigQuestion:
     """A model with the README's protocol alone, `accept` and
-    `acceptor_ticks`, over an evolving world: the run loop asks it about
-    each configuration, where it asks the world itself about the tape."""
+    `acceptor_ticks`, over a world of either model: the run loop asks it
+    about each configuration, where it asks the world itself about the
+    tape."""
 
     def __init__(self, world):
         self.world = world
@@ -550,11 +559,15 @@ class ConfigQuestion:
 def test_the_config_question_agrees_with_the_tape_question(table, text, budget):
     procedure = Procedure(Instruction(s, r, t, w, m)
                           for (s, r), (t, w, m) in table.items())
-    by_tape, by_config = fork(GROWN), ConfigQuestion(fork(GROWN))
-    result = run(by_tape, procedure, text, budget)
-    assert run(by_config, procedure, text, budget) == result
-    assert list(by_config.world.invocation_log) == list(by_tape.invocation_log)
-    assert encode_snapshot(by_config.world) == encode_snapshot(by_tape)
+    # Model v, and model e on forks of one world.
+    for by_tape, world in ((StandardModel(), StandardModel()),
+                           (fork(GROWN), fork(GROWN))):
+        by_config = ConfigQuestion(world)
+        result = run(by_tape, procedure, text, budget)
+        assert run(by_config, procedure, text, budget) == result
+        if isinstance(world, EvolvingModel):
+            assert world.invocation_log == by_tape.invocation_log
+            assert encode_snapshot(world) == encode_snapshot(by_tape)
 
 
 # 200 examples in tier-1; more under a larger profile, such as `deep`.
