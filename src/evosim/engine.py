@@ -6,9 +6,11 @@ tape origin; on a halt-state head parked on a blank at the right edge it
 strips the end blanks off the tape content and hands the resulting string
 to an embedded growing trie (`evosim.trie.PartialDfa`); the trie's answer,
 and its structural growth, become part of the world. Everything else is NO.
-The acceptor reads `PartialDfa.answer`, the trie's one writer, which
-gives only the answer and its ticks; `PartialDfa.query` calls it and reads
-off the grown trie a report of what it added, for callers that read that.
+The acceptor reads the trie's one writer, `PartialDfa._walk_and_grow`,
+which gives only the answer and its ticks: `PartialDfa.answer` is that
+writer after a check of the string's symbols, which the acceptor's strings
+pass by construction, and `PartialDfa.query` calls `answer` and reads off
+the grown trie a report of what it added, for callers that read that.
 
 An EvolvingModel is single-writer mutable world state: a run or query needs
 exclusive access for its full duration. `fork` is the supported way to
@@ -116,13 +118,19 @@ class EvolvingModel:
         or the answer is NO when a blank remains inside it, as the content
         is then not a binary string. The ring keeps a frozen copy of the
         tape, not its view.
+
+        `cells` holds cell codes alone, as every tape that a run steps
+        does: `evosim.tape.start_tape` and `config_cells` build it after
+        their alphabet checks, a saturation pass from bits, and only
+        step-table writes change it. So the content is binary and the
+        trie is asked with no symbol check (`PartialDfa._walk_and_grow`).
         """
         if not pos:
             return True
         text = edge_content(cells)
         if text is None:
             return False
-        accepted, ticks = self.trie.answer(text)
+        accepted, ticks = self.trie._walk_and_grow(text)
         self.acceptor_ticks += ticks
         self.ring.append((bytes(cells), text, accepted, ticks))
         return accepted

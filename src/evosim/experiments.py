@@ -12,7 +12,10 @@ read only their verdicts, so they call the run loop itself,
 the applied instructions in: the same acceptor calls in the same order,
 without the record of steps or the report that `run` builds around it
 (`RunResult`, `CostMeter`, the tuple of applied instructions and the final
-string). Everything else here calls `run`.
+string). `_runs` maps `_drive` over the start tapes of the strings, built
+in C from the bits of `itertools.product`: no string is joined, checked
+or encoded, and `sibling_search` renders only its witness, from its index
+(`_binary_string`). Everything else here calls `run`.
 
 A saturation pass keeps one verdict code per run, and `Answers` is the one
 read-only view over such codes: it renders each entry on access, as a
@@ -46,6 +49,13 @@ def binary_strings(length):
     """All binary strings of the given length, lexicographically, as an
     iterator (a `map` that joins each in C)."""
     return map("".join, itertools.product("01", repeat=length))
+
+
+def _binary_string(index, length):
+    """The `index`-th string of `binary_strings(length)`: `index` as a
+    binary numeral of `length` digits, zero-padded, that is the bits after
+    a leading 1 placed just above them ("" when length is 0)."""
+    return bin(index | 1 << length)[3:]
 
 
 class StructureDelta(NamedTuple):
@@ -117,10 +127,7 @@ class Answers(Sequence):
         index = index + len(self._codes) if index < 0 else index - len(self._head)
         if index < 0:
             return self._head[index]
-        code = self._codes[index]
-        # i as a binary numeral of `length` digits, zero-padded: the bits
-        # after a leading 1 placed just above them ("" when length is 0).
-        return self._render(bin(index | 1 << self._length)[3:], code)
+        return self._render(_binary_string(index, self._length), self._codes[index])
 
     def __iter__(self):
         return itertools.chain(self._head, map(
@@ -143,12 +150,21 @@ class SaturationReport(NamedTuple):
     probe_answers: Answers
 
 
+def _runs(model, procedure, length, budget):
+    """The verdicts of the procedure on every string of the given length,
+    lazily, in `binary_strings` order: `_drive` mapped over their start
+    tapes, each the origin blank and the string's cell codes, built in C
+    as `start_tape` builds it from the string."""
+    tapes = map(bytearray, map((0,).__add__, itertools.product(b"01", repeat=length)))
+    return map(_drive, itertools.repeat(model), itertools.repeat(procedure), tapes,
+               itertools.repeat(budget))
+
+
 def _verdicts(model, procedure, length, budget):
     """Run the procedure on every string of the given length, in
     `binary_strings` order; their answers."""
-    return Answers(length, bytes(
-        _VERDICT_CODE(_drive(model, procedure, text, budget)[0])
-        for text in binary_strings(length)))
+    verdicts = _runs(model, procedure, length, budget)
+    return Answers(length, bytes(map(_VERDICT_CODE, verdicts)))
 
 
 def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
@@ -200,13 +216,12 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
             f"sibling search is desk-scale only (length <= {SIBLING_LENGTH_LIMIT})")
     procedure = procedure if procedure is not None else right_scanner()
     before = _counts(model)
-    used = 0
-    for candidate in binary_strings(len(text)):
-        used += 1
-        if _drive(model, procedure, candidate, budget)[0] is ACCEPTED:
-            return SiblingSearchResult(True, used, candidate,
+    length = len(text)
+    for used, verdict in enumerate(_runs(model, procedure, length, budget), 1):
+        if verdict is ACCEPTED:
+            return SiblingSearchResult(True, used, _binary_string(used - 1, length),
                                        _delta(before, _counts(model)))
-    return SiblingSearchResult(False, used, None,
+    return SiblingSearchResult(False, 1 << length, None,
                                _delta(before, _counts(model)))
 
 

@@ -4,9 +4,10 @@ The run loop owns the machine: it steps one mutable tape (a `bytearray` of
 cell codes plus a head index, see `evosim.tape`) through
 `evosim.tape.walk`, and reads off the final string. Each `Procedure`
 compiles its instructions once, where it checks determination, into a step
-table, (state, cell) -> (write, moves_right, target, instruction, run),
-which the walk and `select_instruction` read; the walk holds the two tape
-rules. Determination is checked only there, so the loop never meets two
+table, state -> row, each row a list indexed by cell code of entries
+(write, moves_right, target, target_row, instruction, run), which the walk
+and `select_instruction` read; the walk holds the two tape rules.
+Determination is checked only there, so the loop never meets two
 candidates. A *model* supplies only the accepting engine:
 
     accept(config)            -> bool                (the accepting engine;
@@ -59,18 +60,24 @@ at a tape edge, so the acceptor contract answers NO there without a call,
 and a crossing skips no acceptor call; `applied`, the costs, the verdicts
 and the final string are those of single steps.
 
-One loop, two readers: the loop is the private `_drive`, which returns the
-verdict and the final tape, and records the applied instructions only when
-its caller hands it a list. `run` hands it one and wraps the outcome in a
-`RunResult` with its `CostMeter` and final string. The loop makes one
+One loop, two readers: the loop is the private `_drive`, which steps a
+start tape that its caller builds to the final tape in place, returns the
+verdict, and records the applied instructions only when its caller hands
+it a list. `run` builds the tape from its text with
+`evosim.tape.start_tape`, which checks the alphabet, hands `_drive` a list
+and wraps the outcome in a `RunResult` with its `CostMeter` and final
+string. The loop makes one
 `walk` per acceptor question, plus the first: `walk` stops where it must
 ask, says whether an instruction applies there and returns the budget
 left, so after the answer the run ends (no instruction applies, or the
 budget is used up) or walks on. The experiments that read only verdicts,
 `saturate` and `sibling_search` in `evosim.experiments`, call `_drive`
 itself with no list, because they make tens of thousands of runs and
-would throw each report and each record away; everything else calls
-`run`. Both go through the same acceptor calls in the same order.
+would throw each report and each record away. They run every binary
+string of one length, so they build its start tapes in C, from the bits
+of `itertools.product`, with no string to join, check or encode; everything
+else calls `run`. Both go through the same acceptor calls in the same
+order.
 
 Value types: every value type of the package is a `typing.NamedTuple`,
 the per-run ones here and in `evosim.tape`, `evosim.trie` and
@@ -186,7 +193,7 @@ class Procedure:
     (state, symbol) key.
 
     Construction rejects colliding keys with DeterminationError, and there
-    is no other way to build one, so each key of the step table names a
+    is no other way to build one, so each slot of the step table names a
     single instruction. The step table (see `evosim.tape.step_table`) is
     compiled here, once.
     """
@@ -340,15 +347,15 @@ def select_instruction(procedure, config):
     return step_config(procedure._steps, config)[0]
 
 
-def _drive(model, procedure, text, budget, applied=None):
-    """The run loop of `run`, without its report: (verdict, cells), where
-    `cells` is the final tape (a `bytearray` of cell codes). The applied
+def _drive(model, procedure, cells, budget, applied=None):
+    """The run loop of `run`, without its report: the verdict of a run from
+    the start tape `cells`, a `bytearray` of cell codes as `start_tape`
+    builds it, which the run steps in place to its final tape. The applied
     instructions are appended to `applied` when it is a list; None records
     none. `run` wraps it, and `saturate` and `sibling_search` call it for
     the verdict alone (see the module docstring)."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    cells = start_tape(text)
     steps = procedure._steps
     state, pos, room = START_STATE, 0, budget
     ask = getattr(model, "accept_tape", None)
@@ -362,12 +369,12 @@ def _drive(model, procedure, text, budget, applied=None):
         # start configuration (the start state is not the halt state), or
         # one that is not h on a blank at a tape edge.
         if not asking:
-            return HALTED_REJECTED if halted else BUDGET_EXCEEDED, cells
+            return HALTED_REJECTED if halted else BUDGET_EXCEEDED
         answer = ask(cells, pos)
         if halted:
-            return ACCEPTED if answer else HALTED_REJECTED, cells
+            return ACCEPTED if answer else HALTED_REJECTED
         if not room:
-            return BUDGET_EXCEEDED, cells
+            return BUDGET_EXCEEDED
 
 
 def run(model, procedure, text, budget=DEFAULT_BUDGET):
@@ -381,14 +388,19 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     `budget` bounds transition steps, not acceptor work; exhausting it
     yields the BUDGET_EXCEEDED verdict rather than an error.
 
-    The loop itself is `_drive`, which records the applied instructions in
-    a list of `run`'s; `run` reads the acceptor's tick counter around it
-    and builds the report: the costs, the applied instructions as a tuple
-    and the final string.
+    The loop itself is `_drive`, on the start tape of `text`, and it
+    records the applied instructions in a list of `run`'s; `run` reads the
+    acceptor's tick counter around it and builds the report: the costs,
+    the applied instructions as a tuple and the final string. A budget
+    below 1 is a ValueError, checked before the text's alphabet, as
+    `_drive` checks it.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    cells = start_tape(text)
     ticks_before = model.acceptor_ticks
     applied = []
-    verdict, cells = _drive(model, procedure, text, budget, applied)
+    verdict = _drive(model, procedure, cells, budget, applied)
     steps = len(applied)
     cost = _cost_meter((steps + 1, steps, model.acceptor_ticks - ticks_before))
     return _run_result((verdict, text, tuple(applied), cost, tape_string(cells)))

@@ -12,8 +12,10 @@ shared freely across threads.
 Every step is taken by `walk`, on a mutable tape: a `bytearray` of cell
 codes (blank 0, "0" and "1" their ASCII codes), cell 0 being the origin,
 plus a head index. It reads a step table, compiled once from the
-instructions by `step_table` and keyed by cell code, and it is the one
-place that holds the two tape rules: a left move at the origin does not
+instructions by `step_table`: one row per state, a list indexed by cell
+code, whose entries name the row of their target state, so that the walk
+follows rows and reads one list slot per step. It is the one place that
+holds the two tape rules: a left move at the origin does not
 apply, and a right move off the last cell appends a blank. An acceptor is
 asked only where the halt state reads a blank at a tape edge (cell 0 or
 the last cell), so the walk stops for one only there. It has one rule for
@@ -56,6 +58,10 @@ HALT_STATE = "h"
 CODE = dict(zip(ALPHABET, b"01\0"))
 SYMBOL = {code: symbol for symbol, code in CODE.items()}
 ZERO, ONE = CODE["0"], CODE["1"]
+
+# The step-table row of a state with no instruction: a slot for every cell
+# code, each empty. Every table shares it, and nothing writes it.
+NO_STEPS = (None,) * (max(CODE.values()) + 1)
 
 
 class Configuration(NamedTuple):
@@ -126,10 +132,14 @@ def config_cells(config):
 
 
 def step_table(instructions):
-    """Compile key-unique instructions into one step table, keyed by
-    (state, cell code).
+    """Compile key-unique instructions into one step table: each state that
+    has an instruction maps to its *row*, a list indexed by cell code that
+    holds the entry of the instruction reading that code, or None.
 
-    Each entry is (write, moves_right, target, instruction, run). `run` is
+    Each entry is (write, moves_right, target, target_row, instruction,
+    run), `target_row` being the row of `target`, so that a walk follows
+    rows from step to step and reads one list slot per step. Every state
+    with no instruction has the one shared empty row, `NO_STEPS`. `run` is
     None unless the instruction is a *loop*: it writes back the symbol it
     reads and stays in its state, so that the walk crosses the whole run of
     such cells in one move. For a loop, `run` is (stoppers, getter,
@@ -141,7 +151,7 @@ def step_table(instructions):
     steps = {(inst.state, CODE[inst.read]):
              (CODE[inst.write], inst.move == "R", inst.target, inst)
              for inst in instructions}
-    table = {}
+    table = {state: [None] * len(NO_STEPS) for state, _ in steps}
     for (state, read), (write, moves_right, target, inst) in steps.items():
         run = None
         if write == read and target == state:
@@ -149,7 +159,8 @@ def step_table(instructions):
                      if steps.get((state, code), ())[:3] == (code, moves_right, state)}
             stoppers = tuple(code for code in (ZERO, ONE, 0) if code not in loops)
             run = (stoppers, loops.__getitem__, inst if len(loops) == 1 else None)
-        table[state, read] = (write, moves_right, target, inst, run)
+        table[state][read] = (write, moves_right, target,
+                              table.get(target, NO_STEPS), inst, run)
     return table
 
 
@@ -168,8 +179,9 @@ def walk(steps, cells, pos, state, room, applied):
     applies; or where the room is used up. The halt state on a blank
     inside the tape is not a stop. `halted` says whether no instruction
     applies where the walk stopped, by the rule at the top of its loop:
-    none is keyed on the state and the cell, or it moves left at the
-    origin. So after an edge question the caller knows without a second
+    the state's row has no entry at the cell's code, or the entry moves
+    left at the origin. The walk keeps the row of its state and takes the
+    next one from the entry it applies. So after an edge question the caller knows without a second
     walk whether the run ends there, and asking and halted both False mean
     that the room ran out.
 
@@ -188,11 +200,12 @@ def walk(steps, cells, pos, state, room, applied):
     the halt state on a blank at a tape edge.
     """
     asking = False
+    row = steps.get(state, NO_STEPS)
     while True:
-        entry = steps.get((state, cells[pos]))
+        entry = row[cells[pos]]
         if entry is None:
             return state, pos, True, asking, room
-        write, moves_right, target, inst, run = entry
+        write, moves_right, target, target_row, inst, run = entry
         # A left move at the origin does not apply.
         if not (pos or moves_right):
             return state, pos, True, asking, room
@@ -203,7 +216,7 @@ def walk(steps, cells, pos, state, room, applied):
         if run is None or room == 1:
             cells[pos] = write
             pos += 1 if moves_right else -1
-            state = target
+            state, row = target, target_row
             if applied is not None:
                 applied.append(inst)
             room -= 1

@@ -15,8 +15,10 @@ structure or grows it:
     unread suffix is appended, its last state is marked accepting, and the
     string is accepted.
 
-`answer` makes that walk and growth and gives (accepted, ticks); the
-evolving model's acceptor reads it, on every consultation. `query` reads
+`answer` checks the string's symbols, then makes that walk and growth
+(`_walk_and_grow`) and gives (accepted, ticks); the evolving model's
+acceptor asks `_walk_and_grow` itself, on every consultation, since the
+string it asks about is binary by construction. `query` reads
 `answer`: it takes the case from the answer, its ticks and the length of
 the string, and walks the grown path to name what was added, reporting
 it all as a `QueryOutcome`.
@@ -72,7 +74,8 @@ process.
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
 quiescent instance is safe. The arrays and counters are written only by
-`answer` (with its `_mark`), which keeps the trie shape, and filled once by
+`_walk_and_grow` (with its `_mark`), which keeps the trie shape and which
+`answer` calls after its symbol check, and filled once by
 `from_snapshot`, which checks it, or by `copy`, from arrays of one of
 those two; everything else, `query` included, only reads them. So a copy
 needs no check of its own.
@@ -582,11 +585,19 @@ class PartialDfa:
 
     def answer(self, text):
         """Answer a membership query, growing the machine as needed:
-        (accepted, ticks). With `_mark`, the one writer of a built machine;
-        `query` reports what it did."""
+        (accepted, ticks). InvalidSymbolError for a symbol outside the
+        alphabet; `_walk_and_grow` does the rest, and `query` reports what
+        it did."""
         if text.strip("01"):
             bad = sorted(set(text) - set(TRIE_ALPHABET))
             raise InvalidSymbolError(f"query contains {bad!r}; allowed: 0, 1")
+        return self._walk_and_grow(text)
+
+    def _walk_and_grow(self, text):
+        """`answer` on a binary string, unchecked: with `_mark`, the one
+        writer of a built machine. It reads every symbol but "1" as "0", so
+        a caller other than `answer` passes only text that is binary by
+        construction, as the evolving acceptor does with a tape's content."""
         kids0, kids1 = self.kids0, self.kids1
         node = root = self.root
         read = 0

@@ -3,9 +3,10 @@
 `deep` runs a property at 20,000 examples where it takes its count from
 the profile, as the run loop's properties with "agrees" in their names
 do (against the replayed path and the reference simulator, the driver
-against `run`, the two acceptor paths against each other, and model E
+against `run`, the two acceptor paths against each other, model E
 against the reference simulator with the paper's acceptor over the
-reference trie of tests/oracle_trie.py), and as the trie's lean-reader
+reference trie of tests/oracle_trie.py, and a run against its 0/1
+mirror), and as the trie's lean-reader
 and reference-trie properties and the mutated-text property of all three
 parsers (procedures, scenarios and snapshots) do:
 

@@ -4,7 +4,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evosim import (
@@ -26,8 +26,10 @@ from evosim import (
     saturate,
     sibling_search,
 )
+from evosim import experiments
 from evosim.engine import LOG_LIMIT
 from evosim.experiments import Answers
+from evosim.tape import start_tape
 
 # The right scanner with an `h` that walks on over blanks past the last
 # cell: asked at every step, so a rejected input is asked until the budget.
@@ -119,6 +121,72 @@ def test_saturate_and_sibling_search_match_a_loop_over_run(procedure, history):
     assert encode_snapshot(world) == encode_snapshot(reference)
     assert world.acceptor_ticks == reference.acceptor_ticks
     assert list(world.invocation_log) == list(reference.invocation_log)
+
+
+def test_a_pass_runs_the_start_tapes_of_its_strings_in_order(monkeypatch):
+    # The tapes that saturate and sibling_search hand the run loop, built
+    # from bits, are those that `start_tape` builds from the strings, in
+    # `binary_strings` order, for every length up to 8.
+    drive = experiments._drive
+    seen = []
+
+    def recording(model, procedure, cells, budget, applied=None):
+        seen.append((type(cells), bytes(cells)))
+        return drive(model, procedure, cells, budget, applied)
+
+    def expected(*lengths):
+        return [(bytearray, bytes(start_tape(text)))
+                for length in lengths for text in binary_strings(length)]
+
+    monkeypatch.setattr(experiments, "_drive", recording)
+    for n in range(8):
+        world = EvolvingModel()
+        saturate(world, n)
+        assert seen == expected(n + 1, n)
+        seen.clear()
+        sibling_search(world, "1" * (n + 1))
+        assert seen == expected(n + 1)[:1]
+        seen.clear()
+        sibling_search(world, "1" * n)
+        assert seen == expected(n)
+        seen.clear()
+
+
+@settings(deadline=None)
+@given(st.lists(st.text(alphabet="01", max_size=5), max_size=8),
+       st.text(alphabet="01", max_size=4))
+@example(["000", "010"], "11")
+def test_sibling_search_is_a_run_by_run_search(history, text):
+    # On forks of one world, the first accepted candidate in
+    # `binary_strings` order, the number of runs it took and the growth;
+    # "000" and "010" leave "00" and "01" rejected, so the witness of
+    # "11" is the third candidate.
+    base = EvolvingModel()
+    for query in history:
+        run(base, right_scanner(), query)
+    world, reference = fork(base), fork(base)
+    before = encode_snapshot(reference)
+    used, witness = 0, None
+    for candidate in binary_strings(len(text)):
+        used += 1
+        if run(reference, right_scanner(), candidate).accepted:
+            witness = candidate
+            break
+    result = sibling_search(world, text)
+    assert (result.found, result.queries_used, result.witness) == (
+        witness is not None, used, witness)
+    assert result.delta.empty == (encode_snapshot(reference) == before)
+    assert encode_snapshot(world) == encode_snapshot(reference)
+    assert world.invocation_log == reference.invocation_log
+
+
+def test_a_pass_with_a_budget_below_one_is_an_error_before_any_run():
+    world = EvolvingModel()
+    with pytest.raises(ValueError, match="budget"):
+        saturate(world, 2, budget=0)
+    with pytest.raises(ValueError, match="budget"):
+        sibling_search(world, "10", budget=0)
+    assert (world.trie.state_count, world.acceptor_ticks, len(world.ring)) == (1, 0, 0)
 
 
 def test_a_saturation_pass_codes_its_verdicts_in_verdict_order():

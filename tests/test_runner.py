@@ -25,12 +25,15 @@ from evosim import (
     load_procedure,
     right_scanner,
     run,
+    saturate,
     select_instruction,
+    sibling_search,
     start_config,
 )
 from evosim.engine import LOG_LIMIT, encode_snapshot, fork
 from evosim.runner import _drive
-from evosim.tape import ALPHABET, ONE, SYMBOL, ZERO, start_tape, tape_string, tape_view, walk
+from evosim.tape import (ALPHABET, NO_STEPS, ONE, SYMBOL, ZERO, start_tape, tape_string,
+                         tape_view, walk)
 from oracle_tm import TrieAcceptor, oracle_run
 from oracle_trie import OracleTrie
 
@@ -109,6 +112,9 @@ def test_run_budget_exceeded():
 def test_run_rejects_budget_below_one():
     with pytest.raises(ValueError):
         run(V, SCANNER, "1", 0)
+    # The budget is checked before the text.
+    with pytest.raises(ValueError, match="budget"):
+        run(StandardModel(), right_scanner(), "2", 0)
 
 
 def test_halted_rejected_when_final_configuration_not_accepted():
@@ -182,8 +188,8 @@ def test_only_the_acceptor_varies_between_models(name, text):
 def loop_keys(procedure):
     """The (state, symbol) keys of a procedure's loop entries: those the walk
     crosses a run of cells on in one move."""
-    return {(state, SYMBOL[code]) for (state, code), entry in procedure._steps.items()
-            if entry[4] is not None}
+    return {(state, SYMBOL[code]) for state, row in procedure._steps.items()
+            for code, entry in enumerate(row) if entry and entry[5] is not None}
 
 
 def test_sweep_states_of_the_shipped_machines():
@@ -193,12 +199,20 @@ def test_sweep_states_of_the_shipped_machines():
                        ("seek1", "1"), ("left", "0"), ("left", "1"), ("h", BLANK)},
         "binary_increment": {("scan", "0"), ("scan", "1"),
                              ("ret", "0"), ("ret", "1")}}
+    # Every entry links the row of its target, the shared empty row for a
+    # target with no instruction (the scanner's h reading a blank).
+    for procedure in PROCEDURES.values():
+        steps = procedure._steps
+        for row in steps.values():
+            for entry in filter(None, row):
+                assert entry[3] is steps.get(entry[2], NO_STEPS)
+    assert SCANNER._steps["h"][0] is None
     # Rewrites are stepped one cell at a time.
     assert not any(state == "carry" for state, _ in loop_keys(PROCEDURES["binary_increment"]))
     # The palindrome machine's final walk left in h loops on blanks alone,
     # so it stops at the nearest 0 or 1, and fills its steps with the one
     # instruction.
-    stoppers, _, single = PROCEDURES["palindrome"]._steps["h", 0][4]
+    stoppers, _, single = PROCEDURES["palindrome"]._steps["h"][0][5]
     assert stoppers == (ZERO, ONE)
     assert single == Instruction("h", BLANK, "h", BLANK, "L")
     # The runaway's q0 loops on blanks past the end of the tape. h moving
@@ -365,7 +379,7 @@ def test_the_budget_ends_a_run_only_where_an_instruction_applies(
     assert (result.verdict, len(result.applied), len(world.asked)) == expected
     world = SpyModel()
     applied = []
-    verdict, _ = _drive(world, procedure, text, budget, applied)
+    verdict = _drive(world, procedure, start_tape(text), budget, applied)
     assert (verdict, len(applied), len(world.asked)) == expected
 
 
@@ -396,22 +410,50 @@ def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
     # A run of the scanner enters each function of its path once, and under
     # model e `_mark` once more when the trie grows: either model is asked
     # about the tape, with no configuration built (no `tape_view`, `accept`
-    # or `halting_accept`), and the value types the run builds (for `run` a
-    # cost meter and a report) take no Python frame, where a named tuple's
-    # generated `__new__` takes one per build.
-    expected = Counter(["_drive", "start_tape", "walk", "accept_tape"])
+    # or `halting_accept`), the trie is asked with no second symbol check
+    # (no `answer`), and the value types the run builds (for `run` a cost
+    # meter and a report) take no Python frame, where a named tuple's
+    # generated `__new__` takes one per build. `_drive` is handed its start
+    # tape, and `run` builds it from the text.
+    expected = Counter(["_drive", "walk", "accept_tape"])
     if first_time is None:
         world = StandardModel()
     else:
         world = EvolvingModel()
         if not first_time:
             run(world, SCANNER, "1011")
-        expected.update(["edge_content", "answer"])
+        expected.update(["edge_content", "_walk_and_grow"])
+    given = start_tape("1011")
     if driver is run:
-        expected.update(["run", "tape_string"])
+        expected.update(["run", "start_tape", "tape_string"])
+        given = "1011"
     if first_time:
         expected["_mark"] += 1
-    assert _python_frames(driver, world, SCANNER, "1011", 100) == expected
+    assert _python_frames(driver, world, SCANNER, given, 100) == expected
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["saturate", "sibling_search"])
+def test_a_pass_enters_only_the_run_paths_own_frames_per_run(search):
+    # A pass enters its own frames (the pass, the trie's depth, its reports)
+    # as often at 3 bits as at 2, so the frames of the 3-bit pass beyond
+    # those of the 2-bit one are those of its extra runs: 12 for saturate
+    # (3 x 2^n runs), whose feeding pass grows the trie on 8 more, and 4
+    # for a search of n bits on a world saturated at n, all rejected. Each
+    # run enters the scanner's run path alone: no string per run, so no
+    # `start_tape` and no generator frame.
+    def frames(n):
+        world = EvolvingModel()
+        if search:
+            saturate(world, n, SCANNER)
+            return _python_frames(sibling_search, world, "0" * n, SCANNER)
+        return _python_frames(saturate, world, n, SCANNER)
+
+    runs = 4 if search else 12
+    expected = Counter(dict.fromkeys(
+        ["_drive", "walk", "accept_tape", "edge_content", "_walk_and_grow"], runs))
+    if not search:
+        expected["_mark"] = 8
+    assert frames(3) - frames(2) == expected
 
 
 def test_views_share_the_symbols_of_the_alphabet():
@@ -515,8 +557,9 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
         # none, and `run`, each on a world of its own.
         driven, bare, reported = make(), make(), make()
         applied = []
-        verdict, cells = _drive(driven, procedure, text, budget, applied)
-        bare_verdict, bare_cells = _drive(bare, procedure, text, budget, None)
+        cells, bare_cells = start_tape(text), start_tape(text)
+        verdict = _drive(driven, procedure, cells, budget, applied)
+        bare_verdict = _drive(bare, procedure, bare_cells, budget, None)
         result = run(reported, procedure, text, budget)
         assert verdict is bare_verdict is result.verdict
         assert tuple(applied) == result.applied
@@ -595,6 +638,56 @@ def test_model_e_agrees_with_the_reference_acceptor(table, text, budget, history
     assert result.cost.acceptor_ticks == acceptor.ticks
     assert [r.text for r in world.invocation_log] == acceptor.fed[-LOG_LIMIT:]
     assert encode_snapshot(world) == trie.snapshot()
+
+
+MIRROR = str.maketrans("01", "10")
+
+
+def mirrored(text):
+    """The string with 0 and 1 swapped (blanks stay)."""
+    return text.translate(MIRROR)
+
+
+def mirrored_instruction(inst):
+    return inst._replace(read=mirrored(inst.read), write=mirrored(inst.write))
+
+
+# 200 examples in tier-1; more under a larger profile, such as `deep`.
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(procedures, st.text(alphabet="01", max_size=7), budgets,
+       st.lists(st.text(alphabet="01", max_size=7), max_size=7))
+# Loops on 0 alone (mirrored, on 1 alone), on 0 and blank leftward, and h
+# on 1 and blank rightward; a sweep over both symbols, and a rewrite.
+@example(ZEROS_TABLE, "0000001", 4, ["0"])
+@example(ZERO_BLANK_LEFT_TABLE, "1011001", 12, [])
+@example(H_ONES_BLANKS_TABLE, "1011", 18, ["1", "10110"])
+@example(SCANNER_TABLE, "10", 40, ["101", "11"])
+@example(INCREMENT_TABLE, "1011", 40, ["1100"])
+def test_the_mirrored_run_agrees_with_the_run(table, text, budget, history):
+    # Swap 0 and 1 in the procedure, the input and the world: under either
+    # model each run maps to one with the same verdict, cost and record of
+    # steps (mirrored) and the mirrored final string, the trie answers the
+    # mirrored queries alike, and the two worlds' arrays match index for
+    # index with the sides swapped. No oracle gives this relation: it sets
+    # the walk's per-code stopper search and the trie's per-side slots
+    # against themselves.
+    instructions = [Instruction(s, r, t, w, m) for (s, r), (t, w, m) in table.items()]
+    procedure = Procedure(instructions)
+    mirror = Procedure(map(mirrored_instruction, instructions))
+    world, twin = EvolvingModel(), EvolvingModel()
+    for query in history:
+        assert twin.trie.answer(mirrored(query)) == world.trie.answer(query)
+    for model, image_model in ((StandardModel(), StandardModel()), (world, twin)):
+        result = run(model, procedure, text, budget)
+        image = run(image_model, mirror, mirrored(text), budget)
+        assert (image.verdict, image.cost) == (result.verdict, result.cost)
+        assert image.applied == tuple(map(mirrored_instruction, result.applied))
+        assert image.final_string == mirrored(result.final_string)
+    assert twin.trie.answer(mirrored(text)) == world.trie.answer(text)
+    assert [r.text for r in twin.invocation_log] == [
+        mirrored(r.text) for r in world.invocation_log]
+    assert (twin.trie.kids0, twin.trie.kids1, twin.trie.marks) == (
+        world.trie.kids1, world.trie.kids0, world.trie.marks)
 
 
 # 400 examples in tier-1; more under a larger profile, such as `deep`.

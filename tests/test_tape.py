@@ -29,7 +29,7 @@ from evosim import (
     select_instruction,
     start_config,
 )
-from evosim.tape import CODE, step_table, tape_view, walk
+from evosim.tape import CODE, NO_STEPS, step_table, tape_view, walk
 from oracle_tm import oracle_run
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -203,8 +203,14 @@ def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move)
     expected = apply_instruction(Configuration("p", left, head, right), inst)
     steps = step_table([inst])
     # The instruction leaves p, so it is no loop: its entry has no run, and
-    # the walk takes it as a single step.
-    assert steps == {("p", CODE[head]): (CODE[write], move == "R", "q", inst, None)}
+    # the walk takes it as a single step. It is p's one entry, in the slot
+    # of the code it reads, and q, which has no instruction, has the shared
+    # empty row.
+    assert list(steps) == ["p"]
+    row = steps["p"]
+    assert [code for code, entry in enumerate(row) if entry] == [CODE[head]]
+    assert row[CODE[head]] == (CODE[write], move == "R", "q", NO_STEPS, inst, None)
+    assert row[CODE[head]][3] is NO_STEPS and not any(NO_STEPS)
     cells = byte_tape(left + head + right)
     applied = []
     state, pos, halted, _, _ = walk(steps, cells, len(left), "p", 1, applied)
