@@ -21,12 +21,14 @@ for files (a `--state` world, `evosim snapshot --out`); their format
 belongs to the trie (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`),
 and `encode_snapshot` and `decode_snapshot` apply it to a whole world.
 
-The run loop asks `accept_tape(cells, pos)`, the same question about the
-byte tape itself, where `evosim.tape.walk` stopped to ask: the acceptor
-reads the string on the tape (`evosim.tape.edge_content`) without
-building a `Configuration`. `accept(config)` checks the pattern with
-`evosim.tape.halting_accept` and asks it in turn, so the trie answer, the
-ticks and the ring entry are written in one place.
+`EvolvingModel` is a `StandardModel` with one part replaced: it overrides
+the tape question, `accept_tape(cells, pos)`, which the run loop asks
+where `evosim.tape.walk` stopped to ask, and reads the string on the tape
+(`evosim.tape.edge_content`) without building a `Configuration`. It
+inherits the configuration question, `StandardModel.accept`, which checks
+the pattern with `evosim.tape.halting_accept` and asks the tape question
+in turn, so the trie answer, the ticks and the ring entry are written in
+one place.
 
 Only the trie grows with the number of runs. `ring` keeps the last
 `LOG_LIMIT` consultations raw, each as (tape bytes, text, answer, ticks):
@@ -43,11 +45,9 @@ record of one run collects the raw entries itself, as
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import NamedTuple
 
-from .tape import (HALT_STATE, StandardModel, config_cells, edge_content,
-                   halting_accept, tape_view)
+from .tape import HALT_STATE, StandardModel, edge_content, tape_view
 from .trie import PartialDfa
 
 # The number of consultations `ring` keeps: the most recent ones.
@@ -64,22 +64,19 @@ class InvocationRecord(NamedTuple):
     ticks: int
 
 
-# The builder, in C (see the `evosim.runner` "Value types" paragraph).
-_invocation_record = partial(tuple.__new__, InvocationRecord)
-
-
 def render_record(entry):
     """The `InvocationRecord` of a raw ring entry (tape bytes, text, answer,
     ticks), asked in the halt state on the tape's last cell."""
     tape, text, accepted, ticks = entry
-    return _invocation_record(
-        (tape_view(HALT_STATE, tape, len(tape) - 1), text, accepted, ticks))
+    return InvocationRecord(tape_view(HALT_STATE, tape, len(tape) - 1), text,
+                            accepted, ticks)
 
 
-class EvolvingModel:
-    """Evolving model: the trie-backed acceptor, with its last `LOG_LIMIT`
-    consultations raw in `ring` (a bounded deque) and rendered, oldest
-    first, by `invocation_log`."""
+class EvolvingModel(StandardModel):
+    """Evolving model: a `StandardModel` whose tape question is asked of
+    the trie, with its last `LOG_LIMIT` consultations raw in `ring` (a
+    bounded deque) and rendered, oldest first, by `invocation_log`. It
+    inherits `accept`, which asks `accept_tape` at the right edge."""
 
     def __init__(self, trie=None):
         self.trie = trie if trie is not None else PartialDfa()
@@ -91,19 +88,6 @@ class EvolvingModel:
         """The consultations in `ring`, oldest first, as a new list of
         `InvocationRecord`s."""
         return list(map(render_record, self.ring))
-
-    def accept(self, config):
-        """The evolving accepting engine.
-
-        NO outside the halting pattern (`halting_accept`). The origin
-        pattern is tested before the right-edge pattern, so the fully
-        blank tape answers YES without consulting the trie. A configuration
-        at the right edge is asked about as its tape, by `accept_tape`.
-        """
-        if not halting_accept(config):
-            return False
-        return not config.left or self.accept_tape(config_cells(config),
-                                                    len(config.left))
 
     def accept_tape(self, cells, pos):
         """The answer of `accept(tape_view(HALT_STATE, cells, pos))`, with
@@ -119,11 +103,13 @@ class EvolvingModel:
         is then not a binary string. The ring keeps a frozen copy of the
         tape, not its view.
 
-        `cells` holds cell codes alone, as every tape that a run steps
-        does: `evosim.tape.start_tape` and `config_cells` build it after
-        their alphabet checks, a saturation pass from bits, and only
-        step-table writes change it. So the content is binary and the
-        trie is asked with no symbol check (`PartialDfa._walk_and_grow`).
+        Precondition: `cells` holds only the cell codes 0, 48 and 49, as
+        every tape that a run steps does: `evosim.tape.start_tape` and
+        `config_cells` build it after their alphabet checks,
+        `evosim.experiments._runs` from bits, and only step-table writes
+        change it. So the content is binary and the trie is asked with no
+        symbol check (`PartialDfa._walk_and_grow`); nothing checks the
+        precondition, and another byte is read as "0".
         """
         if not pos:
             return True

@@ -177,8 +177,11 @@ def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
     accepting chain end and is rejected, permanently.
 
     The report keeps one byte per run: its answers are `Answers` views, in
-    which a run's text is computed from its index.
+    which a run's text is computed from its index. A negative probe length
+    is a ValueError, raised before any run.
     """
+    if probe_length < 0:
+        raise ValueError(f"probe length must be at least 0, not {probe_length}")
     procedure = procedure if procedure is not None else right_scanner()
     precondition_ok = model.trie.depth() <= probe_length
     feed_answers = _verdicts(model, procedure, probe_length + 1, budget)

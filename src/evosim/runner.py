@@ -89,23 +89,24 @@ same values, iterates and orders, and takes `_replace` and `_asdict`;
 and none of them makes a process import `dataclasses`, with the
 `inspect`, `ast` and `dis` that it imports. `Instruction` checks its
 fields in `__new__`, and its `_make`, which `_replace` calls, goes through
-`__new__`, so no way of building one skips the check. The run and query
-paths, and the readers that render what they keep, build theirs in C:
-each module keeps one `functools.partial(tuple.__new__, Cls)` beside the
-class (`Configuration` in `tape_view`, `InvocationRecord` in
-`evosim.engine.render_record`, `CostMeter` and `RunResult` in `run`,
-`QueryOutcome` in `PartialDfa.query`) and calls it with the fields as one
-tuple. The class call goes through the Python-level `__new__` that
-`collections.namedtuple` generates, one more Python frame and about
-0.25-0.3 us a build on CPython 3.11, some two a run; the value
-is the same, with its type, repr, hash and pickle. No per-run or
-per-query path calls a named-tuple class, and `Instruction`, which is not
-built per run, keeps its checking `__new__`. The one exception
-is `MachineStats`, a dataclass defined on first use (see `evosim.trie`),
-because the benchmark digests it with `dataclasses.astuple`.
+`__new__`, so no way of building one skips the check. Every value is
+built by calling its class, but for the two that `run` builds once per
+run: it builds its `CostMeter` and its `RunResult` in C, with the
+`functools.partial(tuple.__new__, Cls)` kept beside each class, called
+with the fields as one tuple. A class call goes through the Python-level
+`__new__` that `collections.namedtuple` generates, one more Python frame
+and about 0.25-0.3 us a build on CPython 3.11; the value is the same,
+with its type, repr, hash and pickle. A run of a shipped model builds
+no other value: the readers that do (`tape_view`, which a run calls only
+for a model with `accept` alone, `evosim.engine.render_record` and
+`PartialDfa.query`) pay that frame per value. The one exception to named
+tuples is `MachineStats`, a dataclass defined on first use (see
+`evosim.trie`), because the benchmark digests it with
+`dataclasses.astuple`.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
-`evosim.engine.EvolvingModel` swaps in an acceptor that rewrites itself.
+`evosim.engine.EvolvingModel` is a `StandardModel` that swaps in a tape
+question that rewrites itself, and inherits `accept`.
 The run loop itself holds no state: all mutation lives in the model, so a
 run against a stateful model needs exclusive access to that model instance,
 while concurrent runs against distinct instances are safe.

@@ -28,8 +28,12 @@ back into a configuration (`config_cells` the other way). Both shipped
 models answer the run loop's question about the tape itself,
 `accept_tape(cells, pos)`: `StandardModel` answers YES, as
 `halting_accept` does on every configuration the walk stops to ask
-about, and the evolving acceptor reads the string on the tape with
-`edge_content`, so the byte codes stay known to this module alone.
+about, and derives its configuration question, `accept`, from it; the
+evolving acceptor, a subclass, overrides the tape question alone and
+reads the string on the tape with `edge_content`. The byte codes are
+known to this module and to one builder outside it,
+`evosim.experiments._runs`, which builds the start tapes of a saturation
+pass from `(0,)` and the bits `b"01"`, in C.
 
 This module sits at the bottom of the package: it imports nothing from
 evosim but the error types, and the run loop and the engines build on it.
@@ -37,7 +41,6 @@ evosim but the error types, and the run loop and the engines build on it.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -77,12 +80,6 @@ class Configuration(NamedTuple):
     right: str
 
 
-# The run path's builder: `tuple.__new__` from the fields as one tuple, in
-# C, where `Configuration(...)` goes through the Python-level `__new__` the
-# named tuple generates (see the `evosim.runner` "Value types" paragraph).
-_configuration = partial(tuple.__new__, Configuration)
-
-
 def start_tape(text):
     """The cells of an input's start tape: the origin blank, then the
     input."""
@@ -101,7 +98,7 @@ def start_config(text):
 def tape_view(state, cells, pos):
     """The immutable configuration of a mutable tape with the head on `pos`."""
     tape = cells.decode("latin-1").replace("\0", BLANK)
-    return _configuration((state, tape[:pos], SYMBOL[cells[pos]], tape[pos + 1:]))
+    return Configuration(state, tape[:pos], SYMBOL[cells[pos]], tape[pos + 1:])
 
 
 def tape_string(cells):
@@ -300,12 +297,28 @@ def extract_string(config):
 
 
 class StandardModel:
-    """Stateless model: the halting-pattern acceptor, no acceptor work."""
+    """Stateless model: the halting-pattern acceptor, no acceptor work.
+
+    A model that replaces the acceptor, as `evosim.engine.EvolvingModel`
+    does, overrides the tape question `accept_tape` alone and inherits the
+    configuration question `accept`."""
 
     acceptor_ticks = 0
 
     def accept(self, config):
-        return halting_accept(config)
+        """The accepting engine, asked about a configuration.
+
+        NO outside the halting pattern (`halting_accept`). The origin
+        pattern is tested before the right-edge pattern, so the fully
+        blank tape answers YES without asking the tape question. A
+        configuration at the right edge is asked about as its tape, by
+        `accept_tape`: under this model YES, so the answer is
+        `halting_accept` on every configuration in the alphabet.
+        InvalidSymbolError there if the configuration holds a symbol
+        outside the alphabet (`config_cells`).
+        """
+        return halting_accept(config) and (
+            not config.left or self.accept_tape(config_cells(config), len(config.left)))
 
     def accept_tape(self, cells, pos):
         """YES: the answer of `accept(tape_view(HALT_STATE, cells, pos))`

@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence, Set
-from functools import partial
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -122,11 +121,6 @@ class QueryOutcome(NamedTuple):
     added_transitions: tuple
     added_accepting: tuple
     ticks: int
-
-
-# The query path's builder, in C (see the `evosim.runner` "Value types"
-# paragraph).
-_query_outcome = partial(tuple.__new__, QueryOutcome)
 
 
 def __getattr__(name):
@@ -563,7 +557,7 @@ class PartialDfa:
         length = len(text)
         if not accepted or ticks == length:
             case = QueryCase.AT_ACCEPTING if accepted else QueryCase.NEAR_ACCEPTING
-            return _query_outcome((accepted, case, (), (), (), ticks))
+            return QueryOutcome(accepted, case, (), (), (), ticks)
         # A mark (ticks length + 1) or a grown chain: the path of `text` is
         # complete now, and its states after the first `read` symbols are new.
         read = 2 * length + 1 - ticks
@@ -580,8 +574,8 @@ class PartialDfa:
             new_transitions.append((source, symbol, name))
             source = name
         case = QueryCase.MARKED_ACCEPTING if read == length else QueryCase.GREW_CHAIN
-        return _query_outcome((True, case, tuple(new_states),
-                               tuple(new_transitions), (source,), ticks))
+        return QueryOutcome(True, case, tuple(new_states),
+                            tuple(new_transitions), (source,), ticks)
 
     def answer(self, text):
         """Answer a membership query, growing the machine as needed:

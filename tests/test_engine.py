@@ -11,6 +11,7 @@ from evosim import (
     Configuration,
     EvolvingModel,
     Instruction,
+    InvalidSymbolError,
     Procedure,
     SnapshotError,
     StandardModel,
@@ -76,6 +77,17 @@ def test_other_configurations_answer_no():
     model = EvolvingModel()
     assert model.accept(Configuration("q0", "", BLANK, "1")) is False
     assert model.accept(Configuration("h", "1", "0", "")) is False
+
+
+def test_the_configuration_question_is_written_once():
+    assert EvolvingModel.accept is StandardModel.accept
+
+
+@pytest.mark.parametrize("left", ["x", "0x"])
+@pytest.mark.parametrize("model", [StandardModel, EvolvingModel])
+def test_both_models_reject_a_right_edge_halt_outside_the_alphabet(model, left):
+    with pytest.raises(InvalidSymbolError):
+        model().accept(Configuration("h", left, BLANK, ""))
 
 
 def test_interior_blank_never_reaches_the_trie():
@@ -404,6 +416,7 @@ configs = st.builds(
 def test_models_agree_outside_the_right_edge_pattern(config):
     from evosim import halting_accept
 
+    assert StandardModel().accept(config) == halting_accept(config)
     evolving_pattern = (config.state == "h" and config.head == BLANK
                         and config.right == "" and config.left != "")
     if not evolving_pattern:

@@ -189,6 +189,14 @@ def test_a_pass_with_a_budget_below_one_is_an_error_before_any_run():
     assert (world.trie.state_count, world.acceptor_ticks, len(world.ring)) == (1, 0, 0)
 
 
+def test_a_negative_probe_length_is_an_error_before_any_run():
+    world = EvolvingModel()
+    with pytest.raises(ValueError, match="probe length"):
+        saturate(world, -1)
+    assert encode_snapshot(world) == encode_snapshot(EvolvingModel())
+    assert (world.acceptor_ticks, len(world.ring)) == (0, 0)
+
+
 def test_a_saturation_pass_codes_its_verdicts_in_verdict_order():
     # "1010" leaves "101" one step below an accepting chain end, and a
     # budget of 4 steps cuts every 4-symbol feed run one step short of its

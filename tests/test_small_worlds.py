@@ -5,7 +5,9 @@ worlds. `small_worlds` finds them breadth first, each grown from the last
 by `copy().answer(q)` and told apart by snapshot text, with a shortest
 history to each; a failure message prints that history. `check_worlds`
 makes every check on every world, as tier-1 does for the two-symbol closure
-and CI does deeper:
+and CI does deeper. One check is the mirror image: 0 and 1 swapped in every
+query grow a trie whose two child arrays are the world's, swapped index for
+index, with the same marks. The checks run as:
 
     PYTHONPATH=src:tests python3 -c \
         "from test_small_worlds import check_worlds; print(check_worlds(3, 4))"
@@ -56,16 +58,26 @@ def small_worlds(max_length, max_depth=None):
         depth += 1
 
 
+# The mirror image of a string: 0 and 1 swapped.
+MIRROR = str.maketrans("01", "10")
+
+
 def check_world(world, history):
     """The world is a well-formed trie, the one the reference trie grows
-    from the same history, and its copy and decoded snapshot equal it."""
+    from the same history, and its copy and decoded snapshot equal it; the
+    trie grown from the mirrored history is its mirror image, the two
+    child arrays swapped index for index."""
     where = f"world after {list(history)}"
     snapshot = world.snapshot()
     assert world.structure_problems() == [], where
     reference = OracleTrie()
+    image = PartialDfa()
     for text in history:
         reference.answer(text)
+        image.answer(text.translate(MIRROR))
     assert reference.snapshot() == snapshot, where
+    assert (image.kids0, image.kids1, image.marks) == (
+        world.kids1, world.kids0, world.marks), where
     assert world.copy().snapshot() == snapshot, where
     assert PartialDfa.from_snapshot(snapshot).snapshot() == snapshot, where
 
