@@ -1,5 +1,6 @@
 """Generic run loop: selection, verdicts, budgets, cost accounting."""
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -386,18 +387,26 @@ def test_the_budget_ends_a_run_only_where_an_instruction_applies(
 
 def _python_frames(function, *args):
     """The Python functions that `function(*args)` enters, by name, with
-    the number of times each is entered (C calls are not counted)."""
+    the number of times each is entered (C calls are not counted).
+
+    The cyclic collector is off meanwhile: a collection would run the
+    `gc.callbacks` that Hypothesis installs, whose frames are not the
+    function's."""
     frames = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
             frames[frame.f_code.co_name] += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         function(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return frames
 
 
