@@ -22,13 +22,12 @@ belongs to the trie (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`),
 and `encode_snapshot` and `decode_snapshot` apply it to a whole world.
 
 `EvolvingModel` is a `StandardModel` with one part replaced: it overrides
-the tape question, `accept_tape(cells, pos)`, which the run loop asks
-where `evosim.tape.walk` stopped to ask, and reads the string on the tape
-(`evosim.tape.edge_content`) without building a `Configuration`. It
-inherits the configuration question, `StandardModel.accept`, which checks
-the pattern with `evosim.tape.halting_accept` and asks the tape question
-in turn, so the trie answer, the ticks and the ring entry are written in
-one place.
+the tape question, `accept_tape(cells, pos)`, which the run loop,
+`evosim.tape.walk`, asks in place, and strips and decodes the string on
+the tape itself, without building a `Configuration`. It inherits the
+configuration question, `StandardModel.accept`, which checks the pattern
+with `evosim.tape.halting_accept` and asks the tape question in turn, so
+the trie answer, the ticks and the ring entry are written in one place.
 
 Only the trie grows with the number of runs. `ring` keeps the last
 `LOG_LIMIT` consultations raw, each as (tape bytes, text, answer, ticks):
@@ -47,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .tape import HALT_STATE, StandardModel, edge_content, tape_view
+from .tape import HALT_STATE, StandardModel, tape_view
 from .trie import PartialDfa
 
 # The number of consultations `ring` keeps: the most recent ones.
@@ -95,13 +94,13 @@ class EvolvingModel(StandardModel):
         entry.
 
         Asked only where the halt state reads a blank at a tape edge (cell
-        0 or the last cell), as the run loop asks it where `walk` stopped
-        to ask and `accept` after its own check; so it does not check that
-        pattern again. At the origin the answer is YES; at the right edge
-        the trie is asked about the string on the tape (`edge_content`),
-        or the answer is NO when a blank remains inside it, as the content
-        is then not a binary string. The ring keeps a frozen copy of the
-        tape, not its view.
+        0 or the last cell), as `walk` asks it and `accept` after its own
+        check; so it does not check that pattern again. At the origin the
+        answer is YES; at the right edge the trie is asked about the
+        string on the tape, its blank ends stripped, or the answer is NO
+        when a blank remains inside it, as the content is then not a
+        binary string. The ring keeps a frozen copy of the tape, not its
+        view.
 
         Precondition: `cells` holds only the cell codes 0, 48 and 49, as
         every tape that a run steps does: `evosim.tape.start_tape` and
@@ -113,9 +112,10 @@ class EvolvingModel(StandardModel):
         """
         if not pos:
             return True
-        text = edge_content(cells)
-        if text is None:
+        content = cells.strip(b"\0")
+        if 0 in content:
             return False
+        text = content.decode("ascii")
         accepted, ticks = self.trie._walk_and_grow(text)
         self.acceptor_ticks += ticks
         self.ring.append((bytes(cells), text, accepted, ticks))

@@ -8,13 +8,14 @@ engine.
 
 `saturate` and `sibling_search` make one run per string of a length and
 read only their verdicts, so they call the run loop itself,
-`evosim.runner._drive`, in place of `run`, and hand it no list to record
-the applied instructions in: the same acceptor calls in the same order,
+`evosim.tape.walk`, in place of `run`, and hand it no list to record the
+applied instructions in: the same acceptor calls in the same order,
 without the record of steps or the report that `run` builds around it
 (`RunResult`, `CostMeter`, the tuple of applied instructions and the final
-string). `_runs` maps `_drive` over the start tapes of the strings, built
-in C from the bits of `itertools.product`: no string is joined, checked
-or encoded, and `sibling_search` renders only its witness, from its index
+string). `_runs` looks the acceptor's question up once per pass and maps
+`walk` over the start tapes of the strings, built in C from the bits of
+`itertools.product`: no string is joined, checked or encoded, and
+`sibling_search` renders only its witness, from its index
 (`_binary_string`). Everything else here calls `run`.
 
 A saturation pass keeps one verdict code per run, and `Answers` is the one
@@ -40,9 +41,9 @@ from typing import NamedTuple
 from .engine import EvolvingModel, encode_snapshot, render_record
 # right_scanner lives beside Procedure, so that the CLI builds its default
 # procedure without this module; it is re-exported here, unchanged.
-from .runner import (ACCEPTED, DEFAULT_BUDGET, Verdict, _drive, answer_word,
+from .runner import (DEFAULT_BUDGET, Verdict, _config_question, answer_word,
                      right_scanner, run)
-from .tape import BLANK
+from .tape import BLANK, START_STATE, walk
 
 
 def binary_strings(length):
@@ -83,9 +84,6 @@ def _delta(before, after):
     return StructureDelta(*(a - b for b, a in zip(before, after)))
 
 
-# One byte per saturation run: the index of its verdict in `Verdict`, found
-# by identity (a dict would call the enum's Python-level `__hash__`).
-_VERDICT_CODE = tuple(Verdict).index
 _VERDICT_VALUE = tuple(verdict.value for verdict in Verdict)
 
 
@@ -151,20 +149,25 @@ class SaturationReport(NamedTuple):
 
 
 def _runs(model, procedure, length, budget):
-    """The verdicts of the procedure on every string of the given length,
-    lazily, in `binary_strings` order: `_drive` mapped over their start
-    tapes, each the origin blank and the string's cell codes, built in C
-    as `start_tape` builds it from the string."""
+    """The verdict codes of the procedure on every string of the given
+    length (the index of each verdict in `Verdict`), lazily, in
+    `binary_strings` order: `walk` mapped over their start tapes, each the
+    origin blank and the string's cell codes, built in C as `start_tape`
+    builds it from the string. A budget below 1 is a ValueError, before
+    any run."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    ask = getattr(model, "accept_tape", None) or _config_question(model)
     tapes = map(bytearray, map((0,).__add__, itertools.product(b"01", repeat=length)))
-    return map(_drive, itertools.repeat(model), itertools.repeat(procedure), tapes,
-               itertools.repeat(budget))
+    return map(walk, itertools.repeat(procedure._steps), tapes, itertools.repeat(0),
+               itertools.repeat(START_STATE), itertools.repeat(budget),
+               itertools.repeat(None), itertools.repeat(ask))
 
 
 def _verdicts(model, procedure, length, budget):
     """Run the procedure on every string of the given length, in
     `binary_strings` order; their answers."""
-    verdicts = _runs(model, procedure, length, budget)
-    return Answers(length, bytes(map(_VERDICT_CODE, verdicts)))
+    return Answers(length, bytes(_runs(model, procedure, length, budget)))
 
 
 def saturate(model, probe_length, procedure=None, budget=DEFAULT_BUDGET):
@@ -220,8 +223,8 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
     procedure = procedure if procedure is not None else right_scanner()
     before = _counts(model)
     length = len(text)
-    for used, verdict in enumerate(_runs(model, procedure, length, budget), 1):
-        if verdict is ACCEPTED:
+    for used, code in enumerate(_runs(model, procedure, length, budget), 1):
+        if not code:  # accepted
             return SiblingSearchResult(True, used, _binary_string(used - 1, length),
                                        _delta(before, _counts(model)))
     return SiblingSearchResult(False, 1 << length, None,

@@ -30,18 +30,18 @@ Acceptor contract: an accepting engine may answer YES only on a
 configuration in the halt state with the head on a blank at a tape edge
 (cell 0 or the last cell: an empty `left` or an empty `right`), the
 paper's halting pattern, and must answer NO everywhere else without doing
-any work. The run loop relies on this: it asks only on those edge
-configurations, where `walk` stopped to ask, in order of generation, and
-takes NO as the answer everywhere else, so a run costs time and memory
-linear in its steps, apart from what each question costs. So the state is
-always `HALT_STATE` where it asks, and the tape question does not take
-it. The loop picks its one question once per run: a model's
-`accept_tape`, asked with no configuration built (`StandardModel`, whose
-answer there is YES, and `EvolvingModel`), or for a model with `accept`
-and `acceptor_ticks` alone an adapter that asks `accept` on a
-`Configuration` built by `evosim.tape.tape_view`. A model that would
-answer YES with the halt state on a blank inside the tape is not asked
-there.
+any work. The run loop relies on this: `walk` asks in place, only on
+those edge configurations, in order of generation, and takes NO as the
+answer everywhere else, so a run costs time and memory linear in its
+steps, apart from what each question costs. So the state is always
+`HALT_STATE` where it asks, and the tape question does not take it. The
+question is looked up once per run (once per pass by the experiments that
+map `walk` over their start tapes): a model's `accept_tape`, asked with
+no configuration built (`StandardModel`, whose answer there is YES, and
+`EvolvingModel`), or for a model with `accept` and `acceptor_ticks` alone
+an adapter that asks `accept` on a `Configuration` built by
+`evosim.tape.tape_view`. A model that would answer YES with the halt
+state on a blank inside the tape is not asked there.
 
 Loops: an instruction that writes back the symbol it reads and stays in
 its state crosses the whole run of cells it loops on in one move (see
@@ -60,24 +60,23 @@ at a tape edge, so the acceptor contract answers NO there without a call,
 and a crossing skips no acceptor call; `applied`, the costs, the verdicts
 and the final string are those of single steps.
 
-One loop, two readers: the loop is the private `_drive`, which steps a
-start tape that its caller builds to the final tape in place, returns the
-verdict, and records the applied instructions only when its caller hands
-it a list. `run` builds the tape from its text with
-`evosim.tape.start_tape`, which checks the alphabet, hands `_drive` a list
-and wraps the outcome in a `RunResult` with its `CostMeter` and final
-string. The loop makes one
-`walk` per acceptor question, plus the first: `walk` stops where it must
-ask, says whether an instruction applies there and returns the budget
-left, so after the answer the run ends (no instruction applies, or the
-budget is used up) or walks on. The experiments that read only verdicts,
-`saturate` and `sibling_search` in `evosim.experiments`, call `_drive`
-itself with no list, because they make tens of thousands of runs and
-would throw each report and each record away. They run every binary
-string of one length, so they build its start tapes in C, from the bits
-of `itertools.product`, with no string to join, check or encode; everything
-else calls `run`. Both go through the same acceptor calls in the same
-order.
+One loop, two readers: the loop is `evosim.tape.walk`, which steps a
+start tape that its caller builds to the final tape in place, asks the
+acceptor where it must, and returns the verdict code (the index in
+`Verdict`); it records the applied instructions only when its caller
+hands it a list. A run is one `walk` call: the walk keeps the answer of
+its last question, and where no instruction applies it ends with that
+answer, so it never stops to hand a question back. `run` builds the tape
+from its text with `evosim.tape.start_tape`, which checks the alphabet,
+hands `walk` a list and wraps the verdict in a `RunResult` with its
+`CostMeter` and final string. The experiments that read only verdicts,
+`saturate` and `sibling_search` in `evosim.experiments`, map `walk`
+itself over their start tapes with no list, because they make tens of
+thousands of runs and would throw each report and each record away. They
+run every binary string of one length, so they build its start tapes in
+C, from the bits of `itertools.product`, with no string to join, check or
+encode; everything else calls `run`. Both go through the same acceptor
+calls in the same order.
 
 Value types: every value type of the package is a `typing.NamedTuple`,
 the per-run ones here and in `evosim.tape`, `evosim.trie` and
@@ -118,7 +117,7 @@ import enum
 from functools import partial
 from typing import NamedTuple
 
-from .errors import DeterminationError, InvalidSymbolError
+from .errors import DeterminationError, InvalidSymbolError, excerpt
 # BLANK is also re-exported here, for callers that build instructions.
 from .tape import (
     ALPHABET,
@@ -144,12 +143,22 @@ class _InstructionFields(NamedTuple):
     move: str
 
 
+# The characters besides whitespace that procedure text cannot spell in a
+# state name (see `evosim.procfile`).
+_NOT_IN_NAMES = frozenset("(),#")
+
+
 class Instruction(_InstructionFields):
     """One rewrite rule: in `state` reading `read`, write `write`, move
     one cell in `move`, and enter `target`.
 
     A named tuple of those five fields that checks them when it is built,
-    by the constructor, `_make`, `_replace` or unpickling alike."""
+    by the constructor, `_make`, `_replace` or unpickling alike: the two
+    symbols must be in the alphabet (InvalidSymbolError), the move L or R,
+    and each state name a str (TypeError) that procedure text can spell,
+    nonempty and free of whitespace, "(", ")", "," and "#" (ValueError),
+    so that `evosim.procfile.render_procedure` writes text that
+    `parse_procedure` reads back."""
 
     __slots__ = ()
 
@@ -161,6 +170,12 @@ class Instruction(_InstructionFields):
             raise ValueError(f"move must be L or R, got {move!r}")
         if not state or not target:
             raise ValueError("state names must be nonempty")
+        for name in (state, target):
+            if not isinstance(name, str):
+                raise TypeError(f"state names must be str, not {type(name).__name__}")
+            if name.split() != [name] or not _NOT_IN_NAMES.isdisjoint(name):
+                raise ValueError(f"state name {excerpt(name)} holds whitespace "
+                                 f"or one of ( ) , #")
         return self
 
     @classmethod
@@ -252,7 +267,8 @@ class Verdict(enum.Enum):
 
 # The verdicts as module globals: a global read is several times cheaper
 # than an enum member read through its class, and every run makes one.
-ACCEPTED, HALTED_REJECTED, BUDGET_EXCEEDED = Verdict
+# `VERDICTS` maps the walk's verdict code to its verdict.
+VERDICTS = ACCEPTED, HALTED_REJECTED, BUDGET_EXCEEDED = tuple(Verdict)
 
 
 def answer_word(verdict):
@@ -348,34 +364,12 @@ def select_instruction(procedure, config):
     return step_config(procedure._steps, config)[0]
 
 
-def _drive(model, procedure, cells, budget, applied=None):
-    """The run loop of `run`, without its report: the verdict of a run from
-    the start tape `cells`, a `bytearray` of cell codes as `start_tape`
-    builds it, which the run steps in place to its final tape. The applied
-    instructions are appended to `applied` when it is a list; None records
-    none. `run` wraps it, and `saturate` and `sibling_search` call it for
-    the verdict alone (see the module docstring)."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    steps = procedure._steps
-    state, pos, room = START_STATE, 0, budget
-    ask = getattr(model, "accept_tape", None)
-    if ask is None:
-        def ask(cells, pos):
-            return model.accept(tape_view(HALT_STATE, cells, pos))
-    while True:
-        state, pos, halted, asking, room = walk(steps, cells, pos, state,
-                                                room, applied)
-        # A walk that did not stop to ask ends where the answer is NO: the
-        # start configuration (the start state is not the halt state), or
-        # one that is not h on a blank at a tape edge.
-        if not asking:
-            return HALTED_REJECTED if halted else BUDGET_EXCEEDED
-        answer = ask(cells, pos)
-        if halted:
-            return ACCEPTED if answer else HALTED_REJECTED
-        if not room:
-            return BUDGET_EXCEEDED
+def _config_question(model):
+    """The tape question of a model that has only `accept`: `accept` asked
+    on the configuration of the tape in the halt state (`tape_view`)."""
+    def ask(cells, pos):
+        return model.accept(tape_view(HALT_STATE, cells, pos))
+    return ask
 
 
 def run(model, procedure, text, budget=DEFAULT_BUDGET):
@@ -389,19 +383,20 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     `budget` bounds transition steps, not acceptor work; exhausting it
     yields the BUDGET_EXCEEDED verdict rather than an error.
 
-    The loop itself is `_drive`, on the start tape of `text`, and it
-    records the applied instructions in a list of `run`'s; `run` reads the
-    acceptor's tick counter around it and builds the report: the costs,
-    the applied instructions as a tuple and the final string. A budget
-    below 1 is a ValueError, checked before the text's alphabet, as
-    `_drive` checks it.
+    The loop itself is `evosim.tape.walk`, on the start tape of `text`,
+    and it records the applied instructions in a list of `run`'s; `run`
+    looks the question up once, reads the acceptor's tick counter around
+    the walk and builds the report: the verdict of the walk's code, the
+    costs, the applied instructions as a tuple and the final string. A
+    budget below 1 is a ValueError, checked before the text's alphabet.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    ask = getattr(model, "accept_tape", None) or _config_question(model)
     cells = start_tape(text)
     ticks_before = model.acceptor_ticks
     applied = []
-    verdict = _drive(model, procedure, cells, budget, applied)
+    verdict = VERDICTS[walk(procedure._steps, cells, 0, START_STATE, budget, applied, ask)]
     steps = len(applied)
     cost = _cost_meter((steps + 1, steps, model.acceptor_ticks - ticks_before))
     return _run_result((verdict, text, tuple(applied), cost, tape_string(cells)))

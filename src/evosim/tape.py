@@ -9,28 +9,29 @@ per step, and the run loop one per question to a model that has only
 are pure functions, so the model is stateless and configurations can be
 shared freely across threads.
 
-Every step is taken by `walk`, on a mutable tape: a `bytearray` of cell
+Every run is taken by `walk`, on a mutable tape: a `bytearray` of cell
 codes (blank 0, "0" and "1" their ASCII codes), cell 0 being the origin,
 plus a head index. It reads a step table, compiled once from the
 instructions by `step_table`: one row per state, a list indexed by cell
 code, whose entries name the row of their target state, so that the walk
 follows rows and reads one list slot per step. It is the one place that
 holds the two tape rules: a left move at the origin does not
-apply, and a right move off the last cell appends a blank. An acceptor is
-asked only where the halt state reads a blank at a tape edge (cell 0 or
-the last cell), so the walk stops for one only there. It has one rule for
+apply, and a right move off the last cell appends a blank. It is the whole
+run loop: it asks the acceptor's question in place, only where the halt
+state reads a blank at a tape edge (cell 0 or the last cell), and returns
+the run's verdict code. It has one rule for
 runs of steps, a macro step (Marxen and Buntrock, "Attacking the Busy
 Beaver 5", 1990): an instruction that writes back the symbol it reads and
 stays in its state, a *loop*, crosses the whole run of cells it loops on
 in one move. The pure engine `apply_instruction` takes one step of a
-configuration through the same walk, and `tape_view` turns a mutable tape
-back into a configuration (`config_cells` the other way). Both shipped
-models answer the run loop's question about the tape itself,
+configuration through the same walk, asking nothing, and `tape_view` turns
+a mutable tape back into a configuration (`config_cells` the other way).
+Both shipped models answer the walk's question about the tape itself,
 `accept_tape(cells, pos)`: `StandardModel` answers YES, as
-`halting_accept` does on every configuration the walk stops to ask
-about, and derives its configuration question, `accept`, from it; the
-evolving acceptor, a subclass, overrides the tape question alone and
-reads the string on the tape with `edge_content`. The byte codes are
+`halting_accept` does on every configuration the walk asks about, and
+derives its configuration question, `accept`, from it; the evolving
+acceptor, a subclass, overrides the tape question alone and reads the
+string on the tape itself. The byte codes are
 known to this module and to one builder outside it,
 `evosim.experiments._runs`, which builds the start tapes of a saturation
 pass from `(0,)` and the bits `b"01"`, in C.
@@ -107,16 +108,6 @@ def tape_string(cells):
     return cells.strip(b"\0").decode("latin-1").replace("\0", BLANK)
 
 
-def edge_content(cells):
-    """The binary string on a tape with its blank ends stripped, or None
-    when a blank remains inside it: what the evolving acceptor asks its
-    trie about at the right edge."""
-    content = cells.strip(b"\0")
-    if 0 in content:
-        return None
-    return content.decode("ascii")
-
-
 def config_cells(config):
     """The mutable tape of a configuration, cell 0 being the origin.
 
@@ -161,26 +152,26 @@ def step_table(instructions):
     return table
 
 
-def walk(steps, cells, pos, state, room, applied):
-    """Step a mutable tape in place from `state` with the head on `pos`;
-    return the new (state, pos, halted, asking, room), `room` being the
-    steps left.
+def walk(steps, cells, pos, state, room, applied, ask):
+    """Run a mutable tape in place from `state` with the head on `pos`, by
+    the instructions of `steps`, and return the verdict code: 0 accepted,
+    1 halted-rejected, 2 budget-exceeded (the index in
+    `evosim.runner.Verdict`).
 
     `cells` is the whole allocated tape, cell 0 being the origin. Each
     applied instruction is appended to `applied` when it is a list; None
-    records nothing, and the room returned is then the only count of the
-    steps. The walk takes at most `room` steps. It stops at the first
-    configuration that a step reaches in the halt state on a blank at a
-    tape edge, cell 0 or the last cell, so that the caller can ask an
-    acceptor about it (asking is True); where no instruction of `steps`
-    applies; or where the room is used up. The halt state on a blank
-    inside the tape is not a stop. `halted` says whether no instruction
-    applies where the walk stopped, by the rule at the top of its loop:
-    the state's row has no entry at the cell's code, or the entry moves
-    left at the origin. The walk keeps the row of its state and takes the
-    next one from the entry it applies. So after an edge question the caller knows without a second
-    walk whether the run ends there, and asking and halted both False mean
-    that the room ran out.
+    records nothing. The walk takes at most `room` steps. After each step
+    or crossing that ends in the halt state on a blank at a tape edge, cell
+    0 or the last cell, it asks `ask(cells, pos)` and keeps the answer, and
+    any later step clears it; `ask` None asks nothing, and the answer is
+    then NO. The halt state on a blank inside the tape is not asked about,
+    nor the configuration the walk starts from. The walk ends where no
+    instruction applies, by the rule at the top of its loop (the state's
+    row has no entry at the cell's code, or the entry moves left at the
+    origin), accepted if the kept answer is YES and halted-rejected
+    otherwise; failing that, where the room is used up, budget-exceeded.
+    The walk keeps the row of its state and takes the next one from the
+    entry it applies.
 
     A loop (see `step_table`) crosses the run of cells it loops on in one
     move, using the same room and applying the same instructions as single
@@ -189,25 +180,25 @@ def walk(steps, cells, pos, state, room, applied):
     at the latest; a left move does not apply there. A right crossing
     stops, at the latest, at the end of the tape where a blank is a
     stopper, so that the usual blank is appended, and at the last cell in
-    the halt state, since the halt state on a blank there is an acceptor
-    question; a head already on the last cell moves one past it. Any other
-    state that loops on a blank runs past the end, and the tape is
-    extended with blanks. So every configuration a crossing skips is one
-    that single steps pass through with the same instruction, and none is
-    the halt state on a blank at a tape edge.
+    the halt state, since the halt state on a blank there is asked about;
+    a head already on the last cell moves one past it. Any other state
+    that loops on a blank runs past the end, and the tape is extended with
+    blanks. So every configuration a crossing skips is one that single
+    steps pass through with the same instruction, and none is the halt
+    state on a blank at a tape edge.
     """
-    asking = False
+    answer = False
     row = steps.get(state, NO_STEPS)
     while True:
         entry = row[cells[pos]]
         if entry is None:
-            return state, pos, True, asking, room
+            return 0 if answer else 1
         write, moves_right, target, target_row, inst, run = entry
         # A left move at the origin does not apply.
         if not (pos or moves_right):
-            return state, pos, True, asking, room
-        if asking or not room:
-            return state, pos, False, asking, room
+            return 0 if answer else 1
+        if not room:
+            return 2
         # A crossing of one cell is a single step, and the replay of a path
         # takes only those.
         if run is None or room == 1:
@@ -248,7 +239,8 @@ def walk(steps, cells, pos, state, room, applied):
         # A right move off the last cell appends a blank.
         if pos == len(cells):
             cells.append(0)
-        asking = state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1)
+        answer = (state == HALT_STATE and not cells[pos] and (not pos or pos == len(cells) - 1)
+                  and ask is not None and ask(cells, pos))
 
 
 def step_config(steps, config):
@@ -258,12 +250,13 @@ def step_config(steps, config):
     InvalidSymbolError if the configuration holds a symbol outside the
     alphabet."""
     cells = config_cells(config)
+    pos = len(config.left)
     applied = []
-    state, pos = walk(steps, cells, len(config.left), config.state, 1,
-                      applied)[:2]
+    walk(steps, cells, pos, config.state, 1, applied, None)
     if not applied:
         return None, None
-    return applied[0], tape_view(state, cells, pos)
+    inst = applied[0]
+    return inst, tape_view(inst.target, cells, pos + 1 if inst.move == "R" else pos - 1)
 
 
 def apply_instruction(config, inst):

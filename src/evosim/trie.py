@@ -74,8 +74,8 @@ process.
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
 quiescent instance is safe. The arrays and counters are written only by
-`_walk_and_grow` (with its `_mark`), which keeps the trie shape and which
-`answer` calls after its symbol check, and filled once by
+`_walk_and_grow`, which keeps the trie shape and which `answer` calls
+after its symbol check, and filled once by
 `from_snapshot`, which checks it, or by `copy`, from arrays of one of
 those two; everything else, `query` included, only reads them. So a copy
 needs no check of its own.
@@ -588,10 +588,12 @@ class PartialDfa:
         return self._walk_and_grow(text)
 
     def _walk_and_grow(self, text):
-        """`answer` on a binary string, unchecked: with `_mark`, the one
-        writer of a built machine. It reads every symbol but "1" as "0", so
-        a caller other than `answer` passes only text that is binary by
-        construction, as the evolving acceptor does with a tape's content."""
+        """`answer` on a binary string, unchecked: the one writer of a built
+        machine. It reads every symbol but "1" as "0", so a caller other
+        than `answer` passes only text that is binary by construction, as
+        the evolving acceptor does with a tape's content. Both accepting
+        paths that grow the machine, a promoted dead end and a new chain,
+        end at one mark."""
         kids0, kids1 = self.kids0, self.kids1
         node = root = self.root
         read = 0
@@ -603,35 +605,32 @@ class PartialDfa:
             read += 1
 
         marks = self.marks
-        if read == len(text):
+        length = len(text)
+        if read == length:
             if marks[node]:
                 return True, read
             zero = kids0[node]
             one = kids1[node]
             if (zero != root and marks[zero]) or (one != root and marks[one]):
                 return False, read
-            self._mark(node, read)
-            return True, read + 1
-
-        fresh = len(marks)
-        for symbol in text[read:]:
-            (kids1 if symbol == "1" else kids0)[node] = fresh
-            kids0.append(root)
-            kids1.append(root)
-            marks.append(0)
-            node = fresh
-            fresh += 1
-        self._mark(node, len(text))
-        # One tick per symbol read, two per state added (the state and its
-        # transition) and one for the mark.
-        return True, 2 * len(text) - read + 1
-
-    def _mark(self, node, length):
-        """Mark `node`, where a query of `length` symbols ends, accepting."""
-        self.marks[node] = 1
+            ticks = read + 1
+        else:
+            fresh = len(marks)
+            for symbol in text[read:]:
+                (kids1 if symbol == "1" else kids0)[node] = fresh
+                kids0.append(root)
+                kids1.append(root)
+                marks.append(0)
+                node = fresh
+                fresh += 1
+            # One tick per symbol read, two per state added (the state and
+            # its transition) and one for the mark.
+            ticks = 2 * length - read + 1
+        marks[node] = 1
         self.accepting_count += 1
         if length > self.max_accepted_length:
             self.max_accepted_length = length
+        return True, ticks
 
     def stats(self):
         """Measured figures: the depth is recomputed by traversal, not read

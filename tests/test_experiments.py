@@ -127,18 +127,18 @@ def test_a_pass_runs_the_start_tapes_of_its_strings_in_order(monkeypatch):
     # The tapes that saturate and sibling_search hand the run loop, built
     # from bits, are those that `start_tape` builds from the strings, in
     # `binary_strings` order, for every length up to 8.
-    drive = experiments._drive
+    drive = experiments.walk
     seen = []
 
-    def recording(model, procedure, cells, budget, applied=None):
+    def recording(steps, cells, pos, state, room, applied, ask):
         seen.append((type(cells), bytes(cells)))
-        return drive(model, procedure, cells, budget, applied)
+        return drive(steps, cells, pos, state, room, applied, ask)
 
     def expected(*lengths):
         return [(bytearray, bytes(start_tape(text)))
                 for length in lengths for text in binary_strings(length)]
 
-    monkeypatch.setattr(experiments, "_drive", recording)
+    monkeypatch.setattr(experiments, "walk", recording)
     for n in range(8):
         world = EvolvingModel()
         saturate(world, n)

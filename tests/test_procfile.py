@@ -1,5 +1,7 @@
 """Procedure file grammar: parse, render, round trips."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from evosim import (
     Instruction,
     Procedure,
     ProcedureSyntaxError,
+    import_tm,
     parse_procedure,
     render_procedure,
     right_scanner,
@@ -67,7 +70,19 @@ def test_render_is_canonical_and_parseable():
     assert parse_procedure(rendered) == right_scanner()
 
 
-states = st.sampled_from(["q0", "h", "p", "q1", "loop", "x-y"])
+def test_a_state_name_that_text_cannot_spell_is_rejected_when_built():
+    # Rendered, "a#b" would read as the state "a" and a comment.
+    for name in ("a#b", "a b", "a(", ")", "a,b", "\tq", "q\u00a0"):
+        with pytest.raises(ValueError, match="state name"):
+            import_tm([(name, "0", "q", "0", "R")])
+        with pytest.raises(ValueError, match="state name"):
+            Instruction("q", "0", name, "0", "R")
+
+
+# Names the grammar spells, and names it cannot: whitespace, parentheses,
+# commas and the comment mark.
+states = st.sampled_from(["q0", "h", "p", "q1", "loop", "x-y",
+                          "a#b", "a b", "(p", "q)", "x,y", "\t", "h\n"])
 symbols = st.sampled_from(["0", "1", BLANK])
 moves = st.sampled_from(["L", "R"])
 
@@ -75,6 +90,15 @@ moves = st.sampled_from(["L", "R"])
 @given(st.dictionaries(st.tuples(states, symbols),
                        st.tuples(states, symbols, moves), max_size=12))
 def test_round_trip_over_random_procedures(table):
-    procedure = Procedure(
-        Instruction(s, a, t, w, m) for (s, a), (t, w, m) in table.items())
+    # Each procedure round-trips, or one of its instructions is rejected
+    # when it is built, and then it names a state that the grammar's state
+    # token does not spell.
+    try:
+        procedure = Procedure(
+            Instruction(s, a, t, w, m) for (s, a), (t, w, m) in table.items())
+    except ValueError as error:
+        assert str(error).startswith("state name ")
+        names = {s for s, _ in table} | {t for t, _, _ in table.values()}
+        assert not all(re.fullmatch(r"[^\s(),#]+", name) for name in names)
+        return
     assert parse_procedure(render_procedure(procedure)) == procedure

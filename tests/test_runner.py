@@ -32,9 +32,8 @@ from evosim import (
     start_config,
 )
 from evosim.engine import LOG_LIMIT, encode_snapshot, fork
-from evosim.runner import _drive
-from evosim.tape import (ALPHABET, NO_STEPS, ONE, SYMBOL, ZERO, start_tape, tape_string,
-                         tape_view, walk)
+from evosim.tape import (ALPHABET, NO_STEPS, ONE, START_STATE, SYMBOL, ZERO, start_tape,
+                         tape_string, tape_view, walk)
 from oracle_tm import TrieAcceptor, oracle_run
 from oracle_trie import OracleTrie
 
@@ -218,16 +217,20 @@ def test_sweep_states_of_the_shipped_machines():
     assert single == Instruction("h", BLANK, "h", BLANK, "L")
     # The runaway's q0 loops on blanks past the end of the tape. h moving
     # right on blanks loops too, but its crossing stops at the last cell,
-    # where it is asked about, and from there takes one cell at a time.
+    # where it is asked about, and from there takes one cell at a time,
+    # each asked about: (head, tape length, steps taken) at each question.
     runaway = Procedure([Instruction("q0", BLANK, "q0", BLANK, "R")])
     assert loop_keys(runaway) == {("q0", BLANK)}
     h_right = Procedure([Instruction("h", BLANK, "h", BLANK, "R")])
     assert loop_keys(h_right) == {("h", BLANK)}
-    cells, applied = bytearray(3), []
-    assert walk(h_right._steps, cells, 0, "h", 10, applied) == ("h", 2, False, True, 8)
-    assert (len(applied), len(cells)) == (2, 3)
-    assert walk(h_right._steps, cells, 2, "h", 10, applied) == ("h", 3, False, True, 9)
-    assert (len(applied), len(cells)) == (3, 4)
+    cells, applied, asked = bytearray(3), [], []
+
+    def ask(cells, pos):
+        asked.append((pos, len(cells), len(applied)))
+        return True
+
+    assert walk(h_right._steps, cells, 0, "h", 10, applied, ask) == 2
+    assert asked == [(pos, pos + 1, pos) for pos in range(2, 11)]
 
 
 STATES = ("q0", "a", "b", "h")
@@ -380,8 +383,9 @@ def test_the_budget_ends_a_run_only_where_an_instruction_applies(
     assert (result.verdict, len(result.applied), len(world.asked)) == expected
     world = SpyModel()
     applied = []
-    verdict = _drive(world, procedure, start_tape(text), budget, applied)
-    assert (verdict, len(applied), len(world.asked)) == expected
+    code = walk(procedure._steps, start_tape(text), 0, START_STATE, budget, applied,
+                world.accept_tape)
+    assert (list(Verdict)[code], len(applied), len(world.asked)) == expected
 
 
 
@@ -410,35 +414,35 @@ def _python_frames(function, *args):
     return frames
 
 
-@pytest.mark.parametrize("driver", [run, _drive])
+@pytest.mark.parametrize("driver", [run, walk])
 # Model e on a fresh world and on one the run's string has grown, and model
 # v, which has no trie to grow (None).
 @pytest.mark.parametrize("first_time", [True, False, None],
                          ids=["True", "False", "StandardModel"])
 def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
-    # A run of the scanner enters each function of its path once, and under
-    # model e `_mark` once more when the trie grows: either model is asked
-    # about the tape, with no configuration built (no `tape_view`, `accept`
-    # or `halting_accept`), the trie is asked with no second symbol check
-    # (no `answer`), and the value types the run builds (for `run` a cost
-    # meter and a report) take no Python frame, where a named tuple's
-    # generated `__new__` takes one per build. `_drive` is handed its start
-    # tape, and `run` builds it from the text.
-    expected = Counter(["_drive", "walk", "accept_tape"])
+    # A run of the scanner enters each function of its path once, whether
+    # the trie grows or not: either model is asked about the tape, in place
+    # by the walk, with no configuration built (no `tape_view`, `accept` or
+    # `halting_accept`), the trie is asked with no second symbol check (no
+    # `answer`), and the value types the run builds (for `run` a cost meter
+    # and a report) take no Python frame, where a named tuple's generated
+    # `__new__` takes one per build. `walk` is handed its start tape and
+    # the tape question, and `run` builds the tape from the text.
+    expected = Counter(["walk", "accept_tape"])
     if first_time is None:
         world = StandardModel()
     else:
         world = EvolvingModel()
         if not first_time:
             run(world, SCANNER, "1011")
-        expected.update(["edge_content", "_walk_and_grow"])
-    given = start_tape("1011")
+        expected.update(["_walk_and_grow"])
     if driver is run:
         expected.update(["run", "start_tape", "tape_string"])
-        given = "1011"
-    if first_time:
-        expected["_mark"] += 1
-    assert _python_frames(driver, world, SCANNER, given, 100) == expected
+        args = (world, SCANNER, "1011", 100)
+    else:
+        args = (SCANNER._steps, start_tape("1011"), 0, START_STATE, 100, None,
+                world.accept_tape)
+    assert _python_frames(driver, *args) == expected
 
 
 @pytest.mark.parametrize("search", [False, True], ids=["saturate", "sibling_search"])
@@ -448,8 +452,9 @@ def test_a_pass_enters_only_the_run_paths_own_frames_per_run(search):
     # those of the 2-bit one are those of its extra runs: 12 for saturate
     # (3 x 2^n runs), whose feeding pass grows the trie on 8 more, and 4
     # for a search of n bits on a world saturated at n, all rejected. Each
-    # run enters the scanner's run path alone: no string per run, so no
-    # `start_tape` and no generator frame.
+    # run enters the scanner's run path alone, one walk that asks the tape
+    # question in place, whether the trie grows or not: no string per run,
+    # so no `start_tape` and no generator frame.
     def frames(n):
         world = EvolvingModel()
         if search:
@@ -458,10 +463,7 @@ def test_a_pass_enters_only_the_run_paths_own_frames_per_run(search):
         return _python_frames(saturate, world, n, SCANNER)
 
     runs = 4 if search else 12
-    expected = Counter(dict.fromkeys(
-        ["_drive", "walk", "accept_tape", "edge_content", "_walk_and_grow"], runs))
-    if not search:
-        expected["_mark"] = 8
+    expected = Counter(dict.fromkeys(["walk", "accept_tape", "_walk_and_grow"], runs))
     assert frames(3) - frames(2) == expected
 
 
@@ -562,15 +564,17 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
     procedure = Procedure(Instruction(s, r, t, w, m)
                           for (s, r), (t, w, m) in table.items())
     for make in (SpyModel, lambda: fork(GROWN)):
-        # A driver that records the applied instructions, one that records
+        # A walk that records the applied instructions, one that records
         # none, and `run`, each on a world of its own.
         driven, bare, reported = make(), make(), make()
         applied = []
         cells, bare_cells = start_tape(text), start_tape(text)
-        verdict = _drive(driven, procedure, cells, budget, applied)
-        bare_verdict = _drive(bare, procedure, bare_cells, budget, None)
+        code = walk(procedure._steps, cells, 0, START_STATE, budget, applied,
+                    driven.accept_tape)
+        bare_code = walk(procedure._steps, bare_cells, 0, START_STATE, budget, None,
+                         bare.accept_tape)
         result = run(reported, procedure, text, budget)
-        assert verdict is bare_verdict is result.verdict
+        assert list(Verdict)[code] is list(Verdict)[bare_code] is result.verdict
         assert tuple(applied) == result.applied
         assert cells == bare_cells
         assert tape_string(cells) == result.final_string
@@ -710,16 +714,27 @@ def test_the_mirrored_run_agrees_with_the_run(table, text, budget, history):
 @example(REWIND_TABLE, BLANK + "0110110", 0, "q0", 30)
 @example(RUNAWAY_TABLE, BLANK, 0, "q0", 37)
 def test_a_walk_without_a_record_agrees_with_a_recorded_one(table, tape, pos, state, room):
-    # From any state, head cell and room: the same stop and the same tape
-    # whether the applied instructions are recorded or not, and the room
-    # used is the number recorded.
+    # From any state, head cell and room: the same verdict code, the same
+    # questions (each answered by the head's place) and the same tape
+    # whether the applied instructions are recorded or not; a walk out of
+    # budget took exactly `room` steps, any other at most `room`.
     steps = Procedure(Instruction(s, r, t, w, m)
                       for (s, r), (t, w, m) in table.items())._steps
     pos %= len(tape)
     recorded = bytearray(tape.replace(BLANK, "\0"), "ascii")
     bare = bytearray(recorded)
-    applied = []
-    stop = walk(steps, recorded, pos, state, room, applied)
-    assert walk(steps, bare, pos, state, room, None) == stop
-    assert bare == recorded
-    assert room - stop[4] == len(applied)
+    applied, asked, bare_asked = [], [], []
+
+    def asker(questions):
+        def ask(cells, pos):
+            questions.append((bytes(cells), pos))
+            return pos % 3 != 1
+        return ask
+
+    code = walk(steps, recorded, pos, state, room, applied, asker(asked))
+    assert walk(steps, bare, pos, state, room, None, asker(bare_asked)) == code
+    assert (bare, bare_asked) == (recorded, asked)
+    if code == 2:
+        assert len(applied) == room
+    else:
+        assert len(applied) <= room

@@ -7,7 +7,10 @@ history to each; a failure message prints that history. `check_worlds`
 makes every check on every world, as tier-1 does for the two-symbol closure
 and CI does deeper. One check is the mirror image: 0 and 1 swapped in every
 query grow a trie whose two child arrays are the world's, swapped index for
-index, with the same marks. The checks run as:
+index, with the same marks. Another asks each string of a world of both
+the world and the reference trie of tests/oracle_trie.py, fed the world's
+history, so that a fault the shortest history to each world does not show
+is still caught on the strings asked after it. The checks run as:
 
     PYTHONPATH=src:tests python3 -c \
         "from test_small_worlds import check_worlds; print(check_worlds(3, 4))"
@@ -84,18 +87,27 @@ def check_world(world, history):
 
 def check_strings(world, history):
     """Every string up to two symbols past the world's depth, asked of a
-    copy: `query` answers as `answer` does and reports what it added, a
-    second ask repeats the answer, and a run of the right scanner accepts
-    exactly when the answer does."""
+    copy: `answer` answers as the reference trie fed the same history does,
+    `query` answers as `answer` does and reports what it added, a second ask
+    repeats the answer, and a run of the right scanner accepts exactly when
+    the answer does."""
     states = list(world.states)
     transitions = dict(world.transitions)
     accepting = set(world.accepting)
     scanner = right_scanner()
+    fed = OracleTrie()
+    for text in history:
+        fed.answer(text)
     for text in strings_up_to(world.depth() + 2):
         try:
+            reference = OracleTrie()
+            reference.created = dict(fed.created)
+            reference.accepting = set(fed.accepting)
+            answered = world.copy().answer(text)
+            assert answered == reference.answer(text)
             reported = world.copy()
             outcome = reported.query(text)
-            assert (outcome.accepted, outcome.ticks) == world.copy().answer(text)
+            assert (outcome.accepted, outcome.ticks) == answered
             after = list(reported.states)
             assert after[:len(states)] == states
             assert outcome.added_states == tuple(after[len(states):])

@@ -29,7 +29,7 @@ from evosim import (
     select_instruction,
     start_config,
 )
-from evosim.tape import CODE, NO_STEPS, step_table, tape_view, walk
+from evosim.tape import CODE, NO_STEPS, step_config, step_table, tape_view, walk
 from oracle_tm import oracle_run
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -213,19 +213,22 @@ def test_mutable_tape_steps_like_the_pure_engine(head, left, right, write, move)
     assert row[CODE[head]][3] is NO_STEPS and not any(NO_STEPS)
     cells = byte_tape(left + head + right)
     applied = []
-    state, pos, halted, _, _ = walk(steps, cells, len(left), "p", 1, applied)
-    # No instruction is keyed on q, so the walk ends halted either way.
-    assert halted
+    # No instruction is keyed on q, and a walk that asks nothing answers
+    # NO, so the walk ends halted-rejected (code 1) either way.
+    assert walk(steps, cells, len(left), "p", 1, applied, None) == 1
+    # `step_config` reads the state and head off the instruction it took.
+    taken, config = step_config(steps, Configuration("p", left, head, right))
     # The two tape rules, stated apart from the code that applies them.
     if move == "L" and not left:
-        assert (applied, expected) == ([], None)
-        assert (state, pos, cells) == ("p", 0, byte_tape(head + right))
+        assert (applied, expected, taken, config) == ([], None, None, None)
+        assert cells == byte_tape(head + right)
         return
     grown = BLANK if move == "R" and not right else ""
-    assert applied == [inst]
+    assert applied == [inst] and taken == inst
     assert cells == byte_tape(left + write + right + grown)
+    state, pos = config.state, len(config.left)
     assert (state, pos) == ("q", len(left) + (1 if move == "R" else -1))
-    assert tape_view(state, cells, pos) == expected
+    assert tape_view(state, cells, pos) == expected == config
 
 
 # Importing `evosim.tape` normally runs the package __init__, which loads

@@ -130,6 +130,15 @@ BAD_FIELDS = [
                  id="empty state"),
     pytest.param({"target": ""}, ValueError, "state names must be nonempty",
                  id="empty target"),
+    # Names that procedure text cannot spell.
+    pytest.param({"state": "a#b"}, ValueError, "state name 'a#b' holds whitespace "
+                 "or one of \\( \\) , #", id="hash in state"),
+    pytest.param({"target": "q 1"}, ValueError, "state name 'q 1'", id="space in target"),
+    pytest.param({"state": "(h"}, ValueError, "state name", id="paren in state"),
+    pytest.param({"target": "h,"}, ValueError, "state name", id="comma in target"),
+    pytest.param({"state": "h\n"}, ValueError, "state name", id="newline in state"),
+    pytest.param({"target": 1}, TypeError, "state names must be str, not int",
+                 id="int target"),
 ]
 
 
