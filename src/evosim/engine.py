@@ -22,12 +22,14 @@ belongs to the trie (`PartialDfa.snapshot` and `PartialDfa.from_snapshot`),
 and `encode_snapshot` and `decode_snapshot` apply it to a whole world.
 
 `EvolvingModel` is a `StandardModel` with one part replaced: it overrides
-the tape question, `accept_tape(cells, pos)`, which the run loop,
-`evosim.tape.walk`, asks in place, and strips and decodes the string on
-the tape itself, without building a `Configuration`. It inherits the
-configuration question, `StandardModel.accept`, which checks the pattern
-with `evosim.tape.halting_accept` and asks the tape question in turn, so
-the trie answer, the ticks and the ring entry are written in one place.
+the tape question, `accept_tape(cells, pos)`, the one question of the
+model protocol, which the run loop, `evosim.tape.walk`, asks in place; it
+strips and decodes the string on the tape itself, without building a
+`Configuration`, and holds the origin rule. It inherits the configuration
+question, `StandardModel.accept`, a reader that checks the pattern with
+`evosim.tape.halting_accept` and asks the tape question in turn at either
+edge, so the trie answer, the ticks and the ring entry are written in one
+place.
 
 Only the trie grows with the number of runs. `ring` keeps the last
 `LOG_LIMIT` consultations raw, each as (tape bytes, text, answer, ticks):
@@ -75,7 +77,7 @@ class EvolvingModel(StandardModel):
     """Evolving model: a `StandardModel` whose tape question is asked of
     the trie, with its last `LOG_LIMIT` consultations raw in `ring` (a
     bounded deque) and rendered, oldest first, by `invocation_log`. It
-    inherits `accept`, which asks `accept_tape` at the right edge."""
+    inherits `accept`, which asks `accept_tape` at either tape edge."""
 
     def __init__(self, trie=None):
         self.trie = trie if trie is not None else PartialDfa()

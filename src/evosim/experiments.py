@@ -12,10 +12,10 @@ read only their verdicts, so they call the run loop itself,
 applied instructions in: the same acceptor calls in the same order,
 without the record of steps or the report that `run` builds around it
 (`RunResult`, `CostMeter`, the tuple of applied instructions and the final
-string). `_runs` looks the acceptor's question up once per pass and maps
-`walk` over the start tapes of the strings, built in C from the bits of
-`itertools.product`: no string is joined, checked or encoded, and
-`sibling_search` renders only its witness, from its index
+string). `_runs` reads the model's tape question, `accept_tape`, once per
+pass and maps `walk` over the start tapes of the strings, built in C from
+the bits of `itertools.product`: no string is joined, checked or encoded,
+and `sibling_search` renders only its witness, from its index
 (`_binary_string`). Everything else here calls `run`.
 
 A saturation pass keeps one verdict code per run, and `Answers` is the one
@@ -41,8 +41,7 @@ from typing import NamedTuple
 from .engine import EvolvingModel, encode_snapshot, render_record
 # right_scanner lives beside Procedure, so that the CLI builds its default
 # procedure without this module; it is re-exported here, unchanged.
-from .runner import (DEFAULT_BUDGET, Verdict, _config_question, answer_word,
-                     right_scanner, run)
+from .runner import DEFAULT_BUDGET, Verdict, answer_word, right_scanner, run
 from .tape import BLANK, START_STATE, walk
 
 
@@ -153,15 +152,14 @@ def _runs(model, procedure, length, budget):
     length (the index of each verdict in `Verdict`), lazily, in
     `binary_strings` order: `walk` mapped over their start tapes, each the
     origin blank and the string's cell codes, built in C as `start_tape`
-    builds it from the string. A budget below 1 is a ValueError, before
-    any run."""
-    if budget < 1:
+    builds it from the string. A budget that is not an integer is a
+    TypeError, and one below 1 a ValueError, before any run."""
+    if operator.index(budget) < 1:
         raise ValueError("budget must be at least 1")
-    ask = getattr(model, "accept_tape", None) or _config_question(model)
     tapes = map(bytearray, map((0,).__add__, itertools.product(b"01", repeat=length)))
     return map(walk, itertools.repeat(procedure._steps), tapes, itertools.repeat(0),
                itertools.repeat(START_STATE), itertools.repeat(budget),
-               itertools.repeat(None), itertools.repeat(ask))
+               itertools.repeat(None), itertools.repeat(model.accept_tape))
 
 
 def _verdicts(model, procedure, length, budget):

@@ -8,23 +8,17 @@ table, state -> row, each row a list indexed by cell code of entries
 (write, moves_right, target, target_row, instruction, run), which the walk
 and `select_instruction` read; the walk holds the two tape rules.
 Determination is checked only there, so the loop never meets two
-candidates. A *model* supplies only the accepting engine:
+candidates. A *model* supplies only the accepting engine, as one question
+about the mutable tape itself:
 
-    accept(config)            -> bool                (the accepting engine;
-                                                      may mutate the model)
+    accept_tape(cells, pos)   -> bool                (the accepting engine,
+                                                      asked in the halt
+                                                      state; may mutate the
+                                                      model)
     acceptor_ticks            -> int                 (monotone counter of
                                                       accepting-engine work;
                                                       constant 0 for pure
                                                       models)
-
-and may also supply the same question about the mutable tape itself,
-which both shipped models do:
-
-    accept_tape(cells, pos)   -> bool                (the answer, and the
-                                                      side effects, of
-                                                      accept(tape_view(
-                                                      HALT_STATE, cells,
-                                                      pos)))
 
 Acceptor contract: an accepting engine may answer YES only on a
 configuration in the halt state with the head on a blank at a tape edge
@@ -34,14 +28,16 @@ any work. The run loop relies on this: `walk` asks in place, only on
 those edge configurations, in order of generation, and takes NO as the
 answer everywhere else, so a run costs time and memory linear in its
 steps, apart from what each question costs. So the state is always
-`HALT_STATE` where it asks, and the tape question does not take it. The
-question is looked up once per run (once per pass by the experiments that
-map `walk` over their start tapes): a model's `accept_tape`, asked with
-no configuration built (`StandardModel`, whose answer there is YES, and
-`EvolvingModel`), or for a model with `accept` and `acceptor_ticks` alone
-an adapter that asks `accept` on a `Configuration` built by
-`evosim.tape.tape_view`. A model that would answer YES with the halt
-state on a blank inside the tape is not asked there.
+`HALT_STATE` where it asks, and the tape question does not take it. `run`
+hands `walk` the model's `accept_tape` (the experiments that map `walk`
+over their start tapes, once per pass), and no configuration is built to
+ask it. A model without `accept_tape` is an AttributeError; an acceptor
+written for configurations asks its rule on
+`evosim.tape.tape_view(HALT_STATE, cells, pos)` in its own `accept_tape`.
+`StandardModel.accept(config)` is a reader derived from the tape question,
+for callers that hold a configuration; nothing on the run path asks it. A
+model that would answer YES with the halt state on a blank inside the
+tape is not asked there.
 
 Loops: an instruction that writes back the symbol it reads and stays in
 its state crosses the whole run of cells it loops on in one move (see
@@ -96,12 +92,11 @@ with the fields as one tuple. A class call goes through the Python-level
 `__new__` that `collections.namedtuple` generates, one more Python frame
 and about 0.25-0.3 us a build on CPython 3.11; the value is the same,
 with its type, repr, hash and pickle. A run of a shipped model builds
-no other value: the readers that do (`tape_view`, which a run calls only
-for a model with `accept` alone, `evosim.engine.render_record` and
-`PartialDfa.query`) pay that frame per value. The one exception to named
-tuples is `MachineStats`, a dataclass defined on first use (see
-`evosim.trie`), because the benchmark digests it with
-`dataclasses.astuple`.
+no other value: the readers that do (`tape_view`, which no shipped
+model's run calls, `evosim.engine.render_record` and `PartialDfa.query`)
+pay that frame per value. The one exception to named tuples is
+`MachineStats`, a dataclass defined on first use (see `evosim.trie`),
+because the benchmark digests it with `dataclasses.astuple`.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` is a `StandardModel` that swaps in a tape
@@ -114,6 +109,7 @@ while concurrent runs against distinct instances are safe.
 from __future__ import annotations
 
 import enum
+import operator
 from functools import partial
 from typing import NamedTuple
 
@@ -122,7 +118,6 @@ from .errors import DeterminationError, InvalidSymbolError, excerpt
 from .tape import (
     ALPHABET,
     BLANK,
-    HALT_STATE,
     MOVES,
     START_STATE,
     start_config,
@@ -130,7 +125,6 @@ from .tape import (
     step_config,
     step_table,
     tape_string,
-    tape_view,
     walk,
 )
 
@@ -364,14 +358,6 @@ def select_instruction(procedure, config):
     return step_config(procedure._steps, config)[0]
 
 
-def _config_question(model):
-    """The tape question of a model that has only `accept`: `accept` asked
-    on the configuration of the tape in the halt state (`tape_view`)."""
-    def ask(cells, pos):
-        return model.accept(tape_view(HALT_STATE, cells, pos))
-    return ask
-
-
 def run(model, procedure, text, budget=DEFAULT_BUDGET):
     """Execute `procedure` on `text` under `model`.
 
@@ -383,20 +369,21 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     `budget` bounds transition steps, not acceptor work; exhausting it
     yields the BUDGET_EXCEEDED verdict rather than an error.
 
-    The loop itself is `evosim.tape.walk`, on the start tape of `text`,
-    and it records the applied instructions in a list of `run`'s; `run`
-    looks the question up once, reads the acceptor's tick counter around
+    The loop itself is `evosim.tape.walk`, on the start tape of `text`:
+    it asks the model's `accept_tape` and records the applied instructions
+    in a list of `run`'s. `run` reads the acceptor's tick counter around
     the walk and builds the report: the verdict of the walk's code, the
     costs, the applied instructions as a tuple and the final string. A
-    budget below 1 is a ValueError, checked before the text's alphabet.
+    budget that is not an integer is a TypeError (a bool counts as one),
+    and one below 1 a ValueError, both checked before the text's alphabet.
     """
-    if budget < 1:
+    if operator.index(budget) < 1:
         raise ValueError("budget must be at least 1")
-    ask = getattr(model, "accept_tape", None) or _config_question(model)
     cells = start_tape(text)
     ticks_before = model.acceptor_ticks
     applied = []
-    verdict = VERDICTS[walk(procedure._steps, cells, 0, START_STATE, budget, applied, ask)]
+    verdict = VERDICTS[walk(procedure._steps, cells, 0, START_STATE, budget, applied,
+                            model.accept_tape)]
     steps = len(applied)
     cost = _cost_meter((steps + 1, steps, model.acceptor_ticks - ticks_before))
     return _run_result((verdict, text, tuple(applied), cost, tape_string(cells)))

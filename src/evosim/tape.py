@@ -4,10 +4,9 @@ A configuration is a named tuple (state, left, head, right) that splits
 the tape at the head; the conceptual tape is left+head+right, extended
 with blanks on the right on demand. As a tuple it equals a plain tuple of
 the same values, and it is cheap to build: `RunResult.path` builds one
-per step, and the run loop one per question to a model that has only
-`accept`. Both plain engines (`apply_instruction` and `halting_accept`)
-are pure functions, so the model is stateless and configurations can be
-shared freely across threads.
+per step, and the run loop none. Both plain engines (`apply_instruction`
+and `halting_accept`) are pure functions, so the model is stateless and
+configurations can be shared freely across threads.
 
 Every run is taken by `walk`, on a mutable tape: a `bytearray` of cell
 codes (blank 0, "0" and "1" their ASCII codes), cell 0 being the origin,
@@ -26,12 +25,12 @@ stays in its state, a *loop*, crosses the whole run of cells it loops on
 in one move. The pure engine `apply_instruction` takes one step of a
 configuration through the same walk, asking nothing, and `tape_view` turns
 a mutable tape back into a configuration (`config_cells` the other way).
-Both shipped models answer the walk's question about the tape itself,
-`accept_tape(cells, pos)`: `StandardModel` answers YES, as
-`halting_accept` does on every configuration the walk asks about, and
-derives its configuration question, `accept`, from it; the evolving
-acceptor, a subclass, overrides the tape question alone and reads the
-string on the tape itself. The byte codes are
+A model is the walk's question about the tape itself,
+`accept_tape(cells, pos)`, the only question a run asks: `StandardModel`
+answers YES, as `halting_accept` does on every configuration the walk
+asks about, and derives its configuration question, `accept`, from it;
+the evolving acceptor, a subclass, overrides the tape question alone and
+reads the string on the tape itself. The byte codes are
 known to this module and to one builder outside it,
 `evosim.experiments._runs`, which builds the start tapes of a saturation
 pass from `(0,)` and the bits `b"01"`, in C.
@@ -292,26 +291,27 @@ def extract_string(config):
 class StandardModel:
     """Stateless model: the halting-pattern acceptor, no acceptor work.
 
-    A model that replaces the acceptor, as `evosim.engine.EvolvingModel`
-    does, overrides the tape question `accept_tape` alone and inherits the
-    configuration question `accept`."""
+    The tape question `accept_tape` is the model: the run loop asks
+    nothing else. A model that replaces the acceptor, as
+    `evosim.engine.EvolvingModel` does, overrides it alone and inherits
+    the configuration question `accept`, which is derived from it."""
 
     acceptor_ticks = 0
 
     def accept(self, config):
-        """The accepting engine, asked about a configuration.
+        """The accepting engine, asked about a configuration: a reader
+        derived from the tape question, for callers that hold a
+        configuration; the run loop does not ask it.
 
-        NO outside the halting pattern (`halting_accept`). The origin
-        pattern is tested before the right-edge pattern, so the fully
-        blank tape answers YES without asking the tape question. A
-        configuration at the right edge is asked about as its tape, by
-        `accept_tape`: under this model YES, so the answer is
-        `halting_accept` on every configuration in the alphabet.
-        InvalidSymbolError there if the configuration holds a symbol
-        outside the alphabet (`config_cells`).
+        NO outside the halting pattern (`halting_accept`). Inside it, at
+        either tape edge, the configuration is asked about as its tape, by
+        `accept_tape`, which holds the origin rule of each model: under
+        this model YES, so the answer is `halting_accept` on every
+        configuration in the alphabet. InvalidSymbolError there if the
+        configuration holds a symbol outside the alphabet (`config_cells`).
         """
-        return halting_accept(config) and (
-            not config.left or self.accept_tape(config_cells(config), len(config.left)))
+        return halting_accept(config) and self.accept_tape(config_cells(config),
+                                                           len(config.left))
 
     def accept_tape(self, cells, pos):
         """YES: the answer of `accept(tape_view(HALT_STATE, cells, pos))`

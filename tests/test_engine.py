@@ -83,11 +83,15 @@ def test_the_configuration_question_is_written_once():
     assert EvolvingModel.accept is StandardModel.accept
 
 
-@pytest.mark.parametrize("left", ["x", "0x"])
+# At the right edge (`left` outside the alphabet, `right` empty) and at the
+# origin (`left` empty, `right` outside the alphabet).
+@pytest.mark.parametrize("left, right", [
+    pytest.param("x", "", id="x"), pytest.param("0x", "", id="0x"),
+    pytest.param("", "x", id="origin-x"), pytest.param("", "0x", id="origin-0x")])
 @pytest.mark.parametrize("model", [StandardModel, EvolvingModel])
-def test_both_models_reject_a_right_edge_halt_outside_the_alphabet(model, left):
+def test_both_models_reject_an_edge_halt_outside_the_alphabet(model, left, right):
     with pytest.raises(InvalidSymbolError):
-        model().accept(Configuration("h", left, BLANK, ""))
+        model().accept(Configuration("h", left, BLANK, right))
 
 
 def test_interior_blank_never_reaches_the_trie():

@@ -189,6 +189,19 @@ def test_a_pass_with_a_budget_below_one_is_an_error_before_any_run():
     assert (world.trie.state_count, world.acceptor_ticks, len(world.ring)) == (1, 0, 0)
 
 
+@pytest.mark.parametrize("budget", [1.5, 2.0, 1e4])
+def test_a_pass_with_a_budget_that_is_not_an_integer_is_an_error_before_any_run(budget):
+    two_step = Procedure([Instruction("q0", BLANK, "a", BLANK, "R"),
+                          Instruction("a", BLANK, "h", BLANK, "R")])
+    world = EvolvingModel()
+    with pytest.raises(TypeError):
+        saturate(world, 1, two_step, budget=budget)
+    with pytest.raises(TypeError):
+        sibling_search(world, "00", budget=budget)
+    assert encode_snapshot(world) == encode_snapshot(EvolvingModel())
+    assert (world.acceptor_ticks, len(world.ring)) == (0, 0)
+
+
 def test_a_negative_probe_length_is_an_error_before_any_run():
     world = EvolvingModel()
     with pytest.raises(ValueError, match="probe length"):

@@ -117,6 +117,20 @@ def test_run_rejects_budget_below_one():
         run(StandardModel(), right_scanner(), "2", 0)
 
 
+# Two steps to acceptance: off the origin, then into h on the blank past it.
+TWO_STEP = Procedure([Instruction("q0", BLANK, "a", BLANK, "R"),
+                      Instruction("a", BLANK, "h", BLANK, "R")])
+
+
+@pytest.mark.parametrize("budget", [1.5, 2.0, 1e4])
+def test_run_rejects_a_budget_that_is_not_an_integer(budget):
+    # A fractional budget would let the walk step past it.
+    with pytest.raises(TypeError):
+        run(StandardModel(), TWO_STEP, "", budget)
+    # A bool is an int.
+    assert run(StandardModel(), TWO_STEP, "", True).verdict is Verdict.BUDGET_EXCEEDED
+
+
 def test_halted_rejected_when_final_configuration_not_accepted():
     stuck = Procedure([Instruction("q0", BLANK, "dead", BLANK, "R")])
     result = run(V, stuck, "1", 10)
@@ -588,16 +602,16 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
 
 
 class ConfigQuestion:
-    """A model with the README's protocol alone, `accept` and
-    `acceptor_ticks`, over a world of either model: the run loop asks it
-    about each configuration, where it asks the world itself about the
-    tape."""
+    """A model whose tape question asks a world of either model its derived
+    configuration question, `accept`, on the view of the tape in the halt
+    state: a run under it asks `accept` about each configuration where a
+    run under the world itself asks the tape question."""
 
     def __init__(self, world):
         self.world = world
 
-    def accept(self, config):
-        return self.world.accept(config)
+    def accept_tape(self, cells, pos):
+        return self.world.accept(tape_view("h", cells, pos))
 
     @property
     def acceptor_ticks(self):
