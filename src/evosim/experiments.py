@@ -42,7 +42,7 @@ from .engine import EvolvingModel, encode_snapshot, render_record
 # right_scanner lives beside Procedure, so that the CLI builds its default
 # procedure without this module; it is re-exported here, unchanged.
 from .runner import DEFAULT_BUDGET, Verdict, answer_word, right_scanner, run
-from .tape import BLANK, START_STATE, walk
+from .tape import BLANK, START_STATE, start_tape, walk
 
 
 def binary_strings(length):
@@ -213,7 +213,9 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
     by running the procedure on candidates in lexicographic order and
     short-circuiting on the first acceptance. Under the evolving model the
     search itself perturbs the language it examines; the returned delta
-    summarizes that perturbation.
+    summarizes that perturbation. The budget is checked as `run` checks
+    it, and then the text's alphabet, as `run` checks it too
+    (InvalidSymbolError), both before any run.
     """
     if len(text) > SIBLING_LENGTH_LIMIT:
         raise ValueError(
@@ -221,7 +223,9 @@ def sibling_search(model, text, procedure=None, budget=DEFAULT_BUDGET):
     procedure = procedure if procedure is not None else right_scanner()
     before = _counts(model)
     length = len(text)
-    for used, code in enumerate(_runs(model, procedure, length, budget), 1):
+    codes = _runs(model, procedure, length, budget)
+    start_tape(text)  # for its alphabet check alone; the tape goes unused
+    for used, code in enumerate(codes, 1):
         if not code:  # accepted
             return SiblingSearchResult(True, used, _binary_string(used - 1, length),
                                        _delta(before, _counts(model)))

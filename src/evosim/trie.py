@@ -64,21 +64,27 @@ equal to the one its snapshot decodes to by copying the arrays.
 
 Stats: `stats()` measures a machine as a `MachineStats`, a frozen,
 slotted dataclass, since the benchmark digests it with
-`dataclasses.astuple`. The class is defined on first use, by `stats()` or
-a lookup of the name (a PEP 562 module `__getattr__`), with the module
-and qualified name it would have at module level. So a one-shot CLI
-query, which never asks for stats, does not import `dataclasses` and the
-`inspect`, `ast` and `dis` that it drags in, some 12-15 ms of a fresh
-process.
+`dataclasses.astuple`. Every figure is read in O(1), the depth too: the
+trie never loses a state, and each chain that growth appends ends at the
+mark of an accepted string, so the depth is the larger of the longest
+accepted length and the depth the machine was decoded with, which the
+decoder reads off the level walk of its shape check. `structure_problems`
+compares the depth with that walk. The class is defined on first use, by
+`stats()` or a lookup of the name (a PEP 562 module `__getattr__`), with
+the module and qualified name it would have at module level. So a
+one-shot CLI query, which never asks for stats, does not import
+`dataclasses` and the `inspect`, `ast` and `dis` that it drags in, some
+12-15 ms of a fresh process.
 
 Instances are single-writer: queries must be serialized, and no view,
 stat or snapshot may be read while a query runs; reading them on a
 quiescent instance is safe. The arrays and counters are written only by
 `_walk_and_grow`, which keeps the trie shape and which `answer` calls
 after its symbol check, and filled once by
-`from_snapshot`, which checks it, or by `copy`, from arrays of one of
-those two; everything else, `query` included, only reads them. So a copy
-needs no check of its own.
+`from_snapshot`, which checks it and records the decoded depth, or by
+`copy`, from arrays and a decoded depth of one of those two; everything
+else, `query` included, only reads them. So a copy needs no check of its
+own.
 """
 
 from __future__ import annotations
@@ -340,6 +346,7 @@ class PartialDfa:
         self._shift = 0    # creation_counter minus state_count
         self.accepting_count = 0
         self.max_accepted_length = 0
+        self._decoded_depth = 0  # the depth of the decoded trie, 0 if none
 
     @classmethod
     def from_snapshot(cls, text):
@@ -357,7 +364,8 @@ class PartialDfa:
         `maxaccept` against the deepest accepting state, and a creation
         counter that would collide with existing state names. The
         transitions go straight into the new machine's child arrays, in
-        whatever order the text lists them.
+        whatever order the text lists them. The deepest level of the shape
+        check's walk is the machine's decoded depth.
         """
         lines = text.splitlines()
         if not lines or lines[0] != SNAPSHOT_HEADER:
@@ -441,17 +449,18 @@ class PartialDfa:
         machine._shift = counter - count
         machine.accepting_count = marks.count(1)
         machine.max_accepted_length = maxaccept
-        problems = problems or machine.structure_problems()
+        if not problems:
+            problems, machine._decoded_depth = machine._shape_problems()
         if problems:
             raise SnapshotError(summary(problems))
         return machine
 
     def copy(self):
         """An independent machine equal to `from_snapshot(self.snapshot())`,
-        made without the text: the arrays are copied by slice and the
-        counters by value, and the kept names, which nothing writes after
-        `from_snapshot` fills them, are shared. It is not checked again
-        (the module docstring says why)."""
+        made without the text: the arrays are copied by slice, the counters
+        and the decoded depth by value, and the kept names, which nothing
+        writes after `from_snapshot` fills them, are shared. It is not
+        checked again (the module docstring says why)."""
         twin = PartialDfa.__new__(PartialDfa)
         twin.kids0 = self.kids0[:]
         twin.kids1 = self.kids1[:]
@@ -462,6 +471,7 @@ class PartialDfa:
         twin._shift = self._shift
         twin.accepting_count = self.accepting_count
         twin.max_accepted_length = self.max_accepted_length
+        twin._decoded_depth = self._decoded_depth
         return twin
 
     def snapshot(self):
@@ -633,8 +643,8 @@ class PartialDfa:
         return True, ticks
 
     def stats(self):
-        """Measured figures: the depth is recomputed by traversal, not read
-        off a counter."""
+        """Measured figures, each read in O(1), the depth as `depth()`
+        gives it."""
         return _machine_stats()(
             max_accepted_length=self.max_accepted_length,
             depth=self.depth(),
@@ -643,22 +653,24 @@ class PartialDfa:
         )
 
     def depth(self):
-        """Length of the longest transition path from the start state."""
-        deepest = -1
-        for _ in _levels(self.kids0, self.kids1, self.root):
-            deepest += 1
-        return deepest
+        """Length of the longest transition path from the start state, in
+        O(1): the larger of the longest accepted length and the decoded
+        depth. Growth deepens the trie only along a chain that ends at the
+        mark of the string it spells, whose length it counts as accepted
+        (the module docstring says why this holds)."""
+        return max(self._decoded_depth, self.max_accepted_length)
 
     def structure_problems(self):
         """Violations of the machine's structural invariants, if any.
 
         Checks: every child slot holds a known state; the machine is a trie,
         rooted at the start state; the longest accepted length is the depth
-        of the deepest accepting state (0 if none is reachable); the
-        accepting counter matches the marks; names are distinct and fresh
-        names never collide with the counter. One transition per
-        (state, symbol), symbols in the alphabet and no transition into the
-        start state hold by the layout of the arrays.
+        of the deepest accepting state (0 if none is reachable); `depth()`
+        is the deepest level of the walk; the accepting counter matches the
+        marks; names are distinct and fresh names never collide with the
+        counter. One transition per (state, symbol), symbols in the
+        alphabet and no transition into the start state hold by the layout
+        of the arrays.
 
         The trie shape is checked as a count and a walk. A slot that holds
         the start state is empty, so every transition enters one of the
@@ -668,23 +680,34 @@ class PartialDfa:
         exactly one: every state but the start has one parent, and since
         each is reached from the start, none lies on a cycle.
         """
+        problems, deepest = self._shape_problems()
+        if deepest is not None and self.depth() != deepest:
+            problems.append(f"depth {_shown(self.depth())} is not the deepest "
+                            f"level {deepest} of the walk")
+        return problems
+
+    def _shape_problems(self):
+        """Every problem `structure_problems` names but the depth, and the
+        deepest level of its walk (None where the slots cannot be walked):
+        the decoder records that level as the decoded depth, so it makes
+        one walk and checks the depth by construction."""
         kids0, kids1, root, marks = self.kids0, self.kids1, self.root, self.marks
         count = len(marks)
         if not (len(kids0) == len(kids1) == count
                 and min(kids0) >= 0 and min(kids1) >= 0
                 and max(kids0) < count and max(kids1) < count):
-            return ["child slots reference unknown states"]
+            return ["child slots reference unknown states"], None
         problems = []
         edges = 2 * count - kids0.count(root) - kids1.count(root)
         if edges != count - 1:
             problems.append(f"{edges} transitions for {count} states, "
                             f"where a trie has {count - 1}")
-        reached = 0
-        deepest_accepting = 0
-        for depth, level in enumerate(_levels(kids0, kids1, root)):
+        reached = deepest_accepting = 0
+        # The walk always yields the start's level, so `deepest` is bound.
+        for deepest, level in enumerate(_levels(kids0, kids1, root)):
             reached += len(level)
             if any(map(marks.__getitem__, level)):
-                deepest_accepting = depth
+                deepest_accepting = deepest
         if reached != count:
             problems.append(f"{count - reached} unreachable states")
         if self.max_accepted_length != deepest_accepting:
@@ -702,4 +725,4 @@ class PartialDfa:
             if name[:1] == "s" and name[1:].isdecimal() and _value(name[1:]) >= counter:
                 problems.append(f"creation counter {_shown(counter)} "
                                 f"would collide with existing {_shown(name)}")
-        return problems
+        return problems, deepest

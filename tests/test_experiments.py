@@ -12,6 +12,7 @@ from evosim import (
     Configuration,
     EvolvingModel,
     Instruction,
+    InvalidSymbolError,
     Procedure,
     StandardModel,
     Verdict,
@@ -336,6 +337,18 @@ def test_sibling_search_after_saturation_exhausts_quietly():
 def test_sibling_search_guards_desk_scale():
     with pytest.raises(ValueError):
         sibling_search(EvolvingModel(), "0" * 21)
+
+
+@pytest.mark.parametrize("text", ["ab", "01x", "1 "])
+def test_sibling_search_checks_the_alphabet_as_run_does_before_any_run(text):
+    world = EvolvingModel()
+    with pytest.raises(InvalidSymbolError) as searched:
+        sibling_search(world, text)
+    with pytest.raises(InvalidSymbolError) as ran:
+        run(world, right_scanner(), text)
+    assert str(searched.value) == str(ran.value)
+    assert encode_snapshot(world) == encode_snapshot(EvolvingModel())
+    assert (world.acceptor_ticks, len(world.ring)) == (0, 0)
 
 
 def test_traced_scan_collects_the_single_halt():

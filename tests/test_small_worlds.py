@@ -67,9 +67,9 @@ MIRROR = str.maketrans("01", "10")
 
 def check_world(world, history):
     """The world is a well-formed trie, the one the reference trie grows
-    from the same history, and its copy and decoded snapshot equal it; the
-    trie grown from the mirrored history is its mirror image, the two
-    child arrays swapped index for index."""
+    from the same history, and its copy and decoded snapshot equal it, each
+    with the reference's depth; the trie grown from the mirrored history is
+    its mirror image, the two child arrays swapped index for index."""
     where = f"world after {list(history)}"
     snapshot = world.snapshot()
     assert world.structure_problems() == [], where
@@ -81,8 +81,11 @@ def check_world(world, history):
     assert reference.snapshot() == snapshot, where
     assert (image.kids0, image.kids1, image.marks) == (
         world.kids1, world.kids0, world.marks), where
-    assert world.copy().snapshot() == snapshot, where
-    assert PartialDfa.from_snapshot(snapshot).snapshot() == snapshot, where
+    copy, decoded = world.copy(), PartialDfa.from_snapshot(snapshot)
+    assert copy.snapshot() == snapshot, where
+    assert decoded.snapshot() == snapshot, where
+    depth = max(map(len, reference.created))
+    assert [world.depth(), copy.depth(), decoded.depth()] == [depth] * 3, where
 
 
 def check_strings(world, history):

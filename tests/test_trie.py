@@ -2,6 +2,7 @@
 
 import ast
 import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -10,16 +11,44 @@ from hypothesis import strategies as st
 
 from evosim import (
     ArrivalNumbering,
+    EvolvingModel,
     InvalidSymbolError,
     PartialDfa,
     QueryCase,
     binary_strings,
+    saturate,
 )
+from evosim import trie
 from ledger import QueryLedger, replay_check
 from oracle_trie import OracleTrie
 from test_decoder_record import OUT_OF_ORDER, OWN_NAMES
 
 queries = st.lists(st.text(alphabet="01", max_size=10), max_size=60)
+
+# A decoded world whose deepest state, s2, is an unmarked leaf below the
+# one accepting state: depth 2, longest accepted length 1.
+UNMARKED_LEAF = """PET1 v1
+states: q0 s1 s2
+start: q0
+accept: s1
+trans: q0 0 s1
+trans: s1 1 s2
+maxaccept: 1
+counter: 3
+"""
+
+
+def walked_depth(machine):
+    """The depth of the machine, walked level by level over its
+    transitions view, by name: sharing no code with `PartialDfa.depth`."""
+    children = defaultdict(list)
+    for (source, _), target in machine.transitions.items():
+        children[source].append(target)
+    level, depth = [machine.start], -1
+    while level:
+        level = [child for state in level for child in children[state]]
+        depth += 1
+    return depth
 
 
 def test_numbering_assigns_arrival_order():
@@ -104,6 +133,36 @@ def test_stats_fresh_and_after_growth():
     assert (s.max_accepted_length, s.depth, s.state_count, s.accepting_count) == (3, 3, 4, 1)
 
 
+def test_a_decoded_unmarked_leaf_keeps_the_depth_until_growth_passes_it():
+    m = PartialDfa.from_snapshot(UNMARKED_LEAF)
+    readings = []
+    for text in ("", "01", "011"):
+        m.answer(text)
+        twin = m.copy()
+        readings.append((m.max_accepted_length, m.depth(), twin.depth(),
+                         m.stats().depth, walked_depth(m)))
+        assert (m.structure_problems(), twin.structure_problems()) == ([], [])
+    # After "": q0 marked; after "01": s2 marked; after "011": s3 grown.
+    assert readings == [(1, 2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3, 3, 3)]
+
+
+def test_depth_stats_and_saturate_make_no_level_walk(monkeypatch):
+    grown = PartialDfa()
+    for text in ("101", "10", "", "0110"):
+        grown.answer(text)
+    worlds = [grown, grown.copy(), PartialDfa.from_snapshot(grown.snapshot()),
+              PartialDfa.from_snapshot(UNMARKED_LEAF)]
+
+    def walked(*args):
+        raise AssertionError("a level walk")
+
+    monkeypatch.setattr(trie, "_levels", walked)
+    assert [world.depth() for world in worlds] == [4, 4, 4, 2]
+    assert [world.stats().depth for world in worlds] == [4, 4, 4, 2]
+    reports = [saturate(EvolvingModel(world), 3) for world in worlds]
+    assert [report.precondition_ok for report in reports] == [False] * 3 + [True]
+
+
 def test_full_trie_memory_per_state_is_bounded():
     # Name strings in a list, a dict keyed by (name, symbol) tuples and a
     # set of names held about 190 bytes per state here; two child slots of
@@ -159,9 +218,16 @@ def test_views_repr_as_their_plain_values():
     (lambda m: m.kids1.__setitem__(2, -1), "child slots reference unknown states"),
     (lambda m: setattr(m, "accepting_count", m.accepting_count + 1),
      "accepting count 2 is not the number of accepting states"),
+    (lambda m: setattr(m, "_decoded_depth", 5),
+     "depth 5 is not the deepest level 3 of the walk"),
+    # An unmarked state grown by hand below the deepest one, s3.
+    (lambda m: (m.kids0.__setitem__(3, 4), m.kids0.append(0), m.kids1.append(0),
+                m.marks.append(0)),
+     "depth 3 is not the deepest level 4 of the walk"),
     # A list of its own: fresh machines share one list of their first names.
     (lambda m: setattr(m, "_named", ["q0", "q0"]), "duplicate state names"),
-], ids=["slot-99", "slot-minus-1", "accepting-count", "duplicate-names"])
+], ids=["slot-99", "slot-minus-1", "accepting-count", "decoded-depth",
+        "unmarked-leaf", "duplicate-names"])
 def test_structure_problems_name_each_fault(damage, problem):
     grown = PartialDfa()
     grown.query("101")
@@ -286,7 +352,7 @@ def test_kept_names_resolve_to_their_creation_index():
 # The trie's layout and the snapshot format read into it: only trie.py may
 # name these.
 LAYOUT_NAMES = {"kids0", "kids1", "marks", "_named", "_index_of", "_shift",
-                "from_arrays", "int_array", "TRIE_ALPHABET"}
+                "_decoded_depth", "from_arrays", "int_array", "TRIE_ALPHABET"}
 
 
 def test_only_the_trie_module_touches_its_layout():
@@ -371,7 +437,7 @@ def test_structure_stays_a_trie_and_depth_tracks_queries(texts):
         assert outcome.ticks <= 2 * len(text) + 1
         longest = max(longest, len(text))
     assert m.structure_problems() == []
-    assert m.depth() == longest
+    assert m.depth() == m.copy().depth() == walked_depth(m) == longest
 
 
 @settings(max_examples=200, deadline=None)
@@ -415,11 +481,12 @@ def test_any_ledger_from_real_queries_replays_clean(texts):
 # 200 examples in tier-1; more under a larger profile, such as `deep`
 # (tests/conftest.py).
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
-@given(st.sampled_from([None, OUT_OF_ORDER, OWN_NAMES]),
+@given(st.sampled_from([None, OUT_OF_ORDER, OWN_NAMES, UNMARKED_LEAF]),
        st.lists(st.text(alphabet="01", max_size=12), max_size=30))
 def test_the_lean_reader_agrees_with_query(start, texts):
     # Fresh worlds, and decoded ones with a child listed before its parent,
-    # kept names, a raised counter and a start state not listed first.
+    # kept names, a raised counter, a start state not listed first and an
+    # unmarked leaf deeper than any accepting state.
     world = PartialDfa() if start is None else PartialDfa.from_snapshot(start)
     lean, reported = world.copy(), world.copy()
     for text in texts:
@@ -437,6 +504,7 @@ def test_the_lean_reader_agrees_with_query(start, texts):
         assert set(outcome.added_accepting) == set(reported.accepting) - accepting
         assert lean.snapshot() == reported.snapshot()
         assert lean.structure_problems() == []
+        assert lean.depth() == walked_depth(lean)
 
 
 def test_the_lean_reader_rejects_symbols_outside_the_alphabet():
@@ -459,4 +527,6 @@ def test_the_trie_agrees_with_a_reference_trie(history, more):
     for text in more:
         expected = reference.answer(text)
         assert [fork.answer(text) for fork in forks] == [expected] * 3
+        depth = max(map(len, reference.created))
+        assert [fork.depth() for fork in forks] == [depth] * 3
     assert [fork.snapshot() for fork in forks] == [reference.snapshot()] * 3
