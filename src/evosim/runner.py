@@ -86,17 +86,17 @@ and none of them makes a process import `dataclasses`, with the
 fields in `__new__`, and its `_make`, which `_replace` calls, goes through
 `__new__`, so no way of building one skips the check. Every value is
 built by calling its class, but for the two that `run` builds once per
-run: it builds its `CostMeter` and its `RunResult` in C, with the
-`functools.partial(tuple.__new__, Cls)` kept beside each class, called
-with the fields as one tuple. A class call goes through the Python-level
-`__new__` that `collections.namedtuple` generates, one more Python frame
-and about 0.25-0.3 us a build on CPython 3.11; the value is the same,
-with its type, repr, hash and pickle. A run of a shipped model builds
-no other value: the readers that do (`tape_view`, which no shipped
-model's run calls, `evosim.engine.render_record` and `PartialDfa.query`)
-pay that frame per value. The one exception to named tuples is
-`MachineStats`, a dataclass defined on first use (see `evosim.trie`),
-because the benchmark digests it with `dataclasses.astuple`.
+run: it builds its `CostMeter` and its `RunResult` in C, by calling
+`tuple.__new__(Cls, fields)` with the fields as one tuple. A class call
+goes through the Python-level `__new__` that `collections.namedtuple`
+generates, one more Python frame and about 0.25-0.3 us a build on
+CPython 3.11; the value is the same, with its type, repr, hash and
+pickle. A run of a shipped model builds no other value: the readers
+that do (`tape_view`, which no shipped model's run calls,
+`evosim.engine.render_record` and `PartialDfa.query`) pay that frame per
+value. The one exception to named tuples is `MachineStats`, a dataclass
+defined on first use (see `evosim.trie`), because the benchmark digests
+it with `dataclasses.astuple`.
 
 `evosim.tape.StandardModel` is the plain halting-pattern acceptor;
 `evosim.engine.EvolvingModel` is a `StandardModel` that swaps in a tape
@@ -110,7 +110,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from functools import partial
 from typing import NamedTuple
 
 from .errors import DeterminationError, InvalidSymbolError, excerpt
@@ -124,7 +123,6 @@ from .tape import (
     start_tape,
     step_config,
     step_table,
-    tape_string,
     walk,
 )
 
@@ -306,9 +304,6 @@ class CostMeter(NamedTuple):
     acceptor_ticks: int
 
 
-_cost_meter = partial(tuple.__new__, CostMeter)
-
-
 class RunResult(NamedTuple):
     """The outcome of one run: its verdict, input text, applied
     instructions, cost and final string; `start` and `path` are built on
@@ -349,9 +344,6 @@ class RunResult(NamedTuple):
         return tuple(path)
 
 
-_run_result = partial(tuple.__new__, RunResult)
-
-
 def select_instruction(procedure, config):
     """The unique instruction of `procedure` that applies to `config`,
     or None when none does."""
@@ -373,9 +365,12 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     it asks the model's `accept_tape` and records the applied instructions
     in a list of `run`'s. `run` reads the acceptor's tick counter around
     the walk and builds the report: the verdict of the walk's code, the
-    costs, the applied instructions as a tuple and the final string. A
+    costs, the applied instructions as a tuple and the final string, the
+    final tape with its blank ends stripped (interior blanks kept). A
     budget that is not an integer is a TypeError (a bool counts as one),
     and one below 1 a ValueError, both checked before the text's alphabet.
+    A run whose tape would outgrow memory raises MemoryError, also where
+    the budget lets a crossing ask for more cells than an index holds.
     """
     if operator.index(budget) < 1:
         raise ValueError("budget must be at least 1")
@@ -385,8 +380,9 @@ def run(model, procedure, text, budget=DEFAULT_BUDGET):
     verdict = VERDICTS[walk(procedure._steps, cells, 0, START_STATE, budget, applied,
                             model.accept_tape)]
     steps = len(applied)
-    cost = _cost_meter((steps + 1, steps, model.acceptor_ticks - ticks_before))
-    return _run_result((verdict, text, tuple(applied), cost, tape_string(cells)))
+    cost = tuple.__new__(CostMeter, (steps + 1, steps, model.acceptor_ticks - ticks_before))
+    return tuple.__new__(RunResult, (verdict, text, tuple(applied), cost,
+                                     cells.strip(b"\0").decode("ascii").replace("\0", BLANK)))
 
 
 def compute_function(model, procedure, text, budget=DEFAULT_BUDGET):

@@ -66,6 +66,10 @@ ZERO, ONE = CODE["0"], CODE["1"]
 # code, each empty. Every table shares it, and nothing writes it.
 NO_STEPS = (None,) * (max(CODE.values()) + 1)
 
+# The origin cell of every start tape; `start_tape` adds the input to it,
+# which makes a new tape, and nothing writes it.
+_ORIGIN = bytearray(1)
+
 
 class Configuration(NamedTuple):
     """Machine snapshot: control state plus the split tape.
@@ -86,7 +90,9 @@ def start_tape(text):
     if text.strip("01"):
         bad = sorted(set(text).difference("01"))
         raise InvalidSymbolError(f"input contains {bad!r}; allowed: 0, 1")
-    return bytearray(b"\0" + text.encode("ascii"))
+    # One buffer: the origin cell's `bytearray` plus the text's bytes (the
+    # check leaves only "0" and "1", so its UTF-8 is its ASCII).
+    return _ORIGIN + text.encode()
 
 
 def start_config(text):
@@ -99,12 +105,6 @@ def tape_view(state, cells, pos):
     """The immutable configuration of a mutable tape with the head on `pos`."""
     tape = cells.decode("latin-1").replace("\0", BLANK)
     return Configuration(state, tape[:pos], SYMBOL[cells[pos]], tape[pos + 1:])
-
-
-def tape_string(cells):
-    """The content of a mutable tape with blank ends stripped (interior
-    blanks retained)."""
-    return cells.strip(b"\0").decode("latin-1").replace("\0", BLANK)
 
 
 def config_cells(config):
@@ -182,9 +182,10 @@ def walk(steps, cells, pos, state, room, applied, ask):
     the halt state, since the halt state on a blank there is asked about;
     a head already on the last cell moves one past it. Any other state
     that loops on a blank runs past the end, and the tape is extended with
-    blanks. So every configuration a crossing skips is one that single
-    steps pass through with the same instruction, and none is the halt
-    state on a blank at a tape edge.
+    blanks (MemoryError where that many cells cannot be allocated, also
+    where they are more than an index holds). So every configuration a
+    crossing skips is one that single steps pass through with the same
+    instruction, and none is the halt state on a blank at a tape edge.
     """
     answer = False
     row = steps.get(state, NO_STEPS)
@@ -221,7 +222,11 @@ def walk(steps, cells, pos, state, room, applied, ask):
                     if found >= 0:
                         stop = found
                 if stop > end:
-                    cells.extend(bytes(stop - end))
+                    try:
+                        cells.extend(bytes(stop - end))
+                    except OverflowError:  # a length past what an index holds
+                        raise MemoryError(f"a tape of {stop} cells cannot be "
+                                          f"allocated") from None
                 crossed = stop - pos
             else:
                 stop = pos - room if pos > room else 0

@@ -284,6 +284,27 @@ def test_running_out_of_memory_exits_two_and_writes_nothing_back(tmp_path, capsy
                                                          "world.pet.lock"]
 
 
+@pytest.mark.parametrize("budget", [str(sys.maxsize + 1), "100000000000000000000"])
+def test_a_tape_past_what_an_index_holds_exits_two_and_writes_nothing_back(
+        tmp_path, capsys, budget):
+    runaway = tmp_path / "runaway.proc"
+    runaway.write_text("(q0,_) -> (q0,_,R)\n")
+    assert main(["run", "", "--proc", str(runaway), "--budget", budget]) == 2
+    err = capsys.readouterr().err
+    assert err == "evosim: error: out of memory; the world was not written back\n"
+    state = tmp_path / "world.pet"
+    assert main(["snapshot", "--model", "e", "--out", str(state)]) == 0
+    assert main(["query", "101", "--model", "e", "--state", str(state)]) == 0
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(["run", "", "--proc", str(runaway), "--budget", budget,
+                 "--model", "e", "--state", str(state)]) == 2
+    assert "out of memory" in capsys.readouterr().err
+    assert state.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runaway.proc", "world.pet",
+                                                         "world.pet.lock"]
+
+
 def test_write_back_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["snapshot", "--model", "e", "--out", "world.pet"]) == 0

@@ -33,7 +33,7 @@ from evosim import (
 )
 from evosim.engine import LOG_LIMIT, encode_snapshot, fork
 from evosim.tape import (ALPHABET, NO_STEPS, ONE, START_STATE, SYMBOL, ZERO, start_tape,
-                         tape_string, tape_view, walk)
+                         tape_view, walk)
 from oracle_tm import TrieAcceptor, oracle_run
 from oracle_trie import OracleTrie
 
@@ -101,6 +101,21 @@ def test_runaway_memory_is_linear_in_the_budget():
     # (gigabytes); the tape, the applied list and its tuple need a few
     # pointers per step.
     assert peak < 16 * 2 ** 20
+
+
+# Budgets whose crossing would take more cells than an index holds: bytes
+# of that length are refused before any allocation.
+@pytest.mark.parametrize("budget", [sys.maxsize + 1, 10 ** 20], ids=["maxsize+1", "10**20"])
+@pytest.mark.parametrize("make", [StandardModel, EvolvingModel], ids=["v", "e"])
+def test_a_tape_past_what_an_index_holds_is_out_of_memory(budget, make):
+    runaway = Procedure([Instruction("q0", BLANK, "q0", BLANK, "R")])
+    model = make()
+    with pytest.raises(MemoryError, match=f"a tape of {budget} cells cannot be allocated"):
+        run(model, runaway, "", budget)
+    cells = start_tape("")
+    with pytest.raises(MemoryError):
+        walk(runaway._steps, cells, 0, START_STATE, budget, [], model.accept_tape)
+    assert cells == start_tape("") and model.acceptor_ticks == 0
 
 
 def test_run_budget_exceeded():
@@ -441,7 +456,8 @@ def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
     # `answer`), and the value types the run builds (for `run` a cost meter
     # and a report) take no Python frame, where a named tuple's generated
     # `__new__` takes one per build. `walk` is handed its start tape and
-    # the tape question, and `run` builds the tape from the text.
+    # the tape question, and `run` builds the tape from the text and the
+    # final string from the tape, the second with no frame of its own.
     expected = Counter(["walk", "accept_tape"])
     if first_time is None:
         world = StandardModel()
@@ -451,7 +467,7 @@ def test_a_scanner_run_enters_only_the_run_paths_own_frames(driver, first_time):
             run(world, SCANNER, "1011")
         expected.update(["_walk_and_grow"])
     if driver is run:
-        expected.update(["run", "start_tape", "tape_string"])
+        expected.update(["run", "start_tape"])
         args = (world, SCANNER, "1011", 100)
     else:
         args = (SCANNER._steps, start_tape("1011"), 0, START_STATE, 100, None,
@@ -591,7 +607,7 @@ def test_the_run_driver_agrees_with_run(table, text, budget):
         assert list(Verdict)[code] is list(Verdict)[bare_code] is result.verdict
         assert tuple(applied) == result.applied
         assert cells == bare_cells
-        assert tape_string(cells) == result.final_string
+        assert extract_string(tape_view(START_STATE, cells, 0)) == result.final_string
         # The worlds start at 0 ticks, so the counters are the deltas.
         for world in (driven, bare):
             assert world.acceptor_ticks == result.cost.acceptor_ticks

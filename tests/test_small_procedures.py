@@ -13,10 +13,18 @@ grown world's snapshot as well. Each model-E run starts from its own copy
 of one world: a fresh one, on which almost every first answer is YES, or
 one grown by earlier queries, on which NO answers occur.
 
-Tier-1 runs model v on inputs of at most 3 symbols and model E on inputs
-of at most 1, at budget 6. The full enumeration, both models on inputs of
-at most 3 symbols at every budget from 1 to 6, and model E also on engine
-A's world of `order_demo()`, runs as
+A third check needs no reference: the 0/1 mirror of each run, under model
+v and under model E from a fresh world (0 and 1 swapped in every read and
+write of the procedure and in the input, and a fresh world is its own
+mirror), must end with the same verdict and costs and the mirrored final
+string.
+
+Tier-1 runs model v on inputs of at most 3 symbols, model E on inputs of
+at most 1, and model E on engine B's world and the mirrors on the empty
+input, at budget 6. The full enumeration, both models and
+the mirrors on inputs of at most 3 symbols at every budget from 1 to 6,
+and model E also on engine A's and engine B's worlds of `order_demo()`,
+runs as
 
     PYTHONPATH=src:tests python3 -c \\
         "from test_small_procedures import check_all; print(check_all())"
@@ -46,8 +54,13 @@ KEYS = tuple(itertools.product(STATES, ("0", "1", BLANK)))
 ACTIONS = tuple(itertools.product(STATES, ("0", "1", BLANK), "LR"))
 
 # Engine A's queries in `order_demo()`: the world they grow answers NO on
-# "10".
+# "10". Engine B asks the same two in the other order, and its world
+# answers NO on "1" instead, one symbol short of its accepting "10".
 ENGINE_A = ("101", "10")
+ENGINE_B = ("10", "101")
+
+# The mirror image of a string: 0 and 1 swapped (blanks stay).
+MIRROR = str.maketrans("01", "10")
 
 
 def small_tables(max_instructions):
@@ -118,13 +131,39 @@ def check_model_e(max_input, budgets, history=()):
     return runs
 
 
+def check_mirrors(max_input, budgets):
+    """Every small procedure on every input of at most `max_input` symbols
+    at each budget against its 0/1 mirror on the mirrored input, under
+    model v and under model E from a fresh world: the same verdict and
+    costs, and the mirrored final string; the number of runs compared, two
+    per pair."""
+    model = StandardModel()
+    texts = inputs_up_to(max_input)
+    runs = 0
+    for table, procedure in small_procedures(2):
+        mirror = Procedure(Instruction(s, r.translate(MIRROR), t, w.translate(MIRROR), m)
+                           for (s, r), (t, w, m) in table.items())
+        for text, budget in itertools.product(texts, budgets):
+            image_text = text.translate(MIRROR)
+            for world, image_world in ((model, model), (EvolvingModel(), EvolvingModel())):
+                result = run(world, procedure, text, budget)
+                image = run(image_world, mirror, image_text, budget)
+                assert (image.verdict, image.cost, image.final_string) == (
+                    result.verdict, result.cost, result.final_string.translate(MIRROR)), (
+                        table, text, budget, type(world).__name__)
+                runs += 2
+    return runs
+
+
 def check_all():
     """The full enumeration: both models on inputs of at most 3 symbols at
-    every budget from 1 to 6, model E on a fresh world and on engine A's;
-    the number of runs compared."""
+    every budget from 1 to 6, model E on a fresh world and on engine A's
+    and engine B's, and each model-v and fresh-world model-E run against
+    its mirror; the number of runs compared."""
     budgets = range(1, 7)
     return (check_model_v(3, budgets) + check_model_e(3, budgets)
-            + check_model_e(3, budgets, ENGINE_A))
+            + check_model_e(3, budgets, ENGINE_A) + check_model_e(3, budgets, ENGINE_B)
+            + check_mirrors(3, budgets))
 
 
 def test_the_enumeration_counts_every_small_procedure():
@@ -139,3 +178,11 @@ def test_every_small_procedure_agrees_with_the_reference_under_model_v():
 
 def test_every_small_procedure_agrees_with_the_reference_acceptor_under_model_e():
     assert check_model_e(1, [6]) == 11_827 * 3 == 35_481
+
+
+def test_every_small_procedure_agrees_with_the_reference_acceptor_on_engine_b():
+    assert check_model_e(0, [6], ENGINE_B) == 11_827
+
+
+def test_every_small_procedure_agrees_with_its_mirror_under_both_models():
+    assert check_mirrors(0, [6]) == 11_827 * 4 == 47_308

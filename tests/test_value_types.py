@@ -3,20 +3,26 @@ and hashes they had as frozen dataclasses, and a round trip through
 pickle. `Scenario` is a tuple of its commands. `Instruction` checks its
 fields however it is built, and `MachineStats`, the one dataclass left,
 defined on first use, looks as it did when `evosim.trie` defined it at
-import."""
+import. The `RunResult` and `CostMeter` that `run` builds without a class
+call are the values a class call builds, with the named tuples' methods
+and the report's readers."""
 
 import copy
 import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evosim
-from evosim import (EvolvingModel, Instruction, InvalidSymbolError, PartialDfa,
-                    StructureDelta, right_scanner, run, run_traced, saturate,
+from evosim import (CostMeter, EvolvingModel, Instruction, InvalidSymbolError, PartialDfa,
+                    Procedure, RunResult, StandardModel, StructureDelta, Verdict,
+                    extract_string, right_scanner, run, run_traced, saturate,
                     sibling_search, start_config)
 from evosim.scenario import Command, Scenario, parse_scenario
 from test_imports import _modules_added
+from test_runner import budgets, procedures
 
 RUN_10 = ("RunResult(verdict=<Verdict.ACCEPTED: 'accepted'>, text='10', "
           "applied=(Instruction(state='q0', read='△', target='h', write='△', "
@@ -194,3 +200,51 @@ def test_machine_stats_is_one_class_whichever_use_defines_it(first):
             "assert pickle.loads(pickle.dumps(stats)) == stats\n"
             "assert type(stats).__qualname__ == 'MachineStats'\n")
     _modules_added(code)  # fails on an exit status other than 0
+
+
+def check_run_report(result, text):
+    """A report of `run` on `text` is the value its class builds from the
+    same fields, with the named tuples' methods, and reads back as a run:
+    its start, its replayed path and its costs agree."""
+    assert type(result) is RunResult and type(result.cost) is CostMeter
+    assert RunResult._fields == ("verdict", "text", "applied", "cost", "final_string")
+    assert CostMeter._fields == ("path_length", "transition_ticks", "acceptor_ticks")
+    cost = result.cost
+    counts = (cost.path_length, cost.transition_ticks, cost.acceptor_ticks)
+    fields = (result.verdict, result.text, result.applied, cost, result.final_string)
+    assert tuple(cost) == counts and cost == counts and hash(cost) == hash(counts)
+    assert tuple(result) == fields and result == fields and hash(result) == hash(fields)
+    built = RunResult(*fields[:3], CostMeter(*counts), fields[4])
+    assert built == result and repr(built) == repr(result)
+    assert pickle.dumps(built) == pickle.dumps(result)
+    assert result._asdict() == dict(zip(RunResult._fields, fields))
+    assert cost._asdict() == dict(zip(CostMeter._fields, counts))
+    again = result._replace(final_string=result.final_string + "x")
+    assert type(again) is RunResult and again[:4] == fields[:4]
+    bumped = cost._replace(acceptor_ticks=cost.acceptor_ticks + 1)
+    assert type(bumped) is CostMeter and bumped == counts[:2] + (counts[2] + 1,)
+    assert result.text == text and type(result.applied) is tuple
+    assert result.accepted is (result.verdict is Verdict.ACCEPTED)
+    assert result.start == start_config(text)
+    path = result.path
+    assert path[0] == result.start and extract_string(path[-1]) == result.final_string
+    assert (len(path) == cost.path_length == cost.transition_ticks + 1
+            == len(result.applied) + 1)
+
+
+@pytest.mark.parametrize("kind", ["v", "e"])
+@pytest.mark.parametrize("text", ["", "0", "10", "1101"])
+def test_a_scanner_run_report_is_the_value_its_class_builds(kind, text):
+    # Under model e, the second run asks a world the first has grown; a
+    # budget of 2 ends a run before the scanner's last step but on "".
+    world = StandardModel() if kind == "v" else EvolvingModel()
+    for budget in (100, 100, 2):
+        check_run_report(run(world, right_scanner(), text, budget), text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(procedures, st.text(alphabet="01", max_size=12), budgets)
+def test_every_run_report_is_the_value_its_class_builds(table, text, budget):
+    procedure = Procedure(Instruction(s, r, t, w, m) for (s, r), (t, w, m) in table.items())
+    for model in (StandardModel(), EvolvingModel()):
+        check_run_report(run(model, procedure, text, budget), text)
