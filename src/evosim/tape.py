@@ -90,8 +90,7 @@ def start_tape(text):
     if text.strip("01"):
         bad = sorted(set(text).difference("01"))
         raise InvalidSymbolError(f"input contains {bad!r}; allowed: 0, 1")
-    # One buffer: the origin cell's `bytearray` plus the text's bytes (the
-    # check leaves only "0" and "1", so its UTF-8 is its ASCII).
+    # The check leaves only "0" and "1", whose UTF-8 is their ASCII.
     return _ORIGIN + text.encode()
 
 

@@ -287,8 +287,10 @@ def test_running_out_of_memory_exits_two_and_writes_nothing_back(tmp_path, capsy
 @pytest.mark.parametrize("budget", [str(sys.maxsize + 1), "100000000000000000000"])
 def test_a_tape_past_what_an_index_holds_exits_two_and_writes_nothing_back(
         tmp_path, capsys, budget):
+    # The run halts once at the right edge, which asks the world about ""
+    # and grows it, and then runs away past the tape end.
     runaway = tmp_path / "runaway.proc"
-    runaway.write_text("(q0,_) -> (q0,_,R)\n")
+    runaway.write_text("(q0,_) -> (h,_,R)\n(h,_) -> (a,_,R)\n(a,_) -> (a,_,R)\n")
     assert main(["run", "", "--proc", str(runaway), "--budget", budget]) == 2
     err = capsys.readouterr().err
     assert err == "evosim: error: out of memory; the world was not written back\n"

@@ -21,10 +21,9 @@ string.
 
 Tier-1 runs model v on inputs of at most 3 symbols, model E on inputs of
 at most 1, and model E on engine B's world and the mirrors on the empty
-input, at budget 6. The full enumeration, both models and
-the mirrors on inputs of at most 3 symbols at every budget from 1 to 6,
-and model E also on engine A's and engine B's worlds of `order_demo()`,
-runs as
+input, at budget 6. The full enumeration, both models and the mirrors on
+inputs of at most 3 symbols at every budget from 1 to 6, and model E also
+on engine A's and engine B's worlds of `order_demo()`, runs as
 
     PYTHONPATH=src:tests python3 -c \\
         "from test_small_procedures import check_all; print(check_all())"
